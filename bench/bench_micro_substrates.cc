@@ -1,7 +1,8 @@
 // Micro-benchmarks (google-benchmark) for the substrates on NetMax's hot
 // paths: the symmetric eigensolver and the policy LP (called K*R times per
-// monitor tick), full Algorithm 3 policy generation, the event simulator, and
-// one training step of the MLP proxy.
+// monitor tick), full Algorithm 3 policy generation (and its retained
+// whole-matrix reference), the event simulator, and one training step of the
+// MLP proxy.
 
 #include <benchmark/benchmark.h>
 
@@ -106,7 +107,26 @@ void BM_PolicyGenerationFull(benchmark::State& state) {
     benchmark::DoNotOptimize(result);
   }
 }
-BENCHMARK(BM_PolicyGenerationFull)->Arg(8)->Arg(16);
+BENCHMARK(BM_PolicyGenerationFull)->Arg(8)->Arg(16)->Arg(32);
+
+void BM_PolicyGenerationReference(benchmark::State& state) {
+  // The same search through the retained whole-matrix reference
+  // (tests/reference_impls.h): one dense Eq. (14) LP per grid point, with
+  // lambda_2 from the full eigendecomposition. The naive-relative perf gate
+  // pairs it with BM_PolicyGenerationFull.
+  const int n = static_cast<int>(state.range(0));
+  net::Topology topo = net::Topology::Complete(n);
+  core::PolicyGeneratorOptions options;
+  options.alpha = 0.1;
+  options.outer_rounds = 8;
+  options.inner_rounds = 8;
+  const linalg::Matrix times = RandomTimes(n, 3);
+  for (auto _ : state) {
+    auto result = core::reference::Generate(topo, options, times);
+    benchmark::DoNotOptimize(result);
+  }
+}
+BENCHMARK(BM_PolicyGenerationReference)->Arg(8)->Arg(32);
 
 void BM_EventSimulatorThroughput(benchmark::State& state) {
   for (auto _ : state) {

@@ -71,62 +71,41 @@ StatusOr<CommunicationPolicy> PolicyGenerator::SolvePolicyLp(
   const int n = topology_.num_nodes();
   const double lb = EdgeLowerBound(options_, rho);
 
-  // Variable layout: first the n self-probabilities p_{i,i}, then one
-  // variable per directed edge (i -> m), in row-major edge order.
-  std::vector<std::pair<int, int>> edges;
-  std::vector<int> edge_var(static_cast<size_t>(n) * n, -1);
-  for (int i = 0; i < n; ++i) {
-    for (int m : topology_.Neighbors(i)) {
-      edge_var[static_cast<size_t>(i) * n + m] =
-          n + static_cast<int>(edges.size());
-      edges.emplace_back(i, m);
-    }
-  }
-  const int num_vars = n + static_cast<int>(edges.size());
-
-  linalg::LpProblem lp;
-  lp.num_vars = num_vars;
-  lp.objective.assign(static_cast<size_t>(num_vars), 0.0);
-  for (int i = 0; i < n; ++i) lp.objective[static_cast<size_t>(i)] = 1.0;
-  lp.lower_bounds.assign(static_cast<size_t>(num_vars), 0.0);
-  lp.upper_bounds.assign(static_cast<size_t>(num_vars), 1.0);
-  for (size_t e = 0; e < edges.size(); ++e) {
-    lp.lower_bounds[static_cast<size_t>(n) + e] = lb;
-  }
-
-  // Eq. (10): sum_m t_{i,m} p_{i,m} = M * t_bar for every i.
-  for (int i = 0; i < n; ++i) {
-    std::vector<double> row(static_cast<size_t>(num_vars), 0.0);
-    for (int m : topology_.Neighbors(i)) {
-      row[static_cast<size_t>(edge_var[static_cast<size_t>(i) * n + m])] =
-          iteration_times(i, m);
-    }
-    lp.AddConstraint(std::move(row), linalg::LpRelation::kEqual,
-                     static_cast<double>(n) * t_bar);
-  }
-  // Eq. (13): rows of P sum to 1.
-  for (int i = 0; i < n; ++i) {
-    std::vector<double> row(static_cast<size_t>(num_vars), 0.0);
-    row[static_cast<size_t>(i)] = 1.0;
-    for (int m : topology_.Neighbors(i)) {
-      row[static_cast<size_t>(edge_var[static_cast<size_t>(i) * n + m])] = 1.0;
-    }
-    lp.AddConstraint(std::move(row), linalg::LpRelation::kEqual, 1.0);
-  }
-
-  StatusOr<linalg::LpSolution> solution = linalg::SolveLp(lp);
-  if (!solution.ok()) return solution.status();
-
+  // Every constraint and the objective touch one row of P only, so Eq. (14)
+  // splits into n independent LPs, one per worker i, over the variables
+  // [p_{i,i}, p_{i,m} for m in Neighbors(i)] (see the header comment).
   linalg::Matrix p(n, n, 0.0);
   for (int i = 0; i < n; ++i) {
-    p(i, i) = std::max(0.0, solution->x[static_cast<size_t>(i)]);
-  }
-  for (size_t e = 0; e < edges.size(); ++e) {
-    const auto [i, m] = edges[e];
-    p(i, m) = std::max(0.0, solution->x[static_cast<size_t>(n) + e]);
-  }
-  // Renormalize away simplex round-off so rows sum to exactly 1.
-  for (int i = 0; i < n; ++i) {
+    const std::vector<int>& neighbors = topology_.Neighbors(i);
+    const int num_vars = 1 + static_cast<int>(neighbors.size());
+
+    linalg::LpProblem lp;
+    lp.num_vars = num_vars;
+    lp.objective.assign(static_cast<size_t>(num_vars), 0.0);
+    lp.objective[0] = 1.0;
+    lp.lower_bounds.assign(static_cast<size_t>(num_vars), lb);
+    lp.lower_bounds[0] = 0.0;
+    lp.upper_bounds.assign(static_cast<size_t>(num_vars), 1.0);
+
+    // Eq. (10): sum_m t_{i,m} p_{i,m} = M * t_bar.
+    std::vector<double> times(static_cast<size_t>(num_vars), 0.0);
+    for (size_t k = 0; k < neighbors.size(); ++k) {
+      times[k + 1] = iteration_times(i, neighbors[k]);
+    }
+    lp.AddConstraint(std::move(times), linalg::LpRelation::kEqual,
+                     static_cast<double>(n) * t_bar);
+    // Eq. (13): row i of P sums to 1.
+    lp.AddConstraint(std::vector<double>(static_cast<size_t>(num_vars), 1.0),
+                     linalg::LpRelation::kEqual, 1.0);
+
+    StatusOr<linalg::LpSolution> solution = linalg::SolveLp(lp);
+    if (!solution.ok()) return solution.status();
+
+    p(i, i) = std::max(0.0, solution->x[0]);
+    for (size_t k = 0; k < neighbors.size(); ++k) {
+      p(i, neighbors[k]) = std::max(0.0, solution->x[k + 1]);
+    }
+    // Renormalize away simplex round-off so the row sums to exactly 1.
     const double row_sum = p.RowSum(i);
     NETMAX_CHECK_GT(row_sum, 0.0);
     for (int m = 0; m < n; ++m) p(i, m) /= row_sum;
@@ -177,10 +156,11 @@ StatusOr<GeneratedPolicy> PolicyGenerator::Generate(
   }
   for (int i = 0; i < n; ++i) {
     for (int m : topology_.Neighbors(i)) {
-      if (!(iteration_times(i, m) > 0.0)) {
+      const double t = iteration_times(i, m);
+      if (!(t > 0.0) || !std::isfinite(t)) {
         return InvalidArgumentError(
             "iteration time for edge (" + std::to_string(i) + "," +
-            std::to_string(m) + ") must be positive");
+            std::to_string(m) + ") must be finite and positive");
       }
     }
   }

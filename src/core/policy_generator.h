@@ -14,6 +14,22 @@
 // then scores the candidate by T_conv = t_bar * ln(eps) / ln(lambda_2(Y_P))
 // and returns the best policy found.
 //
+// Eq. (14) is solved one worker at a time. The objective and every
+// constraint involve only row i of P, so the whole-matrix simplex tableau is
+// block-diagonal with one block per worker: a pivot in block i changes no
+// other block's rows or reduced costs, and Dantzig pricing (lowest-index
+// argmin) restricted to one block is that block's own argmin. Each worker's
+// LP, with variables [p_{i,i}, p_{i,m} for m in Neighbors(i) ascending], the
+// same bounds and the same row order, therefore takes the same pivots in the
+// same order and yields the same bits as the whole-matrix solve. The solves
+// differ in two places only, neither of which decides a result on any input
+// the reference test sweeps (tests/policy_reference_test.cc):
+//  * the 1e-7 phase-1 infeasibility tolerance applies to each worker's
+//    residual instead of to their sum, so a grid point whose workers each
+//    miss feasibility by at most 1e-7, but together by more, is accepted;
+//  * the simplex's Bland-rule switch and iteration cap are sized by each
+//    worker's LP instead of by the whole matrix.
+//
 // The same machinery generates policies for pairwise-averaging gossip
 // (Section III-D extension, e.g. AD-PSGD + Monitor) by swapping the Y matrix
 // construction and the Eq. (11) lower bound.
@@ -102,7 +118,8 @@ class PolicyGenerator {
   StatusOr<Candidate> EvaluateGridPoint(
       double rho, double t_bar, const linalg::Matrix& iteration_times) const;
 
-  // Solves the LP of Eq. (14) for fixed (rho, t_bar).
+  // Solves the LP of Eq. (14) for fixed (rho, t_bar), one worker's row of P
+  // at a time.
   StatusOr<CommunicationPolicy> SolvePolicyLp(
       double rho, double t_bar, const linalg::Matrix& iteration_times) const;
 

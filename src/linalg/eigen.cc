@@ -3,12 +3,17 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <string>
 
 #include "common/random.h"
 #include "linalg/vector_ops.h"
 
 namespace netmax::linalg {
 namespace {
+
+// JacobiEigenSymmetric's default symmetry tolerance, which
+// SymmetricEigenvalues shares.
+constexpr double kSymmetryTol = 1e-9;
 
 // Sum of squares of off-diagonal entries.
 double OffDiagonalNorm(const Matrix& a) {
@@ -24,24 +29,36 @@ double OffDiagonalNorm(const Matrix& a) {
   return acc;
 }
 
-}  // namespace
-
-StatusOr<EigenDecomposition> JacobiEigenSymmetric(const Matrix& a,
-                                                  double symmetry_tol) {
+// Shared input check of every Jacobi entry point: square, finite (a NaN
+// would otherwise run all sweeps and come back as a NaN eigenvalue), and
+// symmetric within `symmetry_tol`.
+Status ValidateSymmetric(const Matrix& a, double symmetry_tol,
+                         const char* caller) {
   if (a.rows() != a.cols()) {
-    return InvalidArgumentError("JacobiEigenSymmetric: matrix not square");
+    return InvalidArgumentError(std::string(caller) + ": matrix not square");
+  }
+  if (!a.IsFinite()) {
+    return InvalidArgumentError(std::string(caller) +
+                                ": matrix has a non-finite entry");
   }
   if (!a.IsSymmetric(symmetry_tol)) {
-    return InvalidArgumentError("JacobiEigenSymmetric: matrix not symmetric");
+    return InvalidArgumentError(std::string(caller) + ": matrix not symmetric");
   }
-  const int n = a.rows();
-  Matrix work = a;
-  Matrix vectors = Matrix::Identity(n);
+  return Status::Ok();
+}
+
+// Cyclic Jacobi sweeps shared by every entry point: rotates `work` in place
+// until its off-diagonal mass converges, accumulating the rotations into
+// `vectors` when it is non-null. The rotations of `work` never read
+// `vectors`, so skipping it leaves the eigenvalues bit-identical. Returns the
+// diagonal indices of `work` sorted by descending eigenvalue.
+std::vector<int> JacobiSweeps(Matrix& work, Matrix* vectors) {
+  const int n = work.rows();
   // The rotation loops touch every element of two rows/columns per (p, q)
   // pair; raw row-major access keeps them branch-free (operator() bounds
   // checks would dominate the sweep).
   double* wd = work.mutable_data().data();
-  double* vd = vectors.mutable_data().data();
+  double* vd = vectors != nullptr ? vectors->mutable_data().data() : nullptr;
 
   constexpr int kMaxSweeps = 100;
   constexpr double kConvergence = 1e-22;  // off-diagonal Frobenius^2 target
@@ -62,7 +79,7 @@ StatusOr<EigenDecomposition> JacobiEigenSymmetric(const Matrix& a,
         const double s = t * c;
 
         // Apply the rotation J(p, q, theta) on both sides of `work` and
-        // accumulate it into `vectors`.
+        // accumulate it into `vectors` when requested.
         for (int k = 0; k < n; ++k) {
           double* row = wd + static_cast<size_t>(k) * n;
           const double akp = row[p];
@@ -78,6 +95,7 @@ StatusOr<EigenDecomposition> JacobiEigenSymmetric(const Matrix& a,
           wp[k] = c * apk - s * aqk;
           wq[k] = s * apk + c * aqk;
         }
+        if (vd == nullptr) continue;
         for (int k = 0; k < n; ++k) {
           double* row = vd + static_cast<size_t>(k) * n;
           const double vkp = row[p];
@@ -89,12 +107,25 @@ StatusOr<EigenDecomposition> JacobiEigenSymmetric(const Matrix& a,
     }
   }
 
-  // Collect eigenvalues and sort descending, permuting eigenvector columns.
   std::vector<int> order(static_cast<size_t>(n));
   std::iota(order.begin(), order.end(), 0);
   std::sort(order.begin(), order.end(),
             [&](int x, int y) { return work(x, x) > work(y, y); });
+  return order;
+}
 
+}  // namespace
+
+StatusOr<EigenDecomposition> JacobiEigenSymmetric(const Matrix& a,
+                                                  double symmetry_tol) {
+  Status valid = ValidateSymmetric(a, symmetry_tol, "JacobiEigenSymmetric");
+  if (!valid.ok()) return valid;
+  const int n = a.rows();
+  Matrix work = a;
+  Matrix vectors = Matrix::Identity(n);
+  const std::vector<int> order = JacobiSweeps(work, &vectors);
+
+  // Collect eigenvalues in descending order, permuting eigenvector columns.
   EigenDecomposition out;
   out.eigenvalues.resize(static_cast<size_t>(n));
   out.eigenvectors = Matrix(n, n);
@@ -109,9 +140,15 @@ StatusOr<EigenDecomposition> JacobiEigenSymmetric(const Matrix& a,
 }
 
 StatusOr<std::vector<double>> SymmetricEigenvalues(const Matrix& a) {
-  StatusOr<EigenDecomposition> decomp = JacobiEigenSymmetric(a);
-  if (!decomp.ok()) return decomp.status();
-  return std::move(decomp.value().eigenvalues);
+  Status valid = ValidateSymmetric(a, kSymmetryTol, "SymmetricEigenvalues");
+  if (!valid.ok()) return valid;
+  Matrix work = a;
+  const std::vector<int> order = JacobiSweeps(work, nullptr);
+  std::vector<double> values(order.size());
+  for (size_t c = 0; c < order.size(); ++c) {
+    values[c] = work(order[c], order[c]);
+  }
+  return values;
 }
 
 StatusOr<double> SecondLargestEigenvalue(const Matrix& a) {

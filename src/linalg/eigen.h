@@ -24,15 +24,19 @@ struct EigenDecomposition {
 };
 
 // Computes the full eigendecomposition of the symmetric matrix `a` with the
-// cyclic Jacobi method. Returns InvalidArgument if `a` is not square or not
-// symmetric (within `symmetry_tol`).
+// cyclic Jacobi method. Returns InvalidArgument if `a` is not square, has a
+// non-finite entry, or is not symmetric (within `symmetry_tol`).
 StatusOr<EigenDecomposition> JacobiEigenSymmetric(const Matrix& a,
                                                   double symmetry_tol = 1e-9);
 
-// Returns all eigenvalues of symmetric `a` in descending order.
+// Returns all eigenvalues of symmetric `a` in descending order. Runs the same
+// Jacobi sweeps as JacobiEigenSymmetric without accumulating eigenvectors, so
+// the result equals JacobiEigenSymmetric(a).eigenvalues bit for bit; input
+// checks are the same.
 StatusOr<std::vector<double>> SymmetricEigenvalues(const Matrix& a);
 
-// Returns the second-largest eigenvalue of symmetric `a` (n >= 2).
+// Returns the second-largest eigenvalue of symmetric `a` (n >= 2), as
+// SymmetricEigenvalues(a)[1].
 StatusOr<double> SecondLargestEigenvalue(const Matrix& a);
 
 // Estimates the largest eigenvalue (by absolute value) of symmetric `a` by

@@ -78,8 +78,15 @@ double Matrix::ColSum(int c) const {
   return acc;
 }
 
+bool Matrix::IsFinite() const {
+  for (double v : data_) {
+    if (!std::isfinite(v)) return false;
+  }
+  return true;
+}
+
 bool Matrix::IsSymmetric(double tol) const {
-  if (rows_ != cols_) return false;
+  if (rows_ != cols_ || !IsFinite()) return false;
   for (int r = 0; r < rows_; ++r) {
     for (int c = r + 1; c < cols_; ++c) {
       if (std::fabs((*this)(r, c) - (*this)(c, r)) > tol) return false;
@@ -89,6 +96,7 @@ bool Matrix::IsSymmetric(double tol) const {
 }
 
 bool Matrix::IsNonNegative(double tol) const {
+  if (!IsFinite()) return false;
   for (double v : data_) {
     if (v < -tol) return false;
   }

@@ -57,13 +57,20 @@ class Matrix {
   double RowSum(int r) const;
   double ColSum(int c) const;
 
-  // True if |a(i,j) - a(j,i)| <= tol for all i, j (square matrices only).
+  // True if no entry is NaN or infinite. The three structural checks below
+  // all require it: every comparison against NaN is false, so without it a
+  // NaN entry would pass them.
+  bool IsFinite() const;
+
+  // True if finite and |a(i,j) - a(j,i)| <= tol for all i, j (square
+  // matrices only).
   bool IsSymmetric(double tol = 1e-12) const;
 
-  // True if every entry is >= -tol.
+  // True if finite and every entry is >= -tol.
   bool IsNonNegative(double tol = 1e-12) const;
 
-  // True if symmetric, non-negative, and every row sums to 1 within tol.
+  // True if symmetric, non-negative, and every row sums to 1 within tol
+  // (hence finite).
   bool IsDoublyStochastic(double tol = 1e-9) const;
 
   // Max |a(i,j) - b(i,j)|; matrices must have equal shapes.

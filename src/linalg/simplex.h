@@ -10,9 +10,14 @@
 //          p_{i,m} >= alpha*rho*(d_{i,m}+d_{m,i}) for neighbors  (Eq. 11)
 //          p_{i,m}  = 0 for non-neighbors                        (Eq. 12)
 //          rows of P sum to 1                                    (Eq. 13)
-// These LPs have at most a few hundred variables, so a dense tableau solver
-// with Dantzig pricing (falling back to Bland's rule for anti-cycling) is
-// simple and fast enough.
+// Every constraint touches a single row of P, so the generator solves it as
+// M independent LPs, one per worker i: 1 + deg(i) variables (p_{i,i} and the
+// edge probabilities, each bounded above by 1) and 3 + deg(i) rows (Eqs. 10
+// and 13 plus one row per upper bound). At M = 32 on a complete graph that is
+// 32 variables and 34 rows per LP, a tableau of about 2k cells, where the
+// whole-matrix LP has 1,024 variables and 1,088 rows (2.3M cells). A dense
+// tableau with Dantzig pricing (falling back to Bland's rule for
+// anti-cycling) is simple and fast at the per-worker size.
 //
 // Conventions:
 //  * minimization;

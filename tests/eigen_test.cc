@@ -1,6 +1,9 @@
 #include "linalg/eigen.h"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <tuple>
 #include <vector>
 
@@ -65,6 +68,62 @@ TEST(JacobiTest, RejectsAsymmetric) {
   auto result = JacobiEigenSymmetric(a);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(JacobiTest, EveryEntryPointRejectsNonFiniteInput) {
+  // A NaN pair used to pass the symmetry check (NaN comparisons are false),
+  // run all sweeps, and come back OK with NaN eigenvalues.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double bad : {nan, inf, -inf}) {
+    Matrix a = Matrix::Identity(4);
+    a(1, 2) = bad;
+    a(2, 1) = bad;
+    Matrix diagonal = Matrix::Identity(4);
+    diagonal(3, 3) = bad;
+    for (const Matrix& m : {a, diagonal}) {
+      auto decomp = JacobiEigenSymmetric(m);
+      ASSERT_FALSE(decomp.ok());
+      EXPECT_EQ(decomp.status().code(), StatusCode::kInvalidArgument);
+      auto values = SymmetricEigenvalues(m);
+      ASSERT_FALSE(values.ok());
+      EXPECT_EQ(values.status().code(), StatusCode::kInvalidArgument);
+      auto lambda2 = SecondLargestEigenvalue(m);
+      ASSERT_FALSE(lambda2.ok());
+      EXPECT_EQ(lambda2.status().code(), StatusCode::kInvalidArgument);
+    }
+  }
+}
+
+TEST(JacobiTest, EigenvaluesOnlyMatchFullDecompositionBitForBit) {
+  // SymmetricEigenvalues skips the eigenvector accumulation; the rotations
+  // of the work matrix never read the vectors, so the eigenvalues must be
+  // the same doubles, in the same order.
+  for (const int n : {2, 3, 8, 32}) {
+    for (uint64_t seed = 1; seed <= 3; ++seed) {
+      Rng rng(seed * 100 + static_cast<uint64_t>(n));
+      Matrix a(n, n);
+      for (int r = 0; r < n; ++r) {
+        for (int c = r; c < n; ++c) {
+          const double v = rng.Gaussian();
+          a(r, c) = v;
+          a(c, r) = v;
+        }
+      }
+      auto decomp = JacobiEigenSymmetric(a);
+      auto values = SymmetricEigenvalues(a);
+      auto lambda2 = SecondLargestEigenvalue(a);
+      ASSERT_TRUE(decomp.ok() && values.ok() && lambda2.ok());
+      ASSERT_EQ(values->size(), decomp->eigenvalues.size());
+      for (size_t i = 0; i < values->size(); ++i) {
+        EXPECT_EQ(std::bit_cast<uint64_t>((*values)[i]),
+                  std::bit_cast<uint64_t>(decomp->eigenvalues[i]))
+            << "n=" << n << " seed=" << seed << " i=" << i;
+      }
+      EXPECT_EQ(std::bit_cast<uint64_t>(lambda2.value()),
+                std::bit_cast<uint64_t>(decomp->eigenvalues[1]));
+    }
+  }
 }
 
 TEST(JacobiTest, TraceAndEigenvalueSumAgree) {

@@ -1,5 +1,6 @@
 #include "linalg/matrix.h"
 
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -108,6 +109,31 @@ TEST(MatrixTest, DoublyStochastic) {
   EXPECT_FALSE(rows_only.IsDoublyStochastic());
   Matrix negative({{1.5, -0.5}, {-0.5, 1.5}});  // sums OK but negative entry
   EXPECT_FALSE(negative.IsDoublyStochastic());
+}
+
+TEST(MatrixTest, ChecksRejectNonFiniteEntries) {
+  // Every comparison against NaN is false, so a NaN must be rejected
+  // explicitly rather than slip through the tolerance tests.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  Matrix ds({{0.5, 0.5}, {0.5, 0.5}});
+  EXPECT_TRUE(ds.IsFinite());
+  for (const double bad : {nan, inf, -inf}) {
+    Matrix off_diagonal = ds;  // a symmetric pair of bad entries
+    off_diagonal(0, 1) = bad;
+    off_diagonal(1, 0) = bad;
+    Matrix diagonal = ds;
+    diagonal(1, 1) = bad;
+    for (const Matrix& m : {off_diagonal, diagonal}) {
+      EXPECT_FALSE(m.IsFinite());
+      EXPECT_FALSE(m.IsSymmetric());
+      EXPECT_FALSE(m.IsSymmetric(1e300));
+      EXPECT_FALSE(m.IsNonNegative());
+      EXPECT_FALSE(m.IsNonNegative(1e300));
+      EXPECT_FALSE(m.IsDoublyStochastic());
+      EXPECT_FALSE(m.IsDoublyStochastic(1e300));
+    }
+  }
 }
 
 TEST(MatrixTest, MaxAbsDiff) {

@@ -5,6 +5,8 @@
 #include "core/policy_generator.h"
 
 #include <cmath>
+#include <limits>
+#include <string>
 #include <tuple>
 
 #include <gtest/gtest.h>
@@ -141,6 +143,29 @@ TEST(PolicyGeneratorTest, RejectsNonPositiveTimes) {
   PolicyGenerator generator(topo, DefaultOptions());
   linalg::Matrix times(3, 3, 0.0);  // zero iteration times are invalid
   EXPECT_FALSE(generator.Generate(times).ok());
+
+  // +inf passes a plain `t > 0` test and used to surface later as an
+  // infeasible search; it must be rejected up front, naming the edge, in
+  // both modes.
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const auto mode : {PolicyGeneratorOptions::Mode::kConsensus,
+                          PolicyGeneratorOptions::Mode::kAveraging}) {
+    PolicyGeneratorOptions options = DefaultOptions();
+    options.mode = mode;
+    PolicyGenerator moded(topo, options);
+    linalg::Matrix finite = TimesWithSlowPair(3, 0, 1, 1.0, 1.0);
+    ASSERT_TRUE(moded.Generate(finite).ok());
+    for (const double bad : {inf, -inf, 0.0, -1.0,
+                             std::numeric_limits<double>::quiet_NaN()}) {
+      linalg::Matrix bad_times = finite;
+      bad_times(1, 2) = bad;
+      auto result = moded.Generate(bad_times);
+      ASSERT_FALSE(result.ok()) << bad;
+      EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument) << bad;
+      EXPECT_NE(result.status().message().find("(1,2)"), std::string::npos)
+          << result.status();
+    }
+  }
 }
 
 TEST(PolicyGeneratorTest, RejectsWrongShape) {
