@@ -8,13 +8,14 @@
 //     worker always has exactly one pending event, so the queue holds N
 //     entries in steady state) driven through the real EventSimulator for a
 //     fixed wall-clock budget per cell. The sorted vector pays an O(N)
-//     memmove per insert, the heap O(log N), the pairing heap O(1) insert
-//     with an amortized O(log N) pop, the calendar queue O(1); at 10^5+
-//     workers the frontier separates them by orders of magnitude.
+//     memmove per insert, the calendar queue O(1); at 10^5+ workers the
+//     frontier separates them by orders of magnitude.
 //  2. Queue x backend matrix — one real training experiment per
 //     {event queue, execution backend} pair, wall clock measured and results
-//     verified bit-identical across all twelve runs (the queue and the
-//     backend are real-machine choices only; virtual results never move).
+//     verified bit-identical across all six runs (the queue and the backend
+//     are real-machine choices only; virtual results never move). The pooled
+//     backends run on one thread per hardware core (at least 2, or
+//     --threads=N); serial dispatch runs on one.
 //  3. Hierarchical gossip at scale — 10^5+ workers on the
 //     clusters-of-clusters topology with the O(1)-memory hierarchical link
 //     model, each worker gossiping rounds to its neighbors through the
@@ -35,6 +36,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "algos/registry.h"
@@ -147,18 +149,20 @@ void CheckBitIdentical(const std::string& label, const core::RunResult& a,
 
 StatusOr<std::vector<MatrixCell>> RunQueueBackendMatrix(std::ostream& os) {
   core::ExperimentConfig config = bench::PaperBaseConfig();
-  config.max_epochs = 8;  // the matrix is 12 runs; keep full mode in minutes
+  config.max_epochs = 8;  // the matrix is 6 runs; keep full mode in minutes
   bench::MaybeApplySmoke(config);
-  config.threads = 1;
   config.shards = 1;
+  const int parallel_threads =
+      bench::ThreadsOverride() > 0
+          ? bench::ThreadsOverride()
+          : std::max(2, static_cast<int>(std::thread::hardware_concurrency()));
   std::vector<MatrixCell> cells;
   const core::RunResult* reference = nullptr;
   std::vector<core::RunResult> results;
-  results.reserve(12);
+  results.reserve(6);
   TablePrinter table({"queue", "backend", "wall_s", "virtual_s", "identical"});
   for (const net::EventQueueKind queue :
-       {net::EventQueueKind::kSortedVector, net::EventQueueKind::kBinaryHeap,
-        net::EventQueueKind::kCalendar, net::EventQueueKind::kPairingHeap}) {
+       {net::EventQueueKind::kSortedVector, net::EventQueueKind::kCalendar}) {
     for (const core::ExecutionBackendKind backend :
          {core::ExecutionBackendKind::kSerial,
           core::ExecutionBackendKind::kSpeculative,
@@ -166,9 +170,9 @@ StatusOr<std::vector<MatrixCell>> RunQueueBackendMatrix(std::ostream& os) {
       core::ExperimentConfig cell_config = config;
       cell_config.event_queue = queue;
       cell_config.backend = backend;
-      if (backend == core::ExecutionBackendKind::kAsyncPipeline) {
-        cell_config.reorder_window = 4;
-      }
+      cell_config.threads = backend == core::ExecutionBackendKind::kSerial
+                                ? 1
+                                : parallel_threads;
       NETMAX_ASSIGN_OR_RETURN(const auto algorithm,
                               algos::MakeAlgorithm("netmax"));
       const auto start = Clock::now();
@@ -196,7 +200,7 @@ StatusOr<std::vector<MatrixCell>> RunQueueBackendMatrix(std::ostream& os) {
                     Fmt(run.total_virtual_seconds, 1), "yes"});
     }
   }
-  os << "\n== Queue x backend matrix (netmax, 8 workers; all twelve runs "
+  os << "\n== Queue x backend matrix (netmax, 8 workers; all six runs "
         "verified bit-identical) ==\n";
   table.Print(os);
   table.PrintCsv(os, "Queue x backend matrix");
@@ -360,9 +364,7 @@ Status Run() {
       {"workers", "queue", "events", "wall_s", "events_per_sec"});
   for (const int workers : worker_grid) {
     for (const net::EventQueueKind kind :
-         {net::EventQueueKind::kSortedVector, net::EventQueueKind::kBinaryHeap,
-          net::EventQueueKind::kCalendar,
-          net::EventQueueKind::kPairingHeap}) {
+         {net::EventQueueKind::kSortedVector, net::EventQueueKind::kCalendar}) {
       const FrontierCell cell =
           MeasureQueueFrontier(workers, kind, cell_budget);
       frontier.push_back(cell);

@@ -32,8 +32,6 @@ int shards_override = -1;
 bool backend_override_set = false;
 core::ExecutionBackendKind backend_override =
     core::ExecutionBackendKind::kSpeculative;
-int reorder_window_override = -1;
-int procs_override = -1;
 double checkpoint_at_override = 0.0;
 double checkpoint_every_override = 0.0;
 std::string checkpoint_path_override;
@@ -46,7 +44,6 @@ uint64_t faults_seed = 0;
 net::FaultSchedule faults_override;
 bool peer_policy_override_set = false;
 core::PeerPolicy peer_policy_override = core::PeerPolicy::kWait;
-bool adaptive_window_override = false;
 bool event_queue_override_set = false;
 net::EventQueueKind event_queue_override = net::EventQueueKind::kSortedVector;
 int workers_override = -1;
@@ -69,22 +66,16 @@ int run_batch_counter = 0;
 
 void PrintUsage(std::ostream& os, const char* binary) {
   os << "usage: " << binary
-     << " [--smoke] [--threads=N] [--shards=N] [--backend=K]"
-        " [--reorder-window=N]\n"
+     << " [--smoke] [--threads=N] [--shards=N] [--backend=K]\n"
         "       [--checkpoint-at=S --checkpoint-path=P] [--restore-path=P]\n"
-        "       [--faults=SPEC] [--peer-policy=P] [--checkpoint-every=S]"
-        " [--adaptive-window]\n"
+        "       [--faults=SPEC] [--peer-policy=P] [--checkpoint-every=S]\n"
      << "  --smoke              reduced iterations / corpus (CI smoke run)\n"
      << "  --threads=N          per-run simulation threads (0 = one per "
         "core, 1 = serial; results are bit-identical)\n"
      << "  --shards=N           intra-worker gradient shard tasks (0 = auto "
         "from the thread budget; results are bit-identical)\n"
      << "  --backend=K          execution backend: serial | speculative | "
-        "async | process (results are bit-identical)\n"
-     << "  --reorder-window=N   async backend in-flight compute bound "
-        "(0 = synchronous; results are bit-identical)\n"
-     << "  --procs=N            process backend's forked gradient-compute "
-        "children (0 = one per core; results are bit-identical)\n"
+        "async (results are bit-identical)\n"
      << "  --checkpoint-at=S    write a checkpoint S virtual seconds into "
         "every run (requires --checkpoint-path)\n"
      << "  --checkpoint-path=P  checkpoint file prefix; each run writes "
@@ -101,10 +92,8 @@ void PrintUsage(std::ostream& os, const char* binary) {
         "re-probe) or timeout (degrade after the deadline and continue)\n"
      << "  --checkpoint-every=S rewrite each run's checkpoint every S "
         "virtual seconds (rotating history; requires --checkpoint-path)\n"
-     << "  --adaptive-window    async backend re-sizes its reorder window "
-        "at runtime (results are bit-identical)\n"
-     << "  --event-queue=K      simulator event-queue backend: vector | heap "
-        "| calendar (results are bit-identical)\n"
+     << "  --event-queue=K      simulator event-queue backend: vector | "
+        "calendar (results are bit-identical)\n"
      << "  --workers=N          simulated worker count (N >= 2; overrides "
         "every run's num_workers)\n"
      << "  --topology=SPEC      gossip topology: complete or "
@@ -117,12 +106,9 @@ void PrintUsage(std::ostream& os, const char* binary) {
      << "  NETMAX_THREADS=N          same as --threads=N\n"
      << "  NETMAX_SHARDS=N           same as --shards=N\n"
      << "  NETMAX_BACKEND=K          same as --backend=K\n"
-     << "  NETMAX_REORDER_WINDOW=N   same as --reorder-window=N\n"
-     << "  NETMAX_PROCS=N            same as --procs=N\n"
      << "  NETMAX_FAULTS=SPEC        same as --faults=SPEC\n"
      << "  NETMAX_PEER_POLICY=P      same as --peer-policy=P\n"
      << "  NETMAX_CHECKPOINT_EVERY=S same as --checkpoint-every=S\n"
-     << "  NETMAX_ADAPTIVE_WINDOW=1  same as --adaptive-window\n"
      << "  NETMAX_EVENT_QUEUE=K      same as --event-queue=K\n"
      << "  NETMAX_WORKERS=N          same as --workers=N\n"
      << "  NETMAX_TOPOLOGY=SPEC      same as --topology=SPEC\n"
@@ -147,9 +133,8 @@ StatusOr<core::ExecutionBackendKind> ParseBackend(const std::string& flag_text,
                                                   std::string_view value) {
   core::ExecutionBackendKind kind;
   if (!core::ParseExecutionBackendKind(value, &kind)) {
-    return InvalidArgumentError(
-        "bad flag value: " + flag_text +
-        " (expected serial, speculative, async, or process)");
+    return InvalidArgumentError("bad flag value: " + flag_text +
+                                " (expected serial, speculative, or async)");
   }
   return kind;
 }
@@ -215,8 +200,7 @@ Status ParseEventQueueFlag(const std::string& flag_text,
   StatusOr<net::EventQueueKind> kind = net::ParseEventQueueKind(value);
   if (!kind.ok()) {
     return InvalidArgumentError("bad flag value: " + flag_text +
-                                " (expected vector, heap, calendar, or "
-                                "pairing)");
+                                " (expected vector or calendar)");
   }
   event_queue_override = *kind;
   event_queue_override_set = true;
@@ -279,10 +263,6 @@ void ApplyExecutionOverrides(core::ExperimentConfig& config,
   }
   if (shards_override >= 0) config.shards = shards_override;
   if (backend_override_set) config.backend = backend_override;
-  if (reorder_window_override >= 0) {
-    config.reorder_window = reorder_window_override;
-  }
-  if (procs_override >= 0) config.procs = procs_override;
   if (event_queue_override_set) config.event_queue = event_queue_override;
   if (topology_override_set) config.topology = topology_override;
   // The worker override must land before a seed-derived fault schedule is
@@ -297,7 +277,6 @@ void ApplyExecutionOverrides(core::ExperimentConfig& config,
             : faults_override;
   }
   if (peer_policy_override_set) config.peer_policy = peer_policy_override;
-  if (adaptive_window_override) config.adaptive_reorder_window = true;
   if (compress_override_set) config.compress = compress_override;
 }
 
@@ -348,8 +327,6 @@ StatusOr<bool> InitBench(int argc, char** argv) {
   threads_override = -1;
   shards_override = -1;
   backend_override_set = false;
-  reorder_window_override = -1;
-  procs_override = -1;
   checkpoint_at_override = 0.0;
   checkpoint_every_override = 0.0;
   checkpoint_path_override.clear();
@@ -359,7 +336,6 @@ StatusOr<bool> InitBench(int argc, char** argv) {
   faults_seed = 0;
   faults_override = net::FaultSchedule();
   peer_policy_override_set = false;
-  adaptive_window_override = false;
   event_queue_override_set = false;
   event_queue_override = net::EventQueueKind::kSortedVector;
   workers_override = -1;
@@ -370,10 +346,6 @@ StatusOr<bool> InitBench(int argc, char** argv) {
   run_batch_counter = 0;
   const char* env = std::getenv("NETMAX_SMOKE");
   if (env != nullptr && std::strcmp(env, "1") == 0) smoke_mode = true;
-  const char* env_adaptive = std::getenv("NETMAX_ADAPTIVE_WINDOW");
-  if (env_adaptive != nullptr && std::strcmp(env_adaptive, "1") == 0) {
-    adaptive_window_override = true;
-  }
   const char* env_threads = std::getenv("NETMAX_THREADS");
   if (env_threads != nullptr) {
     NETMAX_ASSIGN_OR_RETURN(
@@ -395,19 +367,6 @@ StatusOr<bool> InitBench(int argc, char** argv) {
         ParseBackend(std::string("NETMAX_BACKEND=") + env_backend,
                      env_backend));
     backend_override_set = true;
-  }
-  const char* env_window = std::getenv("NETMAX_REORDER_WINDOW");
-  if (env_window != nullptr) {
-    NETMAX_ASSIGN_OR_RETURN(
-        reorder_window_override,
-        ParseFlagValue(std::string("NETMAX_REORDER_WINDOW=") + env_window,
-                       env_window));
-  }
-  const char* env_procs = std::getenv("NETMAX_PROCS");
-  if (env_procs != nullptr) {
-    NETMAX_ASSIGN_OR_RETURN(
-        procs_override,
-        ParseFlagValue(std::string("NETMAX_PROCS=") + env_procs, env_procs));
   }
   const char* env_faults = std::getenv("NETMAX_FAULTS");
   if (env_faults != nullptr) {
@@ -463,14 +422,6 @@ StatusOr<bool> InitBench(int argc, char** argv) {
           backend_override,
           ParseBackend(arg, std::string_view(arg).substr(10)));
       backend_override_set = true;
-    } else if (arg.rfind("--reorder-window=", 0) == 0) {
-      NETMAX_ASSIGN_OR_RETURN(
-          reorder_window_override,
-          ParseFlagValue(arg, std::string_view(arg).substr(17)));
-    } else if (arg.rfind("--procs=", 0) == 0) {
-      NETMAX_ASSIGN_OR_RETURN(
-          procs_override,
-          ParseFlagValue(arg, std::string_view(arg).substr(8)));
     } else if (arg.rfind("--checkpoint-at=", 0) == 0) {
       NETMAX_ASSIGN_OR_RETURN(
           checkpoint_at_override,
@@ -489,8 +440,6 @@ StatusOr<bool> InitBench(int argc, char** argv) {
     } else if (arg.rfind("--peer-policy=", 0) == 0) {
       NETMAX_RETURN_IF_ERROR(
           ParsePeerPolicyFlag(arg, std::string_view(arg).substr(14)));
-    } else if (arg == "--adaptive-window") {
-      adaptive_window_override = true;
     } else if (arg.rfind("--event-queue=", 0) == 0) {
       NETMAX_RETURN_IF_ERROR(
           ParseEventQueueFlag(arg, std::string_view(arg).substr(14)));
@@ -542,10 +491,6 @@ bool SmokeMode() { return smoke_mode; }
 int ThreadsOverride() { return threads_override; }
 
 int ShardsOverride() { return shards_override; }
-
-int ReorderWindowOverride() { return reorder_window_override; }
-
-int ProcsOverride() { return procs_override; }
 
 int WorkersOverride() { return workers_override; }
 
@@ -747,14 +692,14 @@ void PrintEpochCostSplit(std::ostream& os, const std::string& title,
 
 void PrintExecutionDiagnostics(std::ostream& os,
                                const std::vector<NamedResult>& results) {
-  // Fault and adaptive-window columns appear only when some run has activity
-  // to report: fault-free batches keep the exact pre-fault table shape, so
-  // scripts diffing a bench's stderr across revisions see no churn.
+  // Fault columns appear only when some run has activity to report:
+  // fault-free batches keep the exact pre-fault table shape, so scripts
+  // diffing a bench's stderr across revisions see no churn.
   bool any_faults = false;
   for (const NamedResult& entry : results) {
     const core::RunResult& r = entry.result;
-    if (r.window_resizes != 0 || r.faults_injected != 0 ||
-        r.rounds_degraded != 0 || r.peers_timed_out != 0) {
+    if (r.faults_injected != 0 || r.rounds_degraded != 0 ||
+        r.peers_timed_out != 0) {
       any_faults = true;
       break;
     }
@@ -770,27 +715,12 @@ void PrintExecutionDiagnostics(std::ostream& os,
       break;
     }
   }
-  // Process-backend columns likewise appear only when some run forked
-  // children that died or had leaf ranges re-dispatched — healthy process
-  // runs (and the thread backends, always) keep the pre-process table shape.
-  bool any_process = false;
-  for (const NamedResult& entry : results) {
-    if (entry.result.process_child_deaths != 0 ||
-        entry.result.process_ranges_redispatched != 0) {
-      any_process = true;
-      break;
-    }
-  }
   std::vector<std::string> header = {"run",          "backend",
                                      "batches",      "speculated",
                                      "redispatched", "recomputed",
                                      "stalls",       "backpressure"};
-  if (any_process) {
-    header.insert(header.end(), {"child_deaths", "ranges_redisp"});
-  }
   if (any_faults) {
-    header.insert(header.end(),
-                  {"resizes", "faults", "degraded", "timeouts"});
+    header.insert(header.end(), {"faults", "degraded", "timeouts"});
   }
   if (any_bytes) {
     header.insert(header.end(), {"messages", "bytes_sent", "bytes_saved"});
@@ -806,14 +736,8 @@ void PrintExecutionDiagnostics(std::ostream& os,
                                     std::to_string(r.computes_recomputed),
                                     std::to_string(r.window_stalls),
                                     std::to_string(r.window_backpressure)};
-    if (any_process) {
-      row.insert(row.end(),
-                 {std::to_string(r.process_child_deaths),
-                  std::to_string(r.process_ranges_redispatched)});
-    }
     if (any_faults) {
-      row.insert(row.end(), {std::to_string(r.window_resizes),
-                             std::to_string(r.faults_injected),
+      row.insert(row.end(), {std::to_string(r.faults_injected),
                              std::to_string(r.rounds_degraded),
                              std::to_string(r.peers_timed_out)});
     }

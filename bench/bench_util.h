@@ -34,15 +34,9 @@ namespace netmax::bench {
 //                        ExperimentConfig::shards; 0 = auto from the per-run
 //                        thread budget, results are bit-identical for any
 //                        value).
-//   --backend=K          execution backend: serial | speculative | async |
-//                        process (overrides ExperimentConfig::backend;
-//                        results are bit-identical for every backend).
-//   --reorder-window=N   async backend's in-flight compute bound (overrides
-//                        ExperimentConfig::reorder_window; 0 = synchronous).
-//   --procs=N            process backend's forked gradient-compute children
-//                        (overrides ExperimentConfig::procs; 0 = one per
-//                        hardware core; results are bit-identical for any
-//                        value).
+//   --backend=K          execution backend: serial | speculative | async
+//                        (overrides ExperimentConfig::backend; results are
+//                        bit-identical for every backend).
 //   --checkpoint-at=S    arm a checkpoint S virtual seconds into every run
 //                        (overrides ExperimentConfig::checkpoint_at_seconds;
 //                        pair with --checkpoint-path).
@@ -75,16 +69,11 @@ namespace netmax::bench {
 //                        crash-recovery workflow: a crash@T fault halts the
 //                        run, and --restore-path resumes from the newest
 //                        periodic checkpoint bit-identically.
-//   --adaptive-window    let the async backend re-size its reorder window at
-//                        runtime from stall/backpressure counters
-//                        (ExperimentConfig::adaptive_reorder_window; results
-//                        are bit-identical either way).
-//   --event-queue=K      simulator event-queue backend: vector | heap |
-//                        calendar | pairing (overrides
-//                        ExperimentConfig::event_queue; pop order — and
-//                        therefore every result — is bit-identical for all
-//                        four; they differ only in real-machine cost, see
-//                        bench_scale_frontier).
+//   --event-queue=K      simulator event-queue backend: vector | calendar
+//                        (overrides ExperimentConfig::event_queue; pop
+//                        order — and therefore every result — is
+//                        bit-identical for both; they differ only in
+//                        real-machine cost, see bench_scale_frontier).
 //   --workers=N          simulated worker count (overrides
 //                        ExperimentConfig::num_workers; N >= 2). Applied
 //                        before a seed-derived --faults=seed:K schedule is
@@ -98,7 +87,7 @@ namespace netmax::bench {
 //                        "int8", or "layerwise:<period>" (overrides
 //                        ExperimentConfig::compress; see ml/compression.h).
 //                        Results for a given spec are bit-identical across
-//                        backends, threads, shards, and reorder windows.
+//                        backends, threads, and shards.
 // Every flag has a NETMAX_* environment fallback (see PrintUsage in
 // bench_util.cc for the single authoritative list); an explicit flag wins
 // over its environment variable.
@@ -124,16 +113,10 @@ int BenchMain(int argc, char** argv, const std::function<Status()>& body);
 int ThreadsOverride();
 
 // The --shards/NETMAX_SHARDS override, or -1 when unset.
-int ShardsOverride();
-
-// The --reorder-window/NETMAX_REORDER_WINDOW override, or -1 when unset.
 // (The --backend override has no accessor: benches that run experiments by
 // hand pin their backends per leg — bench_scale32 compares all three — and
 // RunAlgorithms/RunConfigs apply the override internally.)
-int ReorderWindowOverride();
-
-// The --procs/NETMAX_PROCS override, or -1 when unset.
-int ProcsOverride();
+int ShardsOverride();
 
 // The --workers/NETMAX_WORKERS override, or -1 when unset.
 int WorkersOverride();
@@ -202,10 +185,10 @@ void PrintEpochCostSplit(std::ostream& os, const std::string& title,
 // Prints the execution-backend health table for `results`: backend, frontier
 // or window batches, speculated / re-dispatched / inline-recomputed compute
 // halves, and the async window's stall/backpressure counters. When any run
-// reports fault or adaptive-window activity (window_resizes,
-// faults_injected, rounds_degraded, peers_timed_out), four extra columns
-// carry those counters; fault-free batches suppress the all-zero columns so
-// their stderr table keeps the exact pre-fault shape. Likewise, when any run
+// reports fault activity (faults_injected, rounds_degraded,
+// peers_timed_out), three extra columns carry those counters; fault-free
+// batches suppress the all-zero columns so their stderr table keeps the
+// exact pre-fault shape. Likewise, when any run
 // compressed its gradients (bytes_saved != 0), three extra columns report
 // messages / bytes_sent / bytes_saved; uncompressed batches suppress them so
 // existing benches' stderr tables are unchanged. RunAlgorithms and

@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "common/thread_pool.h"
-#include "core/process_backend.h"
 
 namespace netmax::core {
 namespace {
@@ -54,10 +53,6 @@ bool ParseExecutionBackendKind(std::string_view text,
     *kind = ExecutionBackendKind::kAsyncPipeline;
     return true;
   }
-  if (text == "process") {
-    *kind = ExecutionBackendKind::kProcessPool;
-    return true;
-  }
   return false;
 }
 
@@ -69,40 +64,20 @@ std::string_view ExecutionBackendKindName(ExecutionBackendKind kind) {
       return "speculative";
     case ExecutionBackendKind::kAsyncPipeline:
       return "async";
-    case ExecutionBackendKind::kProcessPool:
-      return "process";
   }
   return "unknown";
 }
 
 std::unique_ptr<ExecutionBackend> MakeExecutionBackend(
-    ExecutionBackendKind kind, ThreadPool* pool, int reorder_window,
-    bool adaptive_window) {
-  NETMAX_CHECK_GE(reorder_window, 0);
-  // The process backend never wants a thread pool (its parallelism is forked
-  // children), so it must NOT fall into the pool-less serial degrade below.
-  if (kind == ExecutionBackendKind::kProcessPool) {
-    return std::make_unique<ProcessPoolBackend>();
-  }
-  if (pool == nullptr || kind == ExecutionBackendKind::kSerial) {
-    return std::make_unique<SerialBackend>();
-  }
+    ExecutionBackendKind kind, ThreadPool* pool) {
+  if (pool == nullptr || kind == ExecutionBackendKind::kSerial) return nullptr;
   if (kind == ExecutionBackendKind::kSpeculative) {
     return std::make_unique<SpeculativeBackend>(pool);
   }
-  return std::make_unique<AsyncPipelineBackend>(pool, reorder_window,
-                                                adaptive_window);
+  // Twice the thread budget: the pool's workers plus the RunUntilIdle caller.
+  return std::make_unique<AsyncPipelineBackend>(
+      pool, 2 * (pool->num_threads() + 1));
 }
-
-// --- SerialBackend ----------------------------------------------------------
-
-void SerialBackend::Dispatch(EventSimulator& /*sim*/) {}
-
-int64_t SerialBackend::DrainCommits(EventSimulator& sim) {
-  return sim.StepWith(nullptr) ? 1 : 0;
-}
-
-void SerialBackend::OnStateWrite(EventSimulator& /*sim*/, int /*worker_key*/) {}
 
 // --- SpeculativeBackend -----------------------------------------------------
 
@@ -277,19 +252,10 @@ void SpeculativeBackend::FlushRedispatches() {
 
 // --- AsyncPipelineBackend ---------------------------------------------------
 
-AsyncPipelineBackend::AsyncPipelineBackend(ThreadPool* pool, int reorder_window,
-                                           bool adaptive_window)
-    : pool_(pool),
-      reorder_window_(reorder_window),
-      adaptive_window_(adaptive_window) {
+AsyncPipelineBackend::AsyncPipelineBackend(ThreadPool* pool, int reorder_window)
+    : pool_(pool), reorder_window_(reorder_window) {
   NETMAX_CHECK(pool_ != nullptr) << "AsyncPipelineBackend needs a pool";
-  NETMAX_CHECK_GE(reorder_window_, 0);
-  // The adaptive controller needs a live pipeline to measure; a configured
-  // window of 0 (synchronous) starts at 1 instead.
-  if (adaptive_window_ && reorder_window_ < 1) reorder_window_ = 1;
-  if (reorder_window_ > kMaxAdaptiveWindow && adaptive_window_) {
-    reorder_window_ = kMaxAdaptiveWindow;
-  }
+  NETMAX_CHECK_GE(reorder_window_, 1);
 }
 
 void AsyncPipelineBackend::Submit(Entry& entry) {
@@ -300,7 +266,6 @@ void AsyncPipelineBackend::Submit(Entry& entry) {
 }
 
 void AsyncPipelineBackend::Dispatch(EventSimulator& sim) {
-  if (reorder_window_ <= 0) return;  // synchronous: every compute runs inline
   // Admit pending compute halves into the window in (time, sequence) order.
   // A key already resident is skipped — its later same-key events must
   // observe the resident event's commit — but the scan continues past it, so
@@ -328,33 +293,6 @@ void AsyncPipelineBackend::Dispatch(EventSimulator& sim) {
         return EventSimulator::ScanAction::kContinue;
       });
   if (admitted > 0 && window_.size() >= 2) ++stats_.parallel_batches;
-  if (adaptive_window_) MaybeAdaptWindow();
-}
-
-void AsyncPipelineBackend::MaybeAdaptWindow() {
-  // Re-size at a coarse cadence so each decision sees a meaningful sample of
-  // the straggler behaviour, not one noisy dispatch.
-  constexpr int64_t kAdaptPeriod = 64;
-  if (++adapt_dispatches_ < kAdaptPeriod) return;
-  adapt_dispatches_ = 0;
-  const int64_t backpressure =
-      stats_.window_backpressure - adapt_baseline_.window_backpressure;
-  const int64_t stalls = stats_.window_stalls - adapt_baseline_.window_stalls;
-  const int64_t redispatched =
-      stats_.computes_redispatched - adapt_baseline_.computes_redispatched;
-  adapt_baseline_ = stats_;
-  // Backpressure means runnable work sat behind a full window: grow. Stalls
-  // and invalidation re-dispatches mean speculation ran ahead of what the
-  // commit stream could consume: shrink. Window size never affects result
-  // bits (the backend invariant), so this chases throughput only.
-  if (backpressure > stalls + redispatched &&
-      reorder_window_ < kMaxAdaptiveWindow) {
-    ++reorder_window_;
-    ++stats_.window_resizes;
-  } else if (stalls + redispatched > backpressure && reorder_window_ > 1) {
-    --reorder_window_;
-    ++stats_.window_resizes;
-  }
 }
 
 int64_t AsyncPipelineBackend::DrainCommits(EventSimulator& sim) {

@@ -8,29 +8,24 @@
 // depend on core); everything that picks or implements a strategy lives
 // here.
 //
-// Four strategies, all bit-identical to each other by the soundness
-// contract in net/event_sim.h:
+// Three dispatch strategies, all bit-identical to each other by the
+// soundness contract in net/event_sim.h:
 //
-//  * SerialBackend — every event runs inline at its turn on the simulator
-//    thread. The reference semantics; also what every other backend degrades
-//    to without a pool.
+//  * serial — no backend at all: EventSimulator::RunUntilIdle runs every
+//    event inline at its turn on the simulator thread. The reference
+//    semantics; also what the pooled kinds degrade to without a pool.
 //  * SpeculativeBackend — the PR 3/4 frontier machinery: collect the longest
 //    prefix of pending compute events with pairwise-distinct worker keys,
 //    evaluate them concurrently on the pool behind a barrier, then drain the
 //    whole batch in order. Invalidated speculations are re-dispatched onto
 //    the pool in a second pass instead of recomputing inline.
 //  * AsyncPipelineBackend — no barrier: compute halves stream through a
-//    bounded reorder window (`reorder_window` in-flight evaluations, 0 =
-//    synchronous). The commit drain waits only for the entry at the head of
-//    the window, never for the slowest in-flight compute; dispatch applies
-//    backpressure when the window fills, and NotifyStateWrite invalidation
-//    covers every window-resident evaluation (in-flight ones are waited out
-//    before the caller's write, then re-dispatched).
-//  * ProcessPoolBackend — fork + MAP_SHARED (core/process_backend.h):
-//    serial event semantics, but each batch-gradient compute half fans its
-//    leaf ranges out to forked child processes over shared memory. Built by
-//    the factory below like the others, but attached to its experiment by
-//    the harness (the fork must happen after the worker slab is final).
+//    bounded reorder window (`reorder_window` in-flight evaluations). The
+//    commit drain waits only for the entry at the head of the window, never
+//    for the slowest in-flight compute; dispatch applies backpressure when
+//    the window fills, and NotifyStateWrite invalidation covers every
+//    window-resident evaluation (in-flight ones are waited out before the
+//    caller's write, then re-dispatched).
 
 #include <cstdint>
 #include <future>
@@ -53,43 +48,28 @@ using net::ExecutionBackend;
 using net::ExecutionStats;
 
 enum class ExecutionBackendKind {
-  kSerial,
+  kSerial,         // no backend: the simulator's own inline loop
   kSpeculative,    // default: today's frontier speculation + re-dispatch
   kAsyncPipeline,  // bounded-reorder-window commit pipeline
-  kProcessPool,    // fork + MAP_SHARED leaf waves (process_backend.h)
 };
 
 // Strict parse of a --backend / NETMAX_BACKEND value ("serial",
-// "speculative", "async", "process"); returns false on anything else,
-// leaving *kind untouched.
+// "speculative", "async"); returns false on anything else, leaving *kind
+// untouched.
 bool ParseExecutionBackendKind(std::string_view text,
                                ExecutionBackendKind* kind);
 
 // The flag spelling of `kind` (inverse of ParseExecutionBackendKind).
 std::string_view ExecutionBackendKindName(ExecutionBackendKind kind);
 
-// Builds the backend for one simulator run. `pool` is borrowed and must
-// outlive the backend; with a null pool the THREAD-pooled kinds degrade to
-// SerialBackend (there is nothing to overlap with) — kProcessPool does not:
-// its parallelism is forked processes, so it never wants a pool and is
-// returned un-attached (the harness calls ProcessPoolBackend::Attach once
-// the state the children must inherit is final). `reorder_window` is the
-// async backend's in-flight bound and `adaptive_window` lets the async
-// backend re-size that bound at runtime from its own stall/backpressure
-// counters; both are ignored by the other kinds.
+// Builds the backend for one simulator run, or returns null when the run
+// dispatches serially: for kSerial, and for every kind without a pool (there
+// is nothing to overlap with). `pool` is borrowed and must outlive the
+// backend. The async window is 2x the thread budget (the pool's workers plus
+// the simulator thread), enough slack that a straggling compute never idles
+// the pool.
 std::unique_ptr<ExecutionBackend> MakeExecutionBackend(
-    ExecutionBackendKind kind, ThreadPool* pool, int reorder_window,
-    bool adaptive_window = false);
-
-// Fully serial dispatch: Dispatch is a no-op and every compute half runs
-// inline at its turn. Stats stay zero.
-class SerialBackend : public ExecutionBackend {
- public:
-  std::string_view name() const override { return "serial"; }
-  void Dispatch(net::EventSimulator& sim) override;
-  int64_t DrainCommits(net::EventSimulator& sim) override;
-  void OnStateWrite(net::EventSimulator& sim, int worker_key) override;
-};
+    ExecutionBackendKind kind, ThreadPool* pool);
 
 // Frontier speculation with a barrier (the PR 3/4 machinery): at most one
 // compute half per distinct worker key joins a parallel batch, the batch is
@@ -147,33 +127,19 @@ class SpeculativeBackend : public ExecutionBackend {
   std::unordered_map<int, std::unique_ptr<Redispatch>> redispatches_;
 };
 
-// Bounded-reorder commit pipeline: up to `reorder_window` compute halves are
-// in flight on the pool at once, entering in (time, sequence) order and
-// leaving at their commit. There is no batch barrier — the drain waits only
-// for the head entry's own future, so one slow compute never stalls the
-// commits (or re-dispatches) of everything behind it; it only occupies one
-// window slot. reorder_window == 0 means synchronous: nothing is dispatched
-// ahead and every compute runs inline, which makes the backend equivalent to
-// SerialBackend while keeping its name and counters.
-//
-// With `adaptive_window` set, the backend consumes its own diagnostics to
-// auto-size the window under straggler load: sustained backpressure (runnable
-// work held back by a full window) grows it, sustained head-of-window stalls
-// or invalidation re-dispatches (speculation running ahead of what the commit
-// stream can use) shrink it, within [1, kMaxAdaptiveWindow]. The window size
-// never affects simulation output — that is the backend bit-identity
-// invariant — so the controller is free to chase real-machine throughput.
+// Bounded-reorder commit pipeline: up to `reorder_window` (>= 1) compute
+// halves are in flight on the pool at once, entering in (time, sequence)
+// order and leaving at their commit. There is no batch barrier — the drain
+// waits only for the head entry's own future, so one slow compute never
+// stalls the commits (or re-dispatches) of everything behind it; it only
+// occupies one window slot. The window size never affects simulation output
+// (the backend bit-identity invariant), only real-machine throughput.
 class AsyncPipelineBackend : public ExecutionBackend {
  public:
-  AsyncPipelineBackend(ThreadPool* pool, int reorder_window,
-                       bool adaptive_window = false);
-
-  // Upper bound the adaptive controller may grow the window to.
-  static constexpr int kMaxAdaptiveWindow = 64;
+  AsyncPipelineBackend(ThreadPool* pool, int reorder_window);
 
   std::string_view name() const override { return "async"; }
   int reorder_window() const { return reorder_window_; }
-  bool adaptive_window() const { return adaptive_window_; }
   void Dispatch(net::EventSimulator& sim) override;
   int64_t DrainCommits(net::EventSimulator& sim) override;
   void OnStateWrite(net::EventSimulator& sim, int worker_key) override;
@@ -199,18 +165,9 @@ class AsyncPipelineBackend : public ExecutionBackend {
 
   void Submit(Entry& entry);
   void FlushRedispatches();
-  // Adaptive controller step, run once per kAdaptPeriod dispatches: compares
-  // the counter deltas accumulated since the last step and re-sizes the
-  // window.
-  void MaybeAdaptWindow();
 
   ThreadPool* pool_;
-  int reorder_window_;
-  const bool adaptive_window_;
-  // Adaptive controller state: dispatch calls since the last adaptation and
-  // the counter values it last saw.
-  int64_t adapt_dispatches_ = 0;
-  ExecutionStats adapt_baseline_;
+  const int reorder_window_;
   // Window entries by worker key: at most one in-flight evaluation per key
   // (a same-key duplicate is skipped by the dispatch scan, preserving the
   // chained-commit order), at most reorder_window_ entries total.

@@ -6,8 +6,8 @@
 // layer-wise partial sync (L-FGADMM-style alternating-layer schedule). Every
 // variant is a pure function of (values, round, rng stream position), so the
 // simulation stays bit-identical across the whole
-// {backend, reorder window, threads, shards, event queue} grid — engines call
-// Transform only from commit contexts, exactly like every other RNG draw.
+// {backend, threads, shards, event queue} grid — engines call Transform only
+// from commit contexts, exactly like every other RNG draw.
 //
 // The compressor is stateless; the only evolving state is the per-worker
 // communication-round counter (core::WorkerRuntime::comm_rounds), which rides

@@ -68,12 +68,10 @@ LeafRange GradientLeafRange(size_t batch, int leaf);
 // Fixed-shape pairwise tree reduction of `count` contiguous partials of
 // `width` doubles each, in place (the reduced partial lands in slot 0). The
 // tree shape — and therefore every rounding step — depends only on `count`,
-// so any agent that produced the partials (shard tasks, forked processes)
+// so any agent that produced the partials (shard tasks or a serial loop)
 // reduces to the same bits. With a pool and width >= kPooledReduceMinWidth
 // the column range fans out, each task running the full tree over its chunk;
-// bit-identical either way. Exported for the multi-process backend, which
-// reduces leaf partials living in shared memory through the exact same
-// arithmetic as the in-process driver below.
+// bit-identical either way.
 void TreeReducePartials(std::span<double> partials, int count, size_t width,
                         ThreadPool* pool);
 

@@ -26,12 +26,12 @@
 //
 // The simulator owns the queue and the ordering contract only. HOW compute
 // halves are evaluated relative to the strictly ordered commit drain is an
-// ExecutionBackend decision (set_backend): run them inline at their turn
-// (serial), speculate frontier batches of distinct-worker events on a
-// ThreadPool behind a barrier (speculative), or pipeline them through a
-// bounded reorder window with no barrier at all (async). Concrete backends
-// live in core/execution_backend.h; with no backend attached the simulator
-// dispatches fully serially.
+// ExecutionBackend decision (set_backend): speculate frontier batches of
+// distinct-worker events on a ThreadPool behind a barrier (speculative), or
+// pipeline them through a bounded reorder window with no barrier at all
+// (async). Concrete backends live in core/execution_backend.h; with no
+// backend attached the simulator runs every event inline at its turn
+// (serial dispatch).
 //
 // Every backend preserves the same soundness contract, so results are
 // bit-identical across all of them: any callback or commit that writes state
@@ -118,17 +118,6 @@ struct ExecutionStats {
   // Async backend: the dispatch scan found a runnable compute half but the
   // reorder window was full (backpressure).
   int64_t window_backpressure = 0;
-  // Async backend with --adaptive-window: times the reorder window was
-  // re-sized in response to the backpressure/stall/re-dispatch counters
-  // (real-timing dependent, like window_stalls).
-  int64_t window_resizes = 0;
-  // Process backend: forked children that died mid-run (each death also
-  // surfaces as a typed Status on the backend) and the unfinished leaf
-  // ranges re-dispatched to a surviving child (or computed by the parent
-  // with no survivors left) because of those deaths. Both real-machine
-  // dependent, like window_stalls; both zero on crash-free runs.
-  int64_t process_child_deaths = 0;
-  int64_t process_ranges_redispatched = 0;
 };
 
 class EventSimulator {
@@ -320,7 +309,7 @@ class EventSimulator {
   bool halt_requested_ = false;
   // Pending events, behind the pluggable EventQueue seam. Defaults to the
   // sorted vector (fastest at the paper's O(10) worker scale); large-N runs
-  // swap in the heap or calendar queue via ReplaceQueue.
+  // swap in the calendar queue via ReplaceQueue.
   std::unique_ptr<EventQueue> queue_;
   ExecutionBackend* backend_ = nullptr;
 };
@@ -348,8 +337,8 @@ class ExecutionBackend {
  public:
   virtual ~ExecutionBackend() = default;
 
-  // Short stable identifier ("serial", "speculative", "async") used in
-  // RunResult and bench tables.
+  // Short stable identifier ("speculative", "async") used in RunResult and
+  // bench tables.
   virtual std::string_view name() const = 0;
 
   // Offers pending compute halves to the backend ahead of the drain. Called

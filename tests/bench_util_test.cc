@@ -34,19 +34,20 @@ TEST(InitBenchTest, NoFlagsProceedsWithDefaults) {
   EXPECT_FALSE(SmokeMode());
   EXPECT_EQ(ThreadsOverride(), -1);
   EXPECT_EQ(ShardsOverride(), -1);
-  EXPECT_EQ(ReorderWindowOverride(), -1);
 }
 
 TEST(InitBenchTest, ParsesTheDocumentedFlags) {
   const StatusOr<bool> init =
-      Init({"--smoke", "--threads=4", "--shards=2", "--backend=async",
-            "--reorder-window=8"});
+      Init({"--smoke", "--threads=4", "--shards=2", "--backend=async"});
   NETMAX_EXPECT_OK(init);
   EXPECT_TRUE(*init);
   EXPECT_TRUE(SmokeMode());
   EXPECT_EQ(ThreadsOverride(), 4);
   EXPECT_EQ(ShardsOverride(), 2);
-  EXPECT_EQ(ReorderWindowOverride(), 8);
+  for (const char* backend :
+       {"--backend=serial", "--backend=speculative", "--backend=async"}) {
+    NETMAX_EXPECT_OK(Init({backend}));
+  }
 }
 
 TEST(InitBenchTest, ReparsingResetsEarlierOverrides) {
@@ -63,15 +64,21 @@ TEST(InitBenchTest, HelpReturnsFalseNotError) {
 }
 
 TEST(InitBenchTest, UnknownFlagNamesTheFlag) {
-  const StatusOr<bool> init = Init({"--frobnicate"});
-  ASSERT_FALSE(init.ok());
-  EXPECT_EQ(init.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(init.status().message().find("--frobnicate"), std::string::npos);
+  // Removed flags (procs, reorder-window, adaptive-window) are unknown
+  // flags like any typo.
+  for (const std::string name :
+       {"frobnicate", "procs=2", "reorder-window=4", "adaptive-window"}) {
+    const std::string arg = "--" + name;
+    const StatusOr<bool> init = Init({arg});
+    ASSERT_FALSE(init.ok()) << arg;
+    EXPECT_EQ(init.status().code(), StatusCode::kInvalidArgument) << arg;
+    EXPECT_NE(init.status().message().find(arg), std::string::npos) << arg;
+  }
 }
 
 TEST(InitBenchTest, ParsesTheFaultFlags) {
   NETMAX_EXPECT_OK(Init({"--faults=slow@2+6x4:w1;leave@4:w2;join@9:w2",
-                         "--peer-policy=timeout", "--adaptive-window"}));
+                         "--peer-policy=timeout"}));
   NETMAX_EXPECT_OK(Init({"--faults=seed:42", "--peer-policy=wait"}));
   NETMAX_EXPECT_OK(Init({"--checkpoint-every=0.5",
                          "--checkpoint-path=/tmp/x.ckpt"}));
@@ -79,7 +86,7 @@ TEST(InitBenchTest, ParsesTheFaultFlags) {
 
 TEST(InitBenchTest, MalformedValuesNameTheOffendingText) {
   for (const std::string arg :
-       {"--threads=4x", "--shards=-1", "--reorder-window=", "--backend=asink",
+       {"--threads=4x", "--shards=-1", "--backend=asink", "--backend=process",
         "--checkpoint-at=soon", "--checkpoint-at=-1",
         "--faults=explode@1:w0", "--faults=seed:4x", "--peer-policy=retry",
         "--checkpoint-every=never"}) {
@@ -95,21 +102,24 @@ TEST(InitBenchTest, ParsesTheScaleFlags) {
                          "--topology=hier:64"}));
   EXPECT_EQ(WorkersOverride(), 1024);
   NETMAX_EXPECT_OK(Init({"--event-queue=vector", "--topology=complete"}));
-  NETMAX_EXPECT_OK(Init({"--event-queue=heap", "--workers=2"}));
+  NETMAX_EXPECT_OK(Init({"--event-queue=calendar", "--workers=2"}));
   // Reparsing resets the worker override like every other override.
   NETMAX_EXPECT_OK(Init({}));
   EXPECT_EQ(WorkersOverride(), -1);
 }
 
 TEST(InitBenchTest, RejectsUnknownEventQueueNamingTheSpellings) {
-  const StatusOr<bool> init = Init({"--event-queue=pagoda"});
-  ASSERT_FALSE(init.ok());
-  EXPECT_EQ(init.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(init.status().message().find("--event-queue=pagoda"),
-            std::string::npos);
-  EXPECT_NE(init.status().message().find(
-                "expected vector, heap, calendar, or pairing"),
-            std::string::npos);
+  // Removed spellings (heap, pairing) are unknown names like any other.
+  for (const char* name : {"pagoda", "heap", "pairing"}) {
+    const std::string arg = std::string("--event-queue=") + name;
+    const StatusOr<bool> init = Init({arg});
+    ASSERT_FALSE(init.ok()) << arg;
+    EXPECT_EQ(init.status().code(), StatusCode::kInvalidArgument) << arg;
+    EXPECT_NE(init.status().message().find(arg), std::string::npos) << arg;
+    EXPECT_NE(init.status().message().find("expected vector or calendar"),
+              std::string::npos)
+        << arg;
+  }
 }
 
 TEST(InitBenchTest, RejectsWorkerCountsBelowTwo) {

@@ -106,20 +106,18 @@ TEST_P(CheckpointRoundTrip, AllBackendsBitIdentical) {
   struct BackendPoint {
     ExecutionBackendKind backend;
     int threads;
-    int reorder_window;
   };
   const BackendPoint points[] = {
-      {ExecutionBackendKind::kSerial, 1, 0},
-      {ExecutionBackendKind::kSpeculative, 8, 0},
-      {ExecutionBackendKind::kAsyncPipeline, 8, 4},
+      {ExecutionBackendKind::kSerial, 1},
+      {ExecutionBackendKind::kSpeculative, 8},
+      {ExecutionBackendKind::kAsyncPipeline, 8},
   };
   for (const BackendPoint& point : points) {
-    SCOPED_TRACE(static_cast<int>(point.backend));
+    SCOPED_TRACE(core::ExecutionBackendKindName(point.backend));
     std::vector<uint8_t> checkpoint;
     ExperimentConfig with_checkpoint = base;
     with_checkpoint.backend = point.backend;
     with_checkpoint.threads = point.threads;
-    with_checkpoint.reorder_window = point.reorder_window;
     with_checkpoint.checkpoint_at_seconds = checkpoint_at;
     with_checkpoint.checkpoint_sink = &checkpoint;
     const RunResult checkpointed = MustRun(GetParam(), with_checkpoint);
@@ -129,7 +127,6 @@ TEST_P(CheckpointRoundTrip, AllBackendsBitIdentical) {
     ExperimentConfig resumed = base;
     resumed.backend = point.backend;
     resumed.threads = point.threads;
-    resumed.reorder_window = point.reorder_window;
     resumed.restore_source = &checkpoint;
     const RunResult restored = MustRun(GetParam(), resumed);
     ExpectBitIdentical(reference, restored);
@@ -152,17 +149,17 @@ TEST_P(CheckpointRoundTrip, CheckpointsAreBackendPortable) {
   ExperimentConfig resumed = base;
   resumed.backend = ExecutionBackendKind::kAsyncPipeline;
   resumed.threads = 8;
-  resumed.reorder_window = 4;
   resumed.restore_source = &checkpoint;
   ExpectBitIdentical(reference, MustRun(GetParam(), resumed));
 }
 
-// Cross-config restore across the process boundary: a checkpoint written by
-// the speculative backend under a full thread pool restores bit-identically
-// under the multi-process backend (forked children, shared-memory dispatch)
-// and back under serial. The checkpoint fingerprint covers the simulation
-// config only — backend, threads, and procs are real-machine choices — so
-// both restores must accept the bytes and finish on the reference's bits.
+// Cross-config restore from the speculative backend: a checkpoint written
+// under a full thread pool restores bit-identically under the async pipeline
+// backend, which dispatches out of order as the multi-process backend the
+// test is named for once did, and back under serial dispatch. The checkpoint
+// fingerprint covers the simulation config only — backend and threads are
+// real-machine choices — so both restores must accept the bytes and finish
+// on the reference's bits.
 TEST_P(CheckpointRoundTrip, SpeculativeCheckpointRestoresUnderProcessBackend) {
   const ExperimentConfig base = BaseConfig();
   const RunResult reference = MustRun(GetParam(), base);
@@ -178,17 +175,19 @@ TEST_P(CheckpointRoundTrip, SpeculativeCheckpointRestoresUnderProcessBackend) {
   MustRun(GetParam(), with_checkpoint);
   ASSERT_FALSE(checkpoint.empty());
 
-  ExperimentConfig under_process = base;
-  under_process.backend = ExecutionBackendKind::kProcessPool;
-  under_process.procs = 2;  // pinned: the grid must not fork one per core
-  under_process.restore_source = &checkpoint;
-  const RunResult process_restored = MustRun(GetParam(), under_process);
-  EXPECT_EQ(process_restored.backend, "process");
-  ExpectBitIdentical(reference, process_restored);
+  ExperimentConfig under_async = base;
+  under_async.backend = ExecutionBackendKind::kAsyncPipeline;
+  under_async.threads = 8;
+  under_async.restore_source = &checkpoint;
+  const RunResult async_restored = MustRun(GetParam(), under_async);
+  EXPECT_EQ(async_restored.backend, "async");
+  ExpectBitIdentical(reference, async_restored);
 
   ExperimentConfig under_serial = base;
   under_serial.restore_source = &checkpoint;
-  ExpectBitIdentical(reference, MustRun(GetParam(), under_serial));
+  const RunResult serial_restored = MustRun(GetParam(), under_serial);
+  EXPECT_EQ(serial_restored.backend, "serial");
+  ExpectBitIdentical(reference, serial_restored);
 }
 
 // The crash-recovery contract: a run killed by a crash@T fault, restored

@@ -97,34 +97,27 @@ TEST(ExecutionBackendSeamTest, NoBackendMeansSerialAndNotifyIsANoOp) {
 }
 
 TEST(ExecutionBackendSeamTest, FactoryDegradesToSerialWithoutAPool) {
-  EXPECT_EQ(MakeExecutionBackend(ExecutionBackendKind::kSpeculative,
-                                 /*pool=*/nullptr, /*reorder_window=*/0)
-                ->name(),
-            "serial");
-  EXPECT_EQ(MakeExecutionBackend(ExecutionBackendKind::kAsyncPipeline,
-                                 /*pool=*/nullptr, /*reorder_window=*/4)
-                ->name(),
-            "serial");
+  // Serial dispatch is the simulator's own loop: no backend without a pool
+  // (threads=1) or under kSerial, the chosen pooled backend otherwise.
+  for (const ExecutionBackendKind kind :
+       {ExecutionBackendKind::kSerial, ExecutionBackendKind::kSpeculative,
+        ExecutionBackendKind::kAsyncPipeline}) {
+    EXPECT_EQ(MakeExecutionBackend(kind, /*pool=*/nullptr), nullptr)
+        << ExecutionBackendKindName(kind);
+  }
   ThreadPool pool(2);
-  EXPECT_EQ(MakeExecutionBackend(ExecutionBackendKind::kSerial, &pool, 0)
-                ->name(),
-            "serial");
-  EXPECT_EQ(MakeExecutionBackend(ExecutionBackendKind::kSpeculative, &pool, 0)
+  EXPECT_EQ(MakeExecutionBackend(ExecutionBackendKind::kSerial, &pool),
+            nullptr);
+  EXPECT_EQ(MakeExecutionBackend(ExecutionBackendKind::kSpeculative, &pool)
                 ->name(),
             "speculative");
-  EXPECT_EQ(
-      MakeExecutionBackend(ExecutionBackendKind::kAsyncPipeline, &pool, 4)
-          ->name(),
-      "async");
-  // The process pool's parallelism is forked children, not the thread pool:
-  // it must NOT degrade to serial without one (and must ignore one if given).
-  EXPECT_EQ(MakeExecutionBackend(ExecutionBackendKind::kProcessPool,
-                                 /*pool=*/nullptr, /*reorder_window=*/0)
-                ->name(),
-            "process");
-  EXPECT_EQ(MakeExecutionBackend(ExecutionBackendKind::kProcessPool, &pool, 0)
-                ->name(),
-            "process");
+  const auto async =
+      MakeExecutionBackend(ExecutionBackendKind::kAsyncPipeline, &pool);
+  ASSERT_NE(async, nullptr);
+  EXPECT_EQ(async->name(), "async");
+  // The window is 2x the thread budget: two pool workers plus the caller.
+  EXPECT_EQ(dynamic_cast<const AsyncPipelineBackend&>(*async).reorder_window(),
+            6);
 }
 
 TEST(ExecutionBackendSeamTest, KindParsingIsStrict) {
@@ -135,41 +128,21 @@ TEST(ExecutionBackendSeamTest, KindParsingIsStrict) {
   EXPECT_EQ(kind, ExecutionBackendKind::kAsyncPipeline);
   EXPECT_TRUE(ParseExecutionBackendKind("serial", &kind));
   EXPECT_EQ(kind, ExecutionBackendKind::kSerial);
-  EXPECT_TRUE(ParseExecutionBackendKind("process", &kind));
-  EXPECT_EQ(kind, ExecutionBackendKind::kProcessPool);
+  // Removed spellings ("process") are rejected like any other typo.
   for (const std::string_view bad :
-       {"", "Serial", "asink", "async ", "speculative2", "Process",
-        "process "}) {
+       {"", "Serial", "asink", "async ", "speculative2", "process"}) {
     ExecutionBackendKind untouched = ExecutionBackendKind::kAsyncPipeline;
     EXPECT_FALSE(ParseExecutionBackendKind(bad, &untouched)) << bad;
     EXPECT_EQ(untouched, ExecutionBackendKind::kAsyncPipeline) << bad;
   }
   for (const ExecutionBackendKind k :
        {ExecutionBackendKind::kSerial, ExecutionBackendKind::kSpeculative,
-        ExecutionBackendKind::kAsyncPipeline,
-        ExecutionBackendKind::kProcessPool}) {
+        ExecutionBackendKind::kAsyncPipeline}) {
     ExecutionBackendKind round_trip = ExecutionBackendKind::kSerial;
     ASSERT_TRUE(
         ParseExecutionBackendKind(ExecutionBackendKindName(k), &round_trip));
     EXPECT_EQ(round_trip, k);
   }
-}
-
-TEST(SerialBackendTest, RunsEverythingInlineInOrder) {
-  EventSimulator sim;
-  SerialBackend backend;
-  sim.set_backend(&backend);
-  std::vector<int> order;
-  for (int key = 0; key < 4; ++key) {
-    sim.ScheduleCompute(
-        /*time=*/static_cast<double>(4 - key), key,
-        [key] { return static_cast<double>(key); },
-        [&order](double value) { order.push_back(static_cast<int>(value)); });
-  }
-  sim.RunUntilIdle();
-  EXPECT_EQ(order, (std::vector<int>{3, 2, 1, 0}));
-  EXPECT_EQ(backend.stats().computes_speculated, 0);
-  EXPECT_EQ(backend.stats().parallel_batches, 0);
 }
 
 // --- async pipeline: scripted latencies -------------------------------------
@@ -223,16 +196,6 @@ TEST(AsyncPipelineBackendTest, WindowFullAppliesBackpressure) {
   EXPECT_EQ(commit_order, (std::vector<int>{0, 1, 2, 3, 4}));
   EXPECT_EQ(backend.stats().computes_speculated, 5);
   EXPECT_GE(backend.stats().window_backpressure, 1);
-}
-
-TEST(AsyncPipelineBackendTest, WindowZeroIsSynchronous) {
-  ThreadPool pool(4);
-  AsyncPipelineBackend backend(&pool, /*reorder_window=*/0);
-  const std::vector<int> commit_order =
-      RunScriptedLatencies(&backend, {0, 0, 0});
-  EXPECT_EQ(commit_order, (std::vector<int>{0, 1, 2}));
-  EXPECT_EQ(backend.stats().computes_speculated, 0);
-  EXPECT_EQ(backend.stats().window_backpressure, 0);
 }
 
 TEST(AsyncPipelineBackendTest, InvalidatedWindowEntryIsRedispatched) {
@@ -335,8 +298,8 @@ TEST(AsyncPipelineBackendTest, SameKeyChainsNeverOverlapInTheWindow) {
 
 // Per-key compute chains whose commits couple neighboring keys (like
 // consensus pulls) with skewed per-key sleep times: the event trace must be
-// identical across serial dispatch, the speculative frontier, and every
-// async window size.
+// identical across serial dispatch (no backend), the speculative frontier,
+// and every async window size.
 std::vector<double> RunChainedWorkload(net::ExecutionBackend* backend) {
   EventSimulator sim;
   sim.set_backend(backend);
@@ -371,9 +334,8 @@ TEST(ExecutionBackendDeterminismTest, AllBackendsProduceTheSerialTrace) {
   const std::vector<double> reference = RunChainedWorkload(nullptr);
   ThreadPool pool(4);
   std::vector<std::unique_ptr<net::ExecutionBackend>> backends;
-  backends.push_back(std::make_unique<SerialBackend>());
   backends.push_back(std::make_unique<SpeculativeBackend>(&pool));
-  for (const int window : {0, 1, 4}) {
+  for (const int window : {1, 4}) {
     backends.push_back(std::make_unique<AsyncPipelineBackend>(&pool, window));
   }
   for (const auto& backend : backends) {

@@ -3,10 +3,10 @@
 // must be bit-identical between the serial dispatch (threads=1) and the
 // pooled two-phase dispatch (threads=8), across every intra-worker shard
 // count (the gradient is defined over a fixed leaf decomposition and tree
-// reduction, ml/sharding.h), and across every execution backend and async
-// reorder-window size (core/execution_backend.h). This is the contract that
-// lets the benches and golden tests run at any {backend, reorder_window,
-// threads, shards} point.
+// reduction, ml/sharding.h), across every execution backend
+// (core/execution_backend.h), and across every event queue
+// (net/event_queue.h). This is the contract that lets the benches and golden
+// tests run at any {backend, threads, shards, event queue} point.
 
 #include <string>
 #include <vector>
@@ -27,22 +27,6 @@ using core::ExecutionBackendKind;
 using core::ExperimentConfig;
 using core::NetworkScenario;
 using core::RunResult;
-
-// Sanitizer builds run the process backend in its in-process inline mode
-// (no fork, so no cross-process waves) — see core/process_backend.h.
-bool SanitizerBuild() {
-#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
-  return true;
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
-  return true;
-#else
-  return false;
-#endif
-#else
-  return false;
-#endif
-}
 
 ExperimentConfig BaseConfig() {
   ExperimentConfig config;
@@ -69,15 +53,12 @@ RunResult RunWithThreads(
     const std::string& name, const ExperimentConfig& base, int threads,
     int shards = 1,
     ExecutionBackendKind backend = ExecutionBackendKind::kSpeculative,
-    int reorder_window = 0, int procs = 2) {
+    net::EventQueueKind queue = net::EventQueueKind::kSortedVector) {
   ExperimentConfig config = base;
   config.threads = threads;
   config.shards = shards;
   config.backend = backend;
-  config.reorder_window = reorder_window;
-  // Only read by the process backend; pinned small so grid tests never fork
-  // one child per hardware core.
-  config.procs = procs;
+  config.event_queue = queue;
   auto algorithm = algos::MakeAlgorithm(name);
   NETMAX_CHECK_OK(algorithm.status());
   auto result = (*algorithm)->Run(config);
@@ -111,6 +92,40 @@ void ExpectBitIdentical(const RunResult& a, const RunResult& b) {
   EXPECT_EQ(a.messages_sent, b.messages_sent);
   EXPECT_EQ(a.bytes_sent, b.bytes_sent);
   EXPECT_EQ(a.bytes_saved, b.bytes_saved);
+  EXPECT_EQ(a.faults_injected, b.faults_injected);
+  EXPECT_EQ(a.rounds_degraded, b.rounds_degraded);
+  EXPECT_EQ(a.peers_timed_out, b.peers_timed_out);
+}
+
+// Runs `config` over the acceptance grid of the execution seams — backend x
+// event queue x threads {1, 8} x shards {1, 2} — and expects the bits of its
+// fully serial unsharded run (returned) at every point, with no inline
+// recompute. threads=1 collapses every backend to serial dispatch, kSerial
+// with a pool still shards on it, and the async window is 2x threads, so the
+// threads axis varies it too.
+RunResult ExpectGridBitIdentical(const std::string& name,
+                                 const ExperimentConfig& config) {
+  const RunResult reference = RunWithThreads(name, config, 1, 1);
+  for (const ExecutionBackendKind backend :
+       {ExecutionBackendKind::kSerial, ExecutionBackendKind::kSpeculative,
+        ExecutionBackendKind::kAsyncPipeline}) {
+    for (const net::EventQueueKind queue :
+         {net::EventQueueKind::kSortedVector, net::EventQueueKind::kCalendar}) {
+      for (const int threads : {1, 8}) {
+        for (const int shards : {1, 2}) {
+          const RunResult run = RunWithThreads(name, config, threads, shards,
+                                               backend, queue);
+          SCOPED_TRACE(std::string("backend=") + run.backend +
+                       " queue=" + run.event_queue +
+                       " threads=" + std::to_string(threads) +
+                       " shards=" + std::to_string(shards));
+          ExpectBitIdentical(reference, run);
+          EXPECT_EQ(run.computes_recomputed, 0);
+        }
+      }
+    }
+  }
+  return reference;
 }
 
 class ParallelDeterminism : public ::testing::TestWithParam<std::string> {};
@@ -140,159 +155,69 @@ TEST_P(ParallelDeterminism, ThreadShardGridBitIdentical) {
   }
 }
 
-TEST_P(ParallelDeterminism, BackendWindowGridBitIdentical) {
-  // The full acceptance grid for the execution-backend seam: backend x
-  // reorder_window x threads x shards, every point bit-identical to the
-  // fully serial unsharded reference. A leaner config than BaseConfig keeps
-  // the 36-point grid affordable; batch 24 = three gradient leaves, so
-  // shards=2 still splits leaf ranges unevenly. reorder_window only matters
-  // for the async backend (and only with a pool), but the grid runs every
-  // combination anyway — that serial/speculative ignore the knob, and that
-  // threads=1 collapses every backend to serial dispatch, is exactly what
-  // the contract promises.
+// A leaner config than BaseConfig keeps the 24-point grids affordable;
+// batch 24 = three gradient leaves, so shards=2 still splits leaf ranges
+// unevenly.
+ExperimentConfig GridConfig() {
   ExperimentConfig config = BaseConfig();
   config.dataset.num_train = 256;
   config.dataset.num_test = 64;
   config.batch_size = 24;
   config.max_epochs = 1;
-  const RunResult reference = RunWithThreads(GetParam(), config, 1, 1);
-  for (const ExecutionBackendKind backend :
-       {ExecutionBackendKind::kSerial, ExecutionBackendKind::kSpeculative,
-        ExecutionBackendKind::kAsyncPipeline,
-        ExecutionBackendKind::kProcessPool}) {
-    // The process backend ignores reorder_window (serial event semantics)
-    // and forces threads to 1; one window value keeps the grid affordable
-    // while {threads, shards} still vary the ignored knobs.
-    const auto windows =
-        backend == ExecutionBackendKind::kProcessPool
-            ? std::vector<int>{0}
-            : std::vector<int>{0, 1, 4};
-    for (const int reorder_window : windows) {
-      for (const int threads : {1, 8}) {
-        for (const int shards : {1, 2}) {
-          const RunResult run = RunWithThreads(
-              GetParam(), config, threads, shards, backend, reorder_window);
-          SCOPED_TRACE(std::string("backend=") + run.backend +
-                       " window=" + std::to_string(reorder_window) +
-                       " threads=" + std::to_string(threads) +
-                       " shards=" + std::to_string(shards));
-          ExpectBitIdentical(reference, run);
-          EXPECT_EQ(run.computes_recomputed, 0);
-        }
-      }
-    }
-  }
+  return config;
 }
 
-TEST(ParallelDeterminismTest, ProcessBackendForksAndMatchesAtAnyProcCount) {
-  // The fork + MAP_SHARED backend: bits identical to the serial reference
-  // for 1, 2, and 3 children (the leaf split is procs-stable geometry over
-  // the same fixed decomposition), with real waves fanning out whenever
-  // procs >= 2 and no child deaths on the healthy path.
-  ExperimentConfig config = BaseConfig();
-  config.dataset.num_train = 256;
-  config.dataset.num_test = 64;
-  config.batch_size = 24;
-  config.max_epochs = 1;
-  const RunResult reference =
-      RunWithThreads("netmax", config, 1, 1, ExecutionBackendKind::kSerial);
-  for (const int procs : {1, 2, 3}) {
-    SCOPED_TRACE(procs);
-    const RunResult run =
-        RunWithThreads("netmax", config, 1, 1,
-                       ExecutionBackendKind::kProcessPool, 0, procs);
-    EXPECT_EQ(run.backend, "process");
-    ExpectBitIdentical(reference, run);
-    EXPECT_EQ(run.process_child_deaths, 0);
-    EXPECT_EQ(run.process_ranges_redispatched, 0);
-    if (procs >= 2 && !SanitizerBuild()) {
-      // Inline mode (sanitizer builds) evaluates in-process: no waves.
-      EXPECT_GT(run.parallel_batches, 0);
-    }
-  }
+TEST_P(ParallelDeterminism, BackendWindowGridBitIdentical) {
+  ExpectGridBitIdentical(GetParam(), GridConfig());
 }
 
 TEST(ParallelDeterminismTest, AsyncPipelineActuallyOverlapsAndRedispatches) {
   // The async backend must put real compute halves in the window (not
   // silently degrade to inline dispatch) and resolve consensus
-  // invalidations through re-dispatch, for a window of any useful size.
+  // invalidations through re-dispatch, at every pooled thread budget (and
+  // with it every window the harness derives, 2x threads).
   const ExperimentConfig config = BaseConfig();
-  for (const int reorder_window : {1, 4}) {
-    const RunResult run =
-        RunWithThreads("netmax", config, 8, 1,
-                       ExecutionBackendKind::kAsyncPipeline, reorder_window);
-    SCOPED_TRACE(reorder_window);
+  for (const int threads : {2, 8}) {
+    const RunResult run = RunWithThreads("netmax", config, threads, 1,
+                                         ExecutionBackendKind::kAsyncPipeline);
+    SCOPED_TRACE(threads);
     EXPECT_EQ(run.backend, "async");
     EXPECT_GT(run.computes_speculated, 0);
     EXPECT_EQ(run.computes_recomputed, 0);
-    if (reorder_window > 1) {
-      // With real window depth the consensus writes must hit
-      // window-resident entries.
-      EXPECT_GT(run.computes_redispatched, 0);
-      EXPECT_GT(run.parallel_batches, 0);
-    }
+    // The consensus writes must hit window-resident entries.
+    EXPECT_GT(run.computes_redispatched, 0);
+    EXPECT_GT(run.parallel_batches, 0);
   }
-  // Window 0 is synchronous: the async backend runs everything inline.
-  const RunResult sync = RunWithThreads(
-      "netmax", config, 8, 1, ExecutionBackendKind::kAsyncPipeline, 0);
-  EXPECT_EQ(sync.backend, "async");
-  EXPECT_EQ(sync.computes_speculated, 0);
+  // --backend=serial attaches no backend even with a pool.
+  const RunResult serial =
+      RunWithThreads("netmax", config, 8, 1, ExecutionBackendKind::kSerial);
+  EXPECT_EQ(serial.backend, "serial");
+  EXPECT_EQ(serial.computes_speculated, 0);
 }
 
 TEST_P(ParallelDeterminism, FaultScheduleBitIdenticalAcrossExecutionPoints) {
   // Fault injection rides the simulator's ordinary (time, sequence) event
   // scheduling, so a faulted run must be exactly as reproducible as a
   // fault-free one: same bits — including the fault counters themselves —
-  // on every backend, thread count, and shard split, under both dead-peer
-  // policies. The pinned schedule is a straggler plus a leave/rejoin whose
-  // times land inside every engine's run at this scale (the fastest engine
-  // finishes its gradient evaluations within a fraction of a virtual
-  // second), and whose dead window (1.1s) outlives the 1-second deadline so
-  // the timeout policy actually expires it.
-  ExperimentConfig config = BaseConfig();
-  config.dataset.num_train = 256;
-  config.dataset.num_test = 64;
-  config.batch_size = 24;
-  config.max_epochs = 1;
+  // at every grid point, under both dead-peer policies. The pinned schedule
+  // is a straggler plus a leave/rejoin whose times land inside every
+  // engine's run at this scale (the fastest engine finishes its gradient
+  // evaluations within a fraction of a virtual second), and whose dead
+  // window (1.1s) outlives the 1-second deadline so the timeout policy
+  // actually expires it.
+  ExperimentConfig config = GridConfig();
   auto faults =
       net::FaultSchedule::Parse("slow@0.05+0.5x4:w1;leave@0.1:w2;join@1.2:w2");
   NETMAX_CHECK_OK(faults.status());
   config.faults = *faults;
   config.peer_timeout_seconds = 1.0;
   config.peer_poll_seconds = 0.4;
-
-  struct ExecutionPoint {
-    ExecutionBackendKind backend;
-    int threads;
-    int shards;
-    int reorder_window;
-  };
-  const ExecutionPoint points[] = {
-      {ExecutionBackendKind::kSpeculative, 8, 1, 0},
-      {ExecutionBackendKind::kSpeculative, 8, 2, 0},
-      {ExecutionBackendKind::kAsyncPipeline, 8, 1, 4},
-  };
   for (const core::PeerPolicy policy :
        {core::PeerPolicy::kWait, core::PeerPolicy::kTimeoutAndContinue}) {
+    SCOPED_TRACE(core::PeerPolicyName(policy));
     config.peer_policy = policy;
-    const RunResult reference = RunWithThreads(
-        GetParam(), config, 1, 1, ExecutionBackendKind::kSerial);
     // The schedule must actually fire (all three scripted events).
-    EXPECT_EQ(reference.faults_injected, 3);
-    for (const ExecutionPoint& point : points) {
-      SCOPED_TRACE("policy=" + std::string(core::PeerPolicyName(policy)) +
-                   " backend=" + std::to_string(static_cast<int>(
-                         point.backend)) +
-                   " threads=" + std::to_string(point.threads) +
-                   " shards=" + std::to_string(point.shards));
-      const RunResult run =
-          RunWithThreads(GetParam(), config, point.threads, point.shards,
-                         point.backend, point.reorder_window);
-      ExpectBitIdentical(reference, run);
-      EXPECT_EQ(reference.faults_injected, run.faults_injected);
-      EXPECT_EQ(reference.rounds_degraded, run.rounds_degraded);
-      EXPECT_EQ(reference.peers_timed_out, run.peers_timed_out);
-    }
+    EXPECT_EQ(ExpectGridBitIdentical(GetParam(), config).faults_injected, 3);
   }
 }
 
@@ -300,55 +225,18 @@ TEST_P(ParallelDeterminism, CompressionBitIdenticalAcrossExecutionPoints) {
   // Gradient compression draws from the committing worker's RNG stream
   // (int8) and reads the per-worker communication-round counter (layerwise),
   // both of which only move in commit contexts — so a compressed run must be
-  // exactly as reproducible as an uncompressed one across backends, reorder
-  // windows, thread counts, shard splits, and event-queue backends. One
-  // variant per encoding family; the reference is the fully serial unsharded
-  // run of the same spec.
-  ExperimentConfig config = BaseConfig();
-  config.dataset.num_train = 256;
-  config.dataset.num_test = 64;
-  config.batch_size = 24;
-  config.max_epochs = 1;
-
-  struct ExecutionPoint {
-    ExecutionBackendKind backend;
-    int threads;
-    int shards;
-    int reorder_window;
-    net::EventQueueKind queue;
-  };
-  const ExecutionPoint points[] = {
-      {ExecutionBackendKind::kSpeculative, 8, 1, 0,
-       net::EventQueueKind::kSortedVector},
-      {ExecutionBackendKind::kSpeculative, 8, 2, 0,
-       net::EventQueueKind::kBinaryHeap},
-      {ExecutionBackendKind::kAsyncPipeline, 8, 1, 4,
-       net::EventQueueKind::kCalendar},
-      {ExecutionBackendKind::kProcessPool, 1, 1, 0,
-       net::EventQueueKind::kPairingHeap},
-  };
+  // exactly as reproducible as an uncompressed one at every grid point. One
+  // variant per encoding family.
+  ExperimentConfig config = GridConfig();
   for (const char* spec_text : {"topk:0.1", "int8", "layerwise:2"}) {
+    SCOPED_TRACE(spec_text);
     auto spec = ml::ParseCompressionSpec(spec_text);
     NETMAX_CHECK_OK(spec.status());
     config.compress = *spec;
-    const RunResult reference = RunWithThreads(
-        GetParam(), config, 1, 1, ExecutionBackendKind::kSerial);
+    const RunResult serial = ExpectGridBitIdentical(GetParam(), config);
     // Compression must actually bite: bytes came off the wire.
-    EXPECT_GT(reference.messages_sent, 0) << spec_text;
-    EXPECT_GT(reference.bytes_saved, 0) << spec_text;
-    for (const ExecutionPoint& point : points) {
-      ExperimentConfig point_config = config;
-      point_config.event_queue = point.queue;
-      SCOPED_TRACE(std::string("compress=") + spec_text + " backend=" +
-                   std::to_string(static_cast<int>(point.backend)) +
-                   " threads=" + std::to_string(point.threads) +
-                   " shards=" + std::to_string(point.shards) + " queue=" +
-                   std::string(net::EventQueueKindName(point.queue)));
-      const RunResult run =
-          RunWithThreads(GetParam(), point_config, point.threads,
-                         point.shards, point.backend, point.reorder_window);
-      ExpectBitIdentical(reference, run);
-    }
+    EXPECT_GT(serial.messages_sent, 0);
+    EXPECT_GT(serial.bytes_saved, 0);
   }
 }
 

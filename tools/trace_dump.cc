@@ -12,6 +12,10 @@
 //   trace_dump --list          print registered algorithm names, one per line
 //   trace_dump <algorithm>     print the canonical trace on stdout
 //
+// NETMAX_THREADS=N, NETMAX_BACKEND=serial|speculative|async and
+// NETMAX_EVENT_QUEUE=vector|calendar pick the execution point; the trace
+// bytes must not depend on it.
+//
 // Fault variants: "<algorithm>+faults-wait" and "<algorithm>+faults-timeout"
 // run the same pinned experiment under the pinned fault schedule below with
 // the respective dead-peer policy, and append the fault counters to the
@@ -34,6 +38,7 @@
 #include <string>
 
 #include "algos/registry.h"
+#include "common/flags.h"
 #include "common/status.h"
 #include "core/experiment.h"
 #include "ml/compression.h"
@@ -122,27 +127,22 @@ Status DumpTrace(const std::string& request) {
     compress_spec = kLayerwiseSpec;
   }
   core::ExperimentConfig config = GoldenConfig();
-  // NETMAX_EVENT_QUEUE selects the event-queue backend without perturbing
-  // the pinned config: every backend must reproduce the same trace bytes,
-  // which is exactly what CI's determinism lane diffs.
+  // NETMAX_EVENT_QUEUE, NETMAX_THREADS and NETMAX_BACKEND select the
+  // execution point without perturbing the pinned config: every queue,
+  // thread count and backend must reproduce the same trace bytes, which is
+  // exactly what CI's golden-trace gates check. The pinned threads = 1 runs
+  // serially; NETMAX_THREADS > 1 runs the backend (default speculative).
   if (const char* queue_env = std::getenv("NETMAX_EVENT_QUEUE")) {
     NETMAX_ASSIGN_OR_RETURN(config.event_queue,
                             net::ParseEventQueueKind(queue_env));
   }
-  // NETMAX_BACKEND / NETMAX_PROCS select the execution backend the same way:
-  // every backend (including the forked process pool) must reproduce the
-  // same trace bytes, and the determinism lane diffs process against serial.
+  if (const char* threads_env = std::getenv("NETMAX_THREADS")) {
+    NETMAX_ASSIGN_OR_RETURN(config.threads, ParseNonNegativeInt(threads_env));
+  }
   if (const char* backend_env = std::getenv("NETMAX_BACKEND")) {
     if (!core::ParseExecutionBackendKind(backend_env, &config.backend)) {
       return InvalidArgumentError(std::string("bad NETMAX_BACKEND value: ") +
                                   backend_env);
-    }
-  }
-  if (const char* procs_env = std::getenv("NETMAX_PROCS")) {
-    config.procs = std::atoi(procs_env);
-    if (config.procs <= 0) {
-      return InvalidArgumentError(std::string("bad NETMAX_PROCS value: ") +
-                                  procs_env);
     }
   }
   if (fault_mode) {
