@@ -19,18 +19,19 @@
 // Fault variants: "<algorithm>+faults-wait" and "<algorithm>+faults-timeout"
 // run the same pinned experiment under the pinned fault schedule below with
 // the respective dead-peer policy, and append the fault counters to the
-// trace. --list advertises two pinned variants (netmax under wait, allreduce
-// under timeout), so the golden lane also locks down the fault-injection
-// subsystem's bits; plain algorithm traces are byte-identical to before the
-// fault variants existed.
+// trace. --list advertises nine pinned fault variants covering every engine
+// family's dead-peer path (the peer-pull loop under both policies, the round
+// loop under both, Prague's waiting room, and the push-gossip chain), so the
+// golden lane also locks down the fault-injection subsystem's bits; plain
+// algorithm traces are byte-identical to before the fault variants existed.
 //
 // Compression variants: "<algorithm>+topk" (top-k 0.1), "<algorithm>+int8",
 // and "<algorithm>+layerwise" (period 2) run the pinned experiment with the
 // respective gradient compression and append the wire counters. --list
-// advertises three pinned variants (netmax+topk, gossip+int8,
-// allreduce+layerwise) covering the per-send, push-gossip, and ring-chunk
-// accounting paths; plain traces stay byte-identical to their pre-compression
-// pins.
+// advertises eight pinned compression variants covering every engine's
+// compressed mix or reduce (per-send pulls, push-gossip snapshots, ring and
+// group chunks, and both parameter-server exchanges); plain traces stay
+// byte-identical to their pre-compression pins.
 
 #include <cinttypes>
 #include <cstdio>
@@ -206,21 +207,45 @@ int main(int argc, char** argv) {
     for (const std::string& name : netmax::algos::AlgorithmNames()) {
       std::printf("%s\n", name.c_str());
     }
-    // The pinned fault variants — both policies on the chain-structured
-    // NetMax engine (the timeout one expires real peer deadlines) plus the
-    // round-structured allreduce under timeout (membership exclusion).
-    // Every other "<algorithm>+faults-{wait,timeout}" spelling also runs,
-    // unpinned.
-    std::printf("netmax%s\n", netmax::kWaitSuffix);
-    std::printf("netmax%s\n", netmax::kTimeoutSuffix);
-    std::printf("allreduce%s\n", netmax::kTimeoutSuffix);
-    // The pinned compression variants — one per encoding family, spread
-    // across the three wire-accounting shapes (directed consensus sends,
-    // push-gossip snapshots, ring allreduce chunks). Every other
+    // The pinned fault variants: both policies on the peer-pull engines
+    // (the timeout ones expire real peer deadlines), the round loop under
+    // both (blocking and membership exclusion), Prague's waiting room under
+    // timeout, and push gossip under wait (its parked chain rejoins). The PS
+    // engines are left out: under the pinned schedule their fault runs equal
+    // the plain ones. Every other "<algorithm>+faults-{wait,timeout}"
+    // spelling also runs, unpinned.
+    const char* const fault_variants[][2] = {
+        {"netmax", netmax::kWaitSuffix},
+        {"netmax", netmax::kTimeoutSuffix},
+        {"allreduce", netmax::kTimeoutSuffix},
+        {"adpsgd", netmax::kTimeoutSuffix},
+        {"adpsgd+monitor", netmax::kWaitSuffix},
+        {"saps", netmax::kTimeoutSuffix},
+        {"prague", netmax::kTimeoutSuffix},
+        {"gossip", netmax::kWaitSuffix},
+        {"allreduce", netmax::kWaitSuffix},
+    };
+    // The pinned compression variants: every engine's compressed mix or
+    // reduce, spread across the encoding families and the wire-accounting
+    // shapes (directed consensus sends, push-gossip snapshots, ring and
+    // group chunks, PS uploads and downloads). Every other
     // "<algorithm>+{topk,int8,layerwise}" spelling also runs, unpinned.
-    std::printf("netmax%s\n", netmax::kTopKSuffix);
-    std::printf("gossip%s\n", netmax::kInt8Suffix);
-    std::printf("allreduce%s\n", netmax::kLayerwiseSuffix);
+    const char* const compression_variants[][2] = {
+        {"netmax", netmax::kTopKSuffix},
+        {"gossip", netmax::kInt8Suffix},
+        {"allreduce", netmax::kLayerwiseSuffix},
+        {"adpsgd", netmax::kInt8Suffix},
+        {"saps", netmax::kTopKSuffix},
+        {"prague", netmax::kLayerwiseSuffix},
+        {"ps-sync", netmax::kTopKSuffix},
+        {"ps-async", netmax::kInt8Suffix},
+    };
+    for (const auto& variant : fault_variants) {
+      std::printf("%s%s\n", variant[0], variant[1]);
+    }
+    for (const auto& variant : compression_variants) {
+      std::printf("%s%s\n", variant[0], variant[1]);
+    }
     return 0;
   }
   const netmax::Status status = netmax::DumpTrace(arg);
