@@ -1,21 +1,20 @@
 // Extending the library: implement your own decentralized training algorithm
-// against the public TrainingAlgorithm / ExperimentHarness API and benchmark
-// it against NetMax on the same simulated cluster.
+// on the shared peer-pull loop (core/pull_engine.h) and benchmark it against
+// NetMax on the same simulated cluster.
 //
 //   $ ./examples/custom_algorithm
 //
 // The toy algorithm below ("LazyGossip") only communicates every K-th
-// iteration (local SGD with periodic pairwise averaging). It reuses the
-// harness for data sharding, cost accounting, and metrics, so the comparison
-// against the built-in algorithms is apples-to-apples — and it is written
-// against the two-phase compute/commit event API, so it automatically runs
-// its per-worker gradient work on the simulator's thread pool (threads knob
-// on ExperimentConfig) with bit-identical results at any thread count. Note
-// the three rules every engine follows: draw randomness at schedule time,
-// keep the compute half pure, and NotifyStateWrite for every cross-worker
-// parameter write in a commit.
+// iteration (local SGD with periodic pairwise averaging). It binds just two
+// things to the loop: a peer draw (itself, meaning a local step, except on
+// every K-th iteration) and a mix (the symmetric mean). The loop supplies
+// the rest exactly as for NetMax and AD-PSGD: two-phase compute/commit events
+// that run gradients on the simulator's thread pool with bit-identical
+// results at any thread count, dead-peer handling under --faults, wire
+// accounting, and checkpoint/restore. The rules a mix follows: it runs in a
+// commit, so it may draw randomness and write parameters, but it must
+// NotifyStateWrite every worker it writes first.
 
-#include <algorithm>
 #include <iostream>
 #include <memory>
 #include <string>
@@ -23,78 +22,59 @@
 #include "algos/registry.h"
 #include "common/logging.h"
 #include "common/table.h"
-#include "core/experiment.h"
+#include "core/pull_engine.h"
 
 namespace {
 
 namespace core = netmax::core;
 
 // Local SGD with a pairwise averaging exchange every `period` iterations.
+class LazyGossipEngine : public core::PullEngine {
+ public:
+  LazyGossipEngine(const core::ExperimentConfig& config, int period)
+      : PullEngine(config, "LazyGossip", /*step_before_mix=*/true),
+        period_(period) {}
+
+ private:
+  // Drawn at schedule time from w's own RNG stream, so the compute half
+  // stays pure.
+  int DrawPeer(int w) override {
+    core::WorkerRuntime& worker = harness_.worker(w);
+    if (worker.iterations % period_ != period_ - 1) return w;  // local step
+    const auto& neighbors = harness_.topology().Neighbors(w);
+    return neighbors[static_cast<size_t>(
+        worker.rng.UniformInt(0, static_cast<int64_t>(neighbors.size()) - 1))];
+  }
+
+  // The pairwise averaging writes both endpoints: declare both so the
+  // parallel runtime invalidates any speculation on them. (Uncompressed:
+  // this toy ignores the round's encoding.)
+  void Mix(int w, int m, int64_t /*round*/) override {
+    harness_.sim().NotifyStateWrite(w);
+    harness_.sim().NotifyStateWrite(m);
+    auto x_i = harness_.worker(w).model->parameters();
+    auto x_m = harness_.worker(m).model->parameters();
+    for (size_t j = 0; j < x_i.size(); ++j) {
+      const double mean = 0.5 * (x_i[j] + x_m[j]);
+      x_i[j] = mean;
+      x_m[j] = mean;
+    }
+  }
+
+  int period_;
+};
+
 class LazyGossipAlgorithm : public core::TrainingAlgorithm {
  public:
   explicit LazyGossipAlgorithm(int period) : period_(period) {}
-
   std::string name() const override { return "LazyGossip"; }
-
   netmax::StatusOr<core::RunResult> Run(
       const core::ExperimentConfig& config) const override {
-    core::ExperimentHarness harness(config, name());
-    NETMAX_RETURN_IF_ERROR(harness.Init());
-    for (int w = 0; w < harness.num_workers(); ++w) {
-      StartIteration(harness, w);
-    }
-    harness.sim().RunUntilIdle();
-    return harness.Finalize();
+    LazyGossipEngine engine(config, period_);
+    return engine.Run();
   }
 
  private:
-  void StartIteration(core::ExperimentHarness& harness, int w) const {
-    if (harness.WorkerDone(w)) return;
-    core::WorkerRuntime& worker = harness.worker(w);
-    const double compute = worker.compute_seconds_per_batch;
-    const bool communicate = worker.iterations % period_ == period_ - 1;
-    // Schedule time (commit context): draw the batch — and the peer, when
-    // communicating — so the compute half stays pure.
-    harness.SampleBatch(w);
-    if (!communicate) {
-      harness.sim().ScheduleComputeAfter(
-          compute, w,
-          [&harness, w] { return harness.EvalBatchGradient(w); },
-          [&harness, w, compute, this](double loss) {
-            harness.CommitBatchStats(w, loss);
-            harness.ApplyStoredGradient(w);
-            harness.AccountIteration(w, compute, compute);
-            StartIteration(harness, w);
-          });
-      return;
-    }
-    // Communication round: pull a uniformly random peer; the gradient
-    // computation overlaps the transfer.
-    const auto& neighbors = harness.topology().Neighbors(w);
-    const int m = neighbors[static_cast<size_t>(
-        worker.rng.UniformInt(0, static_cast<int64_t>(neighbors.size()) - 1))];
-    const double wall = std::max(compute, harness.PullSeconds(m, w));
-    harness.sim().ScheduleComputeAfter(
-        wall, w, [&harness, w] { return harness.EvalBatchGradient(w); },
-        [&harness, w, m, compute, wall, this](double loss) {
-          harness.CommitBatchStats(w, loss);
-          harness.ApplyStoredGradient(w);
-          // The pairwise averaging writes both endpoints: declare it so the
-          // parallel runtime invalidates any speculation on them.
-          harness.sim().NotifyStateWrite(w);
-          harness.sim().NotifyStateWrite(m);
-          auto x_i = harness.worker(w).model->parameters();
-          auto x_m = harness.worker(m).model->parameters();
-          for (size_t j = 0; j < x_i.size(); ++j) {
-            const double mean = 0.5 * (x_i[j] + x_m[j]);
-            x_i[j] = mean;
-            x_m[j] = mean;
-          }
-          harness.AccountIteration(w, compute, wall);
-          StartIteration(harness, w);
-        });
-  }
-
   int period_;
 };
 

@@ -1,317 +1,50 @@
 #include "algos/ad_psgd.h"
 
-#include <algorithm>
-#include <memory>
 #include <span>
-#include <string>
-#include <utility>
-#include <vector>
 
-#include "common/stats.h"
-#include "core/checkpoint.h"
-#include "core/monitor.h"
-#include "core/policy.h"
-#include "net/fault_schedule.h"
+#include "core/pull_engine.h"
 
 namespace netmax::algos {
 namespace {
 
-using core::CommunicationPolicy;
-using core::ExperimentConfig;
-using core::ExperimentHarness;
-using core::RunResult;
-
-class AdPsgdEngine {
+class AdPsgdEngine : public core::PullEngine {
  public:
-  AdPsgdEngine(const ExperimentConfig& config, bool with_monitor)
-      : harness_(config, with_monitor ? "AD-PSGD+Monitor" : "AD-PSGD"),
-        config_(config), with_monitor_(with_monitor) {}
-
-  StatusOr<RunResult> Run() {
-    NETMAX_RETURN_IF_ERROR(harness_.Init());
-    const int n = harness_.num_workers();
-    topology_ = &harness_.topology();
-    policy_ = std::make_unique<CommunicationPolicy>(
-        CommunicationPolicy::Uniform(*topology_));
-
-    if (with_monitor_) {
-      core::MonitorOptions monitor_options;
-      monitor_options.schedule_period_seconds = config_.monitor_period_seconds;
-      monitor_options.generator = config_.generator;
-      monitor_options.generator.alpha = config_.learning_rate;
-      // Section III-D: the same optimization with the averaging-mode Y matrix
-      // and the relaxed Eq. (11) bound.
-      monitor_options.generator.mode =
-          core::PolicyGeneratorOptions::Mode::kAveraging;
-      monitor_options.generator.averaging_weight = 0.5;
-      monitor_ = std::make_unique<core::NetworkMonitor>(*topology_,
-                                                        monitor_options);
-      ema_times_.assign(
-          static_cast<size_t>(n),
-          std::vector<ExponentialMovingAverage>(
-              static_cast<size_t>(n),
-              ExponentialMovingAverage(config_.ema_beta)));
-    }
-
-    parked_.assign(static_cast<size_t>(n), 0);
-    builder_ = [this](const net::SavedEvent& event) {
-      return BuildEvent(event);
-    };
-    if (harness_.restore_requested()) {
-      NETMAX_RETURN_IF_ERROR(harness_.Restore(
-          [this](Deserializer& in) { return RestoreEngineState(in); },
-          builder_));
-    } else {
-      if (with_monitor_) {
-        Emit(config_.monitor_period_seconds, core::kPlainEvent,
-             {kMonitorTick, {}});
-      }
-      for (int w = 0; w < n; ++w) StartIteration(w);
-    }
-    harness_.ArmCheckpoint(
-        [this](Serializer& out) { return SaveEngineState(out); });
-    // Restart a rejoining worker's iteration chain iff it parked; a chain
-    // still in flight at rejoin time keeps itself alive.
-    harness_.set_fault_listener([this](const net::FaultEvent& fault) {
-      if (fault.kind == net::FaultKind::kJoin &&
-          parked_[static_cast<size_t>(fault.worker)] != 0) {
-        StartIteration(fault.worker);
-      }
-    });
-    harness_.sim().RunUntilIdle();
-    NETMAX_RETURN_IF_ERROR(harness_.checkpoint_status());
-    if (monitor_ != nullptr) {
-      harness_.set_policies_generated(monitor_->policies_generated());
-    }
-    return harness_.Finalize();
-  }
+  AdPsgdEngine(const core::ExperimentConfig& config, bool with_monitor)
+      : PullEngine(config, with_monitor ? "AD-PSGD+Monitor" : "AD-PSGD",
+                   /*step_before_mix=*/false),
+        with_monitor_(with_monitor) {}
 
  private:
-  // Checkpoint reification tags (core/checkpoint.h).
-  enum Tag : int64_t {
-    kIterate = 0,  // compute event: args [peer, compute_secs, wall_secs, round]
-    kMonitorTick = 1,  // plain event: args []
-    kLocalStep = 2,    // compute event: args [compute_secs, wall_secs]
-    kPeerWait = 3,     // plain event: args [worker, peer, waited_secs]
-    kPeerTimeout = 4,  // plain event: args [worker, peer]
-  };
-
-  void Emit(double delay, int worker_key, net::EventPayload payload) {
-    core::ScheduleReified(harness_.sim(), delay, worker_key,
-                          std::move(payload), builder_);
-  }
-
-  StatusOr<net::RebuiltEvent> BuildEvent(const net::SavedEvent& event) {
-    const std::vector<double>& args = event.payload.args;
-    net::RebuiltEvent rebuilt;
-    switch (event.payload.tag) {
-      case kIterate: {
-        const int w = event.worker_key;
-        if (w < 0 || w >= harness_.num_workers() || args.size() != 4) break;
-        const int m = static_cast<int>(args[0]);
-        const double compute = args[1];
-        const double wall = args[2];
-        const int64_t round = static_cast<int64_t>(args[3]);
-        if (m < 0 || m >= harness_.num_workers() || m == w) break;
-        rebuilt.compute = [this, w] { return harness_.EvalBatchGradient(w); };
-        rebuilt.commit = [this, w, m, compute, wall, round](double loss) {
-          CompleteIteration(w, m, compute, wall, round, loss);
-        };
-        return rebuilt;
-      }
-      case kMonitorTick: {
-        if (event.worker_key >= 0 || !args.empty() || !with_monitor_) break;
-        rebuilt.plain = [this] { MonitorTick(); };
-        return rebuilt;
-      }
-      case kLocalStep: {
-        const int w = event.worker_key;
-        if (w < 0 || w >= harness_.num_workers() || args.size() != 2) break;
-        const double compute = args[0];
-        const double wall = args[1];
-        rebuilt.compute = [this, w] { return harness_.EvalBatchGradient(w); };
-        rebuilt.commit = [this, w, compute, wall](double loss) {
-          harness_.CommitBatchStats(w, loss);
-          harness_.ApplyStoredGradient(w);
-          harness_.AccountIteration(w, compute, wall);
-          StartIteration(w);
-        };
-        return rebuilt;
-      }
-      case kPeerWait: {
-        const int n = harness_.num_workers();
-        if (event.worker_key >= 0 || args.size() != 3) break;
-        const int w = static_cast<int>(args[0]);
-        const int m = static_cast<int>(args[1]);
-        const double waited = args[2];
-        if (w < 0 || w >= n || m < 0 || m >= n || m == w) break;
-        rebuilt.plain = [this, w, m, waited] { PeerWaitTick(w, m, waited); };
-        return rebuilt;
-      }
-      case kPeerTimeout: {
-        const int n = harness_.num_workers();
-        if (event.worker_key >= 0 || args.size() != 2) break;
-        const int w = static_cast<int>(args[0]);
-        const int m = static_cast<int>(args[1]);
-        if (w < 0 || w >= n || m < 0 || m >= n || m == w) break;
-        rebuilt.plain = [this, w, m] { PeerTimeoutExpired(w, m); };
-        return rebuilt;
-      }
-      default:
-        break;
-    }
-    return InvalidArgumentError("malformed AD-PSGD event (tag " +
-                                std::to_string(event.payload.tag) + ")");
-  }
-
-  Status SaveEngineState(Serializer& out) {
-    core::SaveMatrix(out, policy_->matrix());
-    if (with_monitor_) {
-      core::SaveEmaGrid(out, ema_times_);
-      out.WriteI64(monitor_->policies_generated());
-    }
-    for (const uint8_t parked : parked_) out.WriteBool(parked != 0);
+  Status Setup() override {
+    // Section III-D: the monitor runs the same optimization with the
+    // averaging-mode Y matrix and the relaxed Eq. (11) bound.
+    core::PolicyGeneratorOptions generator = config().generator;
+    generator.mode = core::PolicyGeneratorOptions::Mode::kAveraging;
+    generator.averaging_weight = 0.5;
+    UsePolicy(with_monitor_ ? &generator : nullptr);
     return Status::Ok();
   }
 
-  Status RestoreEngineState(Deserializer& in) {
-    NETMAX_ASSIGN_OR_RETURN(linalg::Matrix matrix, core::LoadMatrix(in));
-    const int n = harness_.num_workers();
-    if (matrix.rows() != n || matrix.cols() != n) {
-      return InvalidArgumentError("checkpoint policy matrix shape mismatch");
-    }
-    policy_ = std::make_unique<CommunicationPolicy>(std::move(matrix));
-    if (with_monitor_) {
-      NETMAX_RETURN_IF_ERROR(core::RestoreEmaGrid(in, &ema_times_));
-      NETMAX_ASSIGN_OR_RETURN(const int64_t generated, in.ReadI64());
-      if (generated < 0) {
-        return InvalidArgumentError("negative policies_generated count");
-      }
-      monitor_->set_policies_generated(generated);
-    }
-    for (size_t w = 0; w < parked_.size(); ++w) {
-      NETMAX_ASSIGN_OR_RETURN(const bool parked, in.ReadBool());
-      parked_[w] = parked ? 1 : 0;
-    }
-    return Status::Ok();
+  // The first monitor tick precedes the workers' first iterations.
+  void Start() override {
+    if (with_monitor_) ScheduleMonitorTick();
+    PullEngine::Start();
   }
 
-  void StartIteration(int w) {
-    if (harness_.WorkerDone(w)) {
-      parked_[static_cast<size_t>(w)] = 1;
-      return;
-    }
-    parked_[static_cast<size_t>(w)] = 0;
-    core::WorkerRuntime& worker = harness_.worker(w);
+  // Always a real neighbor: redraw until the policy row yields one.
+  int DrawPeer(int w) override {
     int m = w;
-    while (m == w) {
-      m = worker.rng.Discrete(policy_->Row(w));
-    }
-    if (!harness_.WorkerAlive(m)) {
-      // The drawn peer is dead: hold this iteration per the peer policy; the
-      // batch is sampled only when the pull actually goes out.
-      BeginPeerWait(w, m);
-      return;
-    }
-    const double compute = harness_.EffectiveComputeSeconds(w);
-    const int64_t round = harness_.NextCommRound(w);
-    const double transfer = harness_.SendSeconds(m, w, round);
-    // Gradient computation overlaps the pull; the evaluation itself is the
-    // pure compute half and everything stateful commits in event order.
-    harness_.SampleBatch(w);
-    const double wall = std::max(compute, transfer);
-    Emit(wall, w,
-         {kIterate,
-          {static_cast<double>(m), compute, wall,
-           static_cast<double>(round)}});
+    while (m == w) m = DrawFromPolicy(w);
+    return m;
   }
 
-  // Dead-peer handling, one episode per StartIteration that drew a dead
-  // peer: kWait re-probes at the poll cadence until the peer returns (or the
-  // run's time cap parks the worker); kTimeoutAndContinue arms one deadline,
-  // after which the worker takes a plain local step instead.
-  void BeginPeerWait(int w, int m) {
-    harness_.CountDegradedRound();
-    if (harness_.config().peer_policy ==
-        core::PeerPolicy::kTimeoutAndContinue) {
-      Emit(config_.peer_timeout_seconds, core::kPlainEvent,
-           {kPeerTimeout, {static_cast<double>(w), static_cast<double>(m)}});
-    } else {
-      Emit(config_.peer_poll_seconds, core::kPlainEvent,
-           {kPeerWait,
-            {static_cast<double>(w), static_cast<double>(m),
-             config_.peer_poll_seconds}});
-    }
-  }
-
-  void PeerWaitTick(int w, int m, double waited) {
-    if (harness_.WorkerDone(w)) {
-      parked_[static_cast<size_t>(w)] = 1;
-      return;
-    }
-    if (harness_.WorkerAlive(m)) {
-      ResumePull(w, m, waited);
-      return;
-    }
-    Emit(config_.peer_poll_seconds, core::kPlainEvent,
-         {kPeerWait,
-          {static_cast<double>(w), static_cast<double>(m),
-           waited + config_.peer_poll_seconds}});
-  }
-
-  void PeerTimeoutExpired(int w, int m) {
-    if (harness_.WorkerDone(w)) {
-      parked_[static_cast<size_t>(w)] = 1;
-      return;
-    }
-    if (harness_.WorkerAlive(m)) {
-      ResumePull(w, m, config_.peer_timeout_seconds);
-      return;
-    }
-    harness_.CountPeerTimeout();
-    const double compute = harness_.EffectiveComputeSeconds(w);
-    harness_.SampleBatch(w);
-    Emit(compute, w,
-         {kLocalStep, {compute, config_.peer_timeout_seconds + compute}});
-  }
-
-  void ResumePull(int w, int m, double waited) {
-    const double compute = harness_.EffectiveComputeSeconds(w);
-    const int64_t round = harness_.NextCommRound(w);
-    const double transfer = harness_.SendSeconds(m, w, round);
-    harness_.SampleBatch(w);
-    const double wall = std::max(compute, transfer);
-    Emit(wall, w,
-         {kIterate,
-          {static_cast<double>(m), compute, waited + wall,
-           static_cast<double>(round)}});
-  }
-
-  void CompleteIteration(int w, int m, double compute, double wall,
-                         int64_t round, double loss) {
-    core::WorkerRuntime& worker = harness_.worker(w);
-    // AD-PSGD order: average with the selected peer, then apply the gradient
-    // that was computed concurrently. The averaging is atomic and symmetric —
-    // both endpoints adopt (x_i + x_m)/2, as in Lian et al.'s W matrix —
-    // which
-    // preserves the parameter mean across the fleet.
-    harness_.CommitBatchStats(w, loss);
-    if (!harness_.WorkerAlive(m)) {
-      // The peer died while this pull was in flight: keep the gradient
-      // progress, skip the averaging (and the monitor's EMA sample — no
-      // successful communication to measure).
-      harness_.CountDegradedRound();
-      harness_.ApplyStoredGradient(w);
-      harness_.AccountIteration(w, compute, wall);
-      StartIteration(w);
-      return;
-    }
-    // Both endpoints' parameters are written below: notify before either
-    // write so any evaluation the backend ran ahead (m's is usually
-    // window-resident or speculated) is invalidated and re-dispatched.
+  // AD-PSGD's atomic, symmetric averaging: both endpoints adopt
+  // (x_i + x_m)/2, as in Lian et al.'s W matrix, which preserves the fleet's
+  // parameter mean. The gradient computed during the pull applies after it.
+  void Mix(int w, int m, int64_t round) override {
     harness_.sim().NotifyStateWrite(w);
     harness_.sim().NotifyStateWrite(m);
-    auto x_i = worker.model->parameters();
+    auto x_i = harness_.worker(w).model->parameters();
     auto x_m = harness_.worker(m).model->parameters();
     if (!harness_.compression_enabled()) {
       for (size_t j = 0; j < x_i.size(); ++j) {
@@ -333,45 +66,9 @@ class AdPsgdEngine {
         x_m[j] -= half;
       }
     }
-    harness_.ApplyStoredGradient(w);
-    if (with_monitor_) {
-      ema_times_[static_cast<size_t>(w)][static_cast<size_t>(m)].Add(wall);
-    }
-    harness_.AccountIteration(w, compute, wall);
-    StartIteration(w);
   }
 
-  void MonitorTick() {
-    if (harness_.AllDone()) return;
-    const int n = harness_.num_workers();
-    linalg::Matrix times(n, n, 0.0);
-    for (int i = 0; i < n; ++i) {
-      for (int m : topology_->Neighbors(i)) {
-        const auto& ema =
-            ema_times_[static_cast<size_t>(i)][static_cast<size_t>(m)];
-        if (ema.has_value()) times(i, m) = ema.value();
-      }
-    }
-    StatusOr<core::GeneratedPolicy> generated =
-        monitor_->ComputePolicy(times, harness_.pool());
-    if (generated.ok()) {
-      policy_ = std::make_unique<CommunicationPolicy>(
-          std::move(generated.value().policy));
-    }
-    Emit(config_.monitor_period_seconds, core::kPlainEvent,
-         {kMonitorTick, {}});
-  }
-
-  ExperimentHarness harness_;
-  ExperimentConfig config_;
-  bool with_monitor_;
-  const net::Topology* topology_ = nullptr;
-  std::unique_ptr<CommunicationPolicy> policy_;
-  std::unique_ptr<core::NetworkMonitor> monitor_;
-  std::vector<std::vector<ExponentialMovingAverage>> ema_times_;
-  // Per-worker "iteration chain is parked" flag (see the join listener).
-  std::vector<uint8_t> parked_;
-  net::EventRebuilder builder_;
+  const bool with_monitor_;
 };
 
 }  // namespace

@@ -1,274 +1,58 @@
 #include "algos/allreduce_sgd.h"
 
 #include <algorithm>
-#include <string>
-#include <utility>
+#include <cstdint>
 #include <vector>
 
-#include "core/checkpoint.h"
-#include "linalg/vector_ops.h"
+#include "core/engine.h"
 
 namespace netmax::algos {
 namespace {
 
-using core::ExperimentConfig;
-using core::ExperimentHarness;
-using core::RunResult;
-
-class AllreduceEngine {
+class AllreduceEngine : public core::RoundEngine {
  public:
-  explicit AllreduceEngine(const ExperimentConfig& config)
-      : harness_(config, "Allreduce") {}
-
-  StatusOr<RunResult> Run() {
-    NETMAX_RETURN_IF_ERROR(harness_.Init());
-    builder_ = [this](const net::SavedEvent& event) {
-      return BuildEvent(event);
-    };
-    if (harness_.restore_requested()) {
-      // The restored queue carries the round's pending compute events; the
-      // engine blob carries its membership and the outstanding-commit count.
-      NETMAX_RETURN_IF_ERROR(harness_.Restore(
-          [this](Deserializer& in) { return RestoreEngineState(in); },
-          builder_));
-    } else {
-      Emit(0.0, core::kPlainEvent, {kRunRound, {}});
-    }
-    harness_.ArmCheckpoint([this](Serializer& out) {
-      out.WriteIntVec(members_);
-      out.WriteInt(pending_);
-      out.WriteBool(round_waiting_);
-      return Status::Ok();
-    });
-    // No fault listener needed: the round loop re-probes on its own while
-    // any worker is dead (kWait) or runs with the live membership
-    // (kTimeoutAndContinue), so a rejoining worker is picked up by the next
-    // kRunRound automatically.
-    harness_.sim().RunUntilIdle();
-    NETMAX_RETURN_IF_ERROR(harness_.checkpoint_status());
-    return harness_.Finalize();
-  }
+  explicit AllreduceEngine(const core::ExperimentConfig& config)
+      : RoundEngine(config, "Allreduce") {}
 
  private:
-  // Checkpoint reification tags (core/checkpoint.h).
-  enum Tag : int64_t {
-    kRoundCompute = 0,  // compute event: one worker's gradient, args []
-    kRunRound = 1,      // plain event: start the next round, args []
-  };
-
-  void Emit(double delay, int worker_key, net::EventPayload payload) {
-    core::ScheduleReified(harness_.sim(), delay, worker_key,
-                          std::move(payload), builder_);
-  }
-
-  StatusOr<net::RebuiltEvent> BuildEvent(const net::SavedEvent& event) {
-    const std::vector<double>& args = event.payload.args;
-    net::RebuiltEvent rebuilt;
-    switch (event.payload.tag) {
-      case kRoundCompute: {
-        const int w = event.worker_key;
-        const int n = harness_.num_workers();
-        if (w < 0 || w >= n || !args.empty()) break;
-        rebuilt.compute = [this, w] { return harness_.EvalBatchGradient(w); };
-        rebuilt.commit = [this, w](double loss) {
-          harness_.CommitBatchStats(w, loss);
-          // Commits run in membership order; the last one reduces. On full
-          // membership this fires at worker n-1's commit, exactly like the
-          // fixed-membership round structure did.
-          if (--pending_ == 0) ReduceAndApply();
-        };
-        return rebuilt;
-      }
-      case kRunRound: {
-        if (event.worker_key >= 0 || !args.empty()) break;
-        rebuilt.plain = [this] { RunRound(); };
-        return rebuilt;
-      }
-      default:
-        break;
-    }
-    return InvalidArgumentError("malformed Allreduce event (tag " +
-                                std::to_string(event.payload.tag) + ")");
-  }
-
-  void RunRound() {
-    if (harness_.AllDone()) return;
-    const int n = harness_.num_workers();
-    const core::ExperimentConfig& config = harness_.config();
-
-    // Round membership under faults. kWait keeps the paper's synchronous
-    // semantics: a dead worker blocks the whole round, which re-probes at
-    // the poll cadence until everyone is back (bounded by the run's time
-    // cap). kTimeoutAndContinue runs with whoever is alive and additionally
-    // drops stragglers whose slowed compute would hold the round more than
-    // peer_timeout_seconds past the fastest member. On a fault-free run both
-    // policies yield the full membership.
-    members_.clear();
-    if (config.peer_policy == core::PeerPolicy::kWait) {
-      for (int w = 0; w < n; ++w) {
-        if (!harness_.WorkerAlive(w)) {
-          if (!round_waiting_) {
-            round_waiting_ = true;
-            harness_.CountDegradedRound();
-          }
-          Emit(config.peer_poll_seconds, core::kPlainEvent, {kRunRound, {}});
-          return;
-        }
-      }
-      round_waiting_ = false;
-      for (int w = 0; w < n; ++w) members_.push_back(w);
-    } else {
-      double min_compute = 0.0;
-      bool has_alive = false;
-      for (int w = 0; w < n; ++w) {
-        if (!harness_.WorkerAlive(w)) continue;
-        const double compute = harness_.EffectiveComputeSeconds(w);
-        min_compute = has_alive ? std::min(min_compute, compute) : compute;
-        has_alive = true;
-      }
-      bool degraded = false;
-      for (int w = 0; w < n; ++w) {
-        if (!harness_.WorkerAlive(w)) {
-          degraded = true;
-          continue;
-        }
-        if (harness_.EffectiveComputeSeconds(w) >
-            min_compute + config.peer_timeout_seconds) {
-          // The fastest member never exceeds its own bound, so the
-          // membership is non-empty whenever anyone is alive.
-          degraded = true;
-          harness_.CountPeerTimeout();
-          continue;
-        }
-        members_.push_back(w);
-      }
-      if (members_.empty()) {
-        // Everyone is dead: re-probe until a join revives the round.
-        Emit(config.peer_poll_seconds, core::kPlainEvent, {kRunRound, {}});
-        return;
-      }
-      if (degraded) harness_.CountDegradedRound();
-    }
-
-    // Phase 1: the members compute gradients in parallel — one compute event
-    // per member at the current time, so the pool evaluates the whole round
-    // concurrently. Commits run in order; the last one reduces and starts
-    // the next round.
-    pending_ = static_cast<int>(members_.size());
-    for (int w : members_) {
-      harness_.SampleBatch(w);
-      Emit(0.0, w, {kRoundCompute, {}});
-    }
-  }
-
-  void ReduceAndApply() {
-    const int g = static_cast<int>(members_.size());
-    const double now = harness_.sim().Now();
-    double max_compute = 0.0;
-    std::vector<double> computes(static_cast<size_t>(g));
-    for (int k = 0; k < g; ++k) {
-      computes[static_cast<size_t>(k)] =
-          harness_.EffectiveComputeSeconds(members_[static_cast<size_t>(k)]);
-      max_compute = std::max(max_compute, computes[static_cast<size_t>(k)]);
-    }
-
-    // Phase 2: ring allreduce of the gradients over the members. 2(G-1)
-    // chunk steps, each paced by the slowest ring link; the chunks are
-    // pipelined, so the per-message latency is paid once per direction
-    // rather than per step (T(0 bytes) isolates the latency component).
-    // Link costs are evaluated at the current virtual time (dynamic
-    // slowdowns apply). A single surviving member reduces with nobody:
-    // communication-free round.
+  // Ring allreduce of the members' gradients, then the identical averaged
+  // update on every member replica (dead or dropped workers keep their
+  // stale parameters). Gradients must be ready before the reduce: the round
+  // lasts the slowest member's compute plus the ring, with no overlap.
+  double Reduce() override {
+    const std::vector<int>& group = members();
+    // A single surviving member reduces with nobody: nothing crosses the
+    // wire, and nothing is compressed.
+    const bool ring = group.size() > 1;
     double allreduce_seconds = 0.0;
     int64_t round = 0;
-    if (g > 1) {
-      const int64_t baseline_chunk =
-          harness_.config().profile.message_bytes() / g;
-      int64_t chunk_bytes = baseline_chunk;
+    if (ring) {
+      // One communication round per allreduce; the first member's counter
+      // indexes the layer-wise schedule for the whole ring.
       if (harness_.compression_enabled()) {
-        // One communication round per allreduce; the first member's counter
-        // indexes the layer-wise schedule for the whole ring.
-        round = harness_.NextCommRound(members_.front());
-        chunk_bytes = harness_.MessagePayloadBytes(round) / g;
+        round = harness_.NextCommRound(group.front());
       }
-      // Ring allreduce moves 2(G-1) chunk steps of G concurrent messages.
-      const int64_t chunk_messages =
-          static_cast<int64_t>(g) * 2 * (g - 1);
-      harness_.AccountWire(chunk_messages, chunk_messages * chunk_bytes,
-                           chunk_messages * baseline_chunk);
-      double step_seconds = 0.0;
-      double latency_seconds = 0.0;
-      for (int k = 0; k < g; ++k) {
-        const int a = members_[static_cast<size_t>(k)];
-        const int b = members_[static_cast<size_t>((k + 1) % g)];
-        const double latency = harness_.links().TransferSeconds(a, b, now, 0);
-        const double chunk =
-            harness_.links().TransferSeconds(a, b, now, chunk_bytes);
-        step_seconds = std::max(step_seconds, chunk - latency);
-        latency_seconds = std::max(latency_seconds, latency);
-      }
-      allreduce_seconds =
-          2.0 * (g - 1) * step_seconds + 2.0 * latency_seconds;
+      allreduce_seconds = harness_.RingAllreduceSeconds(group, round);
     }
-
-    // Average the members' gradients and apply the identical update on each
-    // member replica (dead/dropped workers keep their stale parameters).
-    // All of this round's compute events committed before the last member's
-    // commit reached here and the next round is not scheduled yet, so no
-    // backend holds an evaluation that could read these writes mid-flight;
-    // ApplyStoredGradient still notifies each worker per the contract.
-    if (harness_.compression_enabled() && g > 1) {
-      // Each member contributes C(g_w) to the reduce — the gradient as the
-      // ring's round-`round` encoding reconstructs it. A single surviving
-      // member reduces with nobody, so nothing crosses the wire (and nothing
-      // is compressed).
-      for (int w : members_) {
-        harness_.ApplyCompression(w, round, harness_.worker(w).gradient);
-      }
-    }
-    std::vector<double> mean_gradient(
-        harness_.worker(0).gradient.size(), 0.0);
-    for (int w : members_) {
-      linalg::AddInPlace(harness_.worker(w).gradient, mean_gradient);
-    }
-    linalg::Scale(1.0 / static_cast<double>(g), mean_gradient);
-    for (int w : members_) {
-      harness_.worker(w).gradient = mean_gradient;
+    // Each member contributes C(g_w): its gradient as the ring's encoding
+    // reconstructs it.
+    const std::vector<double> mean =
+        MeanGradient(ring && harness_.compression_enabled(), round);
+    // This round's computes all committed and the next round is not
+    // scheduled yet, so no backend holds an evaluation these writes could
+    // race; ApplyStoredGradient still notifies each worker per the contract.
+    double max_compute = 0.0;
+    for (int w : group) {
+      harness_.worker(w).gradient = mean;
       harness_.ApplyStoredGradient(w);
+      max_compute = std::max(max_compute, harness_.EffectiveComputeSeconds(w));
     }
-
-    // Gradients must be ready before the reduce: no overlap.
     const double wall = max_compute + allreduce_seconds;
-    for (int k = 0; k < g; ++k) {
-      harness_.AccountIteration(members_[static_cast<size_t>(k)],
-                                computes[static_cast<size_t>(k)], wall);
+    for (int w : group) {
+      harness_.AccountIteration(w, harness_.EffectiveComputeSeconds(w), wall);
     }
-    Emit(wall, core::kPlainEvent, {kRunRound, {}});
+    return harness_.sim().Now() + wall;
   }
-
-  Status RestoreEngineState(Deserializer& in) {
-    NETMAX_RETURN_IF_ERROR(in.ReadIntVec(&members_));
-    for (int w : members_) {
-      if (w < 0 || w >= harness_.num_workers()) {
-        return InvalidArgumentError("round member out of range");
-      }
-    }
-    NETMAX_ASSIGN_OR_RETURN(pending_, in.ReadInt());
-    if (pending_ < 0 || pending_ > static_cast<int>(members_.size())) {
-      return InvalidArgumentError("pending commit count out of range");
-    }
-    NETMAX_ASSIGN_OR_RETURN(round_waiting_, in.ReadBool());
-    return Status::Ok();
-  }
-
-  ExperimentHarness harness_;
-  // The current round's membership, its outstanding commit count, and
-  // whether a kWait round is currently blocked on a dead worker (so the
-  // degraded-round count increments once per blockage, not per probe).
-  std::vector<int> members_;
-  int pending_ = 0;
-  bool round_waiting_ = false;
-  net::EventRebuilder builder_;
 };
 
 }  // namespace

@@ -1,65 +1,18 @@
 #include "algos/gossip_sgd.h"
 
-#include <algorithm>
 #include <cstdint>
 #include <span>
-#include <string>
-#include <utility>
 #include <vector>
 
-#include "core/checkpoint.h"
-#include "net/fault_schedule.h"
+#include "core/engine.h"
 
 namespace netmax::algos {
 namespace {
 
-using core::ExperimentConfig;
-using core::ExperimentHarness;
-using core::RunResult;
-
-class GossipEngine {
+class GossipEngine : public core::Engine {
  public:
-  explicit GossipEngine(const ExperimentConfig& config)
-      : harness_(config, "GoSGD") {}
-
-  StatusOr<RunResult> Run() {
-    NETMAX_RETURN_IF_ERROR(harness_.Init());
-    const int n = harness_.num_workers();
-    push_busy_until_.assign(static_cast<size_t>(n), 0.0);
-    parked_.assign(static_cast<size_t>(n), 0);
-    builder_ = [this](const net::SavedEvent& event) {
-      return BuildEvent(event);
-    };
-    if (harness_.restore_requested()) {
-      NETMAX_RETURN_IF_ERROR(harness_.Restore(
-          [this](Deserializer& in) {
-            NETMAX_RETURN_IF_ERROR(in.ReadDoubleSpan(push_busy_until_));
-            for (size_t w = 0; w < parked_.size(); ++w) {
-              NETMAX_ASSIGN_OR_RETURN(const bool parked, in.ReadBool());
-              parked_[w] = parked ? 1 : 0;
-            }
-            return Status::Ok();
-          },
-          builder_));
-    } else {
-      for (int w = 0; w < n; ++w) StartIteration(w);
-    }
-    harness_.ArmCheckpoint([this](Serializer& out) {
-      out.WriteDoubleVec(push_busy_until_);
-      for (const uint8_t parked : parked_) out.WriteBool(parked != 0);
-      return Status::Ok();
-    });
-    // Restart a rejoining worker's iteration chain iff it parked.
-    harness_.set_fault_listener([this](const net::FaultEvent& fault) {
-      if (fault.kind == net::FaultKind::kJoin &&
-          parked_[static_cast<size_t>(fault.worker)] != 0) {
-        StartIteration(fault.worker);
-      }
-    });
-    harness_.sim().RunUntilIdle();
-    NETMAX_RETURN_IF_ERROR(harness_.checkpoint_status());
-    return harness_.Finalize();
-  }
+  explicit GossipEngine(const core::ExperimentConfig& config)
+      : Engine(config, "GoSGD") {}
 
  private:
   // Checkpoint reification tags (core/checkpoint.h).
@@ -68,21 +21,31 @@ class GossipEngine {
     kArrival = 1,  // plain event: args [receiver, round, sender snapshot...]
   };
 
-  void Emit(double delay, int worker_key, net::EventPayload payload) {
-    core::ScheduleReified(harness_.sim(), delay, worker_key,
-                          std::move(payload), builder_);
+  Status Setup() override {
+    push_busy_until_.assign(static_cast<size_t>(harness_.num_workers()), 0.0);
+    return Status::Ok();
   }
 
-  StatusOr<net::RebuiltEvent> BuildEvent(const net::SavedEvent& event) {
+  void Start() override {
+    for (int w = 0; w < harness_.num_workers(); ++w) StartIteration(w);
+  }
+
+  void StartIteration(int w) override {
+    if (ParkIfDone(w)) return;
+    const double compute = harness_.EffectiveComputeSeconds(w);
+    harness_.SampleBatch(w);
+    Emit(compute, w, {kIterate, {compute}});
+  }
+
+  StatusOr<net::RebuiltEvent> BuildEvent(
+      const net::SavedEvent& event) override {
     const std::vector<double>& args = event.payload.args;
-    net::RebuiltEvent rebuilt;
     switch (event.payload.tag) {
       case kIterate: {
+        if (!IsComputeEvent(event, 1)) break;
         const int w = event.worker_key;
-        if (w < 0 || w >= harness_.num_workers() || args.size() != 1) break;
         const double compute = args[0];
-        rebuilt.compute = [this, w] { return harness_.EvalBatchGradient(w); };
-        rebuilt.commit = [this, w, compute](double loss) {
+        return GradientEvent(w, [this, w, compute](double loss) {
           harness_.CommitBatchStats(w, loss);
           harness_.ApplyStoredGradient(w);
           MaybePush(w);
@@ -90,66 +53,24 @@ class GossipEngine {
           // only.
           harness_.AccountIteration(w, compute, compute);
           StartIteration(w);
-        };
-        return rebuilt;
+        });
       }
       case kArrival: {
         const size_t num_params = harness_.worker(0).gradient.size();
-        if (event.worker_key >= 0 || args.size() != 2 + num_params) break;
+        if (!IsPlainEvent(event, 2 + num_params)) break;
         const int m = static_cast<int>(args[0]);
         const int64_t round = static_cast<int64_t>(args[1]);
-        if (m < 0 || m >= harness_.num_workers()) break;
-        rebuilt.plain = [this, m, round,
-                         snapshot = std::vector<double>(args.begin() + 2,
-                                                        args.end())] {
-          if (!harness_.WorkerAlive(m)) {
-            // The receiver died while the push was in flight: drop it.
-            harness_.CountDegradedRound();
-            return;
-          }
-          // Arrival writes the receiver's parameters — invalidate whatever
-          // the backend ran ahead for m (frontier speculation or async
-          // window entry; an in-flight evaluation is waited out first).
-          harness_.sim().NotifyStateWrite(m);
-          auto x_m = harness_.worker(m).model->parameters();
-          if (!harness_.compression_enabled()) {
-            for (size_t j = 0; j < x_m.size(); ++j) {
-              x_m[j] = 0.5 * (x_m[j] + snapshot[j]);
-            }
-          } else {
-            // The push carried C(snapshot - x_m^push); decode against the
-            // receiver's current parameters (arrivals are ordered, so this
-            // is the deterministic gossip analogue of the exact average).
-            // Int8's stochastic rounding draws from the receiver's stream —
-            // the worker whose state this plain event commits.
-            std::span<double> diff = harness_.CompressionScratch();
-            for (size_t j = 0; j < x_m.size(); ++j) {
-              diff[j] = snapshot[j] - x_m[j];
-            }
-            harness_.ApplyCompression(m, round, diff);
-            for (size_t j = 0; j < x_m.size(); ++j) {
-              x_m[j] += 0.5 * diff[j];
-            }
-          }
-        };
-        return rebuilt;
+        if (!IsWorker(m)) break;
+        return PlainEvent([this, m, round,
+                           snapshot = std::vector<double>(args.begin() + 2,
+                                                          args.end())] {
+          Arrive(m, round, snapshot);
+        });
       }
       default:
         break;
     }
-    return InvalidArgumentError("malformed GoSGD event (tag " +
-                                std::to_string(event.payload.tag) + ")");
-  }
-
-  void StartIteration(int w) {
-    if (harness_.WorkerDone(w)) {
-      parked_[static_cast<size_t>(w)] = 1;
-      return;
-    }
-    parked_[static_cast<size_t>(w)] = 0;
-    const double compute = harness_.EffectiveComputeSeconds(w);
-    harness_.SampleBatch(w);
-    Emit(compute, w, {kIterate, {compute}});
+    return Malformed(event);
   }
 
   void MaybePush(int w) {
@@ -179,11 +100,42 @@ class GossipEngine {
     Emit(transfer, core::kPlainEvent, {kArrival, std::move(args)});
   }
 
-  ExperimentHarness harness_;
+  // A push lands: the receiver m averages the sender's snapshot in.
+  void Arrive(int m, int64_t round, std::span<const double> snapshot) {
+    if (!harness_.WorkerAlive(m)) {
+      // The receiver died while the push was in flight: drop it.
+      harness_.CountDegradedRound();
+      return;
+    }
+    // Arrival writes the receiver's parameters — invalidate whatever the
+    // backend ran ahead for m (an in-flight evaluation is waited out first).
+    harness_.sim().NotifyStateWrite(m);
+    auto x_m = harness_.worker(m).model->parameters();
+    if (!harness_.compression_enabled()) {
+      for (size_t j = 0; j < x_m.size(); ++j) {
+        x_m[j] = 0.5 * (x_m[j] + snapshot[j]);
+      }
+    } else {
+      // The push carried C(snapshot - x_m^push); decode against the
+      // receiver's current parameters (arrivals are ordered, so this is the
+      // deterministic gossip analogue of the exact average). Int8's
+      // stochastic rounding draws from the receiver's stream — the worker
+      // whose state this plain event commits.
+      std::span<double> diff = harness_.CompressionScratch();
+      for (size_t j = 0; j < x_m.size(); ++j) diff[j] = snapshot[j] - x_m[j];
+      harness_.ApplyCompression(m, round, diff);
+      for (size_t j = 0; j < x_m.size(); ++j) x_m[j] += 0.5 * diff[j];
+    }
+  }
+
+  void SaveState(Serializer& out) const override {
+    out.WriteDoubleVec(push_busy_until_);
+  }
+  Status RestoreState(Deserializer& in) override {
+    return in.ReadDoubleSpan(push_busy_until_);
+  }
+
   std::vector<double> push_busy_until_;
-  // Per-worker "iteration chain is parked" flag (see the join listener).
-  std::vector<uint8_t> parked_;
-  net::EventRebuilder builder_;
 };
 
 }  // namespace

@@ -3,21 +3,12 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
-#include <span>
-#include <string>
-#include <utility>
 #include <vector>
 
-#include "core/checkpoint.h"
-#include "linalg/vector_ops.h"
-#include "net/fault_schedule.h"
+#include "core/engine.h"
 
 namespace netmax::algos {
 namespace {
-
-using core::ExperimentConfig;
-using core::ExperimentHarness;
-using core::RunResult;
 
 // Local (same machine/region) worker <-> PS link for the co-located worker 0.
 const net::LinkClass kPsLocalLink{/*latency_seconds=*/0.010,
@@ -31,9 +22,9 @@ class PsState {
   // and diverge, so async parameter servers apply plain SGD steps (the
   // classic Hogwild-style update); the synchronous server sees one sequential
   // stream of averaged gradients and keeps momentum.
-  PsState(ExperimentHarness& harness, const ExperimentConfig& config,
-          bool use_momentum) {
-    harness_ = &harness;
+  PsState(core::ExperimentHarness& harness, bool use_momentum)
+      : harness_(&harness) {
+    const core::ExperimentConfig& config = harness.config();
     model_ = harness.worker(0).model->Clone();
     ml::SgdOptions options;
     options.learning_rate = config.learning_rate;
@@ -75,378 +66,138 @@ class PsState {
   }
 
  private:
-  ExperimentHarness* harness_ = nullptr;
+  core::ExperimentHarness* harness_ = nullptr;
   std::unique_ptr<ml::Model> model_;
   std::unique_ptr<ml::SgdOptimizer> optimizer_;
   double nic_free_ = 0.0;
 };
 
-class PsSyncEngine {
+// Bulk-synchronous rounds on the round loop: the last member's commit
+// exchanges with the PS.
+class PsSyncEngine : public core::RoundEngine {
  public:
-  explicit PsSyncEngine(const ExperimentConfig& config)
-      : harness_(config, "PS-syn") {}
-
-  StatusOr<RunResult> Run() {
-    NETMAX_RETURN_IF_ERROR(harness_.Init());
-    ps_ = std::make_unique<PsState>(harness_, harness_.config(),
-                                    /*use_momentum=*/true);
-    builder_ = [this](const net::SavedEvent& event) {
-      return BuildEvent(event);
-    };
-    if (harness_.restore_requested()) {
-      NETMAX_RETURN_IF_ERROR(harness_.Restore(
-          [this](Deserializer& in) {
-            NETMAX_RETURN_IF_ERROR(ps_->RestoreState(in));
-            return RestoreRoundState(in);
-          },
-          builder_));
-    } else {
-      Emit(0.0, core::kPlainEvent, {kRunRound, {}});
-    }
-    harness_.ArmCheckpoint([this](Serializer& out) {
-      ps_->SaveState(out);
-      out.WriteIntVec(members_);
-      out.WriteInt(pending_);
-      out.WriteBool(round_waiting_);
-      return Status::Ok();
-    });
-    // No fault listener needed: the round loop re-probes on its own while a
-    // worker is dead (kWait) or runs with the live membership, so rejoining
-    // workers are picked up by the next kRunRound.
-    harness_.sim().RunUntilIdle();
-    NETMAX_RETURN_IF_ERROR(harness_.checkpoint_status());
-    return harness_.Finalize();
-  }
+  explicit PsSyncEngine(const core::ExperimentConfig& config)
+      : RoundEngine(config, "PS-syn") {}
 
  private:
-  // Checkpoint reification tags (core/checkpoint.h).
-  enum Tag : int64_t {
-    kRoundCompute = 0,  // compute event: one worker's gradient, args []
-    kRunRound = 1,      // plain event: start the next round, args []
-  };
-
-  void Emit(double delay, int worker_key, net::EventPayload payload) {
-    core::ScheduleReified(harness_.sim(), delay, worker_key,
-                          std::move(payload), builder_);
+  Status Setup() override {
+    ps_ = std::make_unique<PsState>(harness_, /*use_momentum=*/true);
+    return Status::Ok();
   }
 
-  StatusOr<net::RebuiltEvent> BuildEvent(const net::SavedEvent& event) {
-    const std::vector<double>& args = event.payload.args;
-    net::RebuiltEvent rebuilt;
-    switch (event.payload.tag) {
-      case kRoundCompute: {
-        const int w = event.worker_key;
-        const int n = harness_.num_workers();
-        if (w < 0 || w >= n || !args.empty()) break;
-        rebuilt.compute = [this, w] { return harness_.EvalBatchGradient(w); };
-        rebuilt.commit = [this, w](double loss) {
-          harness_.CommitBatchStats(w, loss);
-          // Commits run in membership order; the last one exchanges with the
-          // PS — at worker n-1's commit on full membership, exactly like the
-          // fixed-membership rounds did.
-          if (--pending_ == 0) ExchangeWithServer();
-        };
-        return rebuilt;
-      }
-      case kRunRound: {
-        if (event.worker_key >= 0 || !args.empty()) break;
-        rebuilt.plain = [this] { RunRound(); };
-        return rebuilt;
-      }
-      default:
-        break;
-    }
-    return InvalidArgumentError("malformed PS-syn event (tag " +
-                                std::to_string(event.payload.tag) + ")");
-  }
-
-  void RunRound() {
-    if (harness_.AllDone()) return;
-    const int n = harness_.num_workers();
-    const core::ExperimentConfig& config = harness_.config();
-
-    // Round membership under faults — same scheme as the allreduce engine:
-    // kWait blocks the round on any dead worker (re-probing at the poll
-    // cadence), kTimeoutAndContinue runs with the live members and drops
-    // stragglers slower than the fastest member by more than the timeout.
-    members_.clear();
-    if (config.peer_policy == core::PeerPolicy::kWait) {
-      for (int w = 0; w < n; ++w) {
-        if (!harness_.WorkerAlive(w)) {
-          if (!round_waiting_) {
-            round_waiting_ = true;
-            harness_.CountDegradedRound();
-          }
-          Emit(config.peer_poll_seconds, core::kPlainEvent, {kRunRound, {}});
-          return;
-        }
-      }
-      round_waiting_ = false;
-      for (int w = 0; w < n; ++w) members_.push_back(w);
-    } else {
-      double min_compute = 0.0;
-      bool has_alive = false;
-      for (int w = 0; w < n; ++w) {
-        if (!harness_.WorkerAlive(w)) continue;
-        const double compute = harness_.EffectiveComputeSeconds(w);
-        min_compute = has_alive ? std::min(min_compute, compute) : compute;
-        has_alive = true;
-      }
-      bool degraded = false;
-      for (int w = 0; w < n; ++w) {
-        if (!harness_.WorkerAlive(w)) {
-          degraded = true;
-          continue;
-        }
-        if (harness_.EffectiveComputeSeconds(w) >
-            min_compute + config.peer_timeout_seconds) {
-          degraded = true;
-          harness_.CountPeerTimeout();
-          continue;
-        }
-        members_.push_back(w);
-      }
-      if (members_.empty()) {
-        Emit(config.peer_poll_seconds, core::kPlainEvent, {kRunRound, {}});
-        return;
-      }
-      if (degraded) harness_.CountDegradedRound();
-    }
-
-    // Phase 1: parallel gradient computation on each member's own replica,
-    // as one compute event per member at the current time so the pool runs
-    // the round concurrently; the last commit performs the PS exchange.
-    pending_ = static_cast<int>(members_.size());
-    for (int w : members_) {
-      harness_.SampleBatch(w);
-      Emit(0.0, w, {kRoundCompute, {}});
-    }
-  }
-
-  void ExchangeWithServer() {
-    const int g = static_cast<int>(members_.size());
+  double Reduce() override {
+    const std::vector<int>& group = members();
+    const int g = static_cast<int>(group.size());
     const double t0 = harness_.sim().Now();
-    double max_compute = 0.0;
-    std::vector<double> computes(static_cast<size_t>(g));
-    for (int k = 0; k < g; ++k) {
-      computes[static_cast<size_t>(k)] =
-          harness_.EffectiveComputeSeconds(members_[static_cast<size_t>(k)]);
-      max_compute = std::max(max_compute, computes[static_cast<size_t>(k)]);
-    }
-
     // One communication round per PS exchange: every member's upload and
     // download leg carries the same encoding. With compression off the
-    // payload equals the dense baseline, so the transfer arithmetic below is
-    // unchanged and bytes_saved stays zero.
-    int64_t round = 0;
-    if (harness_.compression_enabled()) {
-      round = harness_.NextCommRound(members_.front());
-    }
+    // payload equals the dense baseline and bytes_saved stays zero.
+    const int64_t round = harness_.compression_enabled()
+                              ? harness_.NextCommRound(group.front())
+                              : 0;
     const int64_t payload_bytes = harness_.MessagePayloadBytes(round);
-    const int64_t baseline_bytes =
-        harness_.config().profile.message_bytes();
     harness_.AccountWire(2 * g, 2 * g * payload_bytes,
-                         2 * g * baseline_bytes);
+                         2 * g * config().profile.message_bytes());
 
-    // Phase 2: uploads, serialized at the PS NIC (central congestion).
+    // Uploads, serialized at the PS NIC (central congestion).
     double clock = t0;
-    for (int k = 0; k < g; ++k) {
-      const int w = members_[static_cast<size_t>(k)];
-      const double ready = t0 + computes[static_cast<size_t>(k)];
+    for (int w : group) {
+      const double ready = t0 + harness_.EffectiveComputeSeconds(w);
       const double start = std::max(ready, clock);
       clock = start + ps_->LinkSeconds(w, start, payload_bytes);
     }
 
-    // PS applies the averaged gradient once.
-    if (harness_.compression_enabled()) {
-      // Each member uploaded C(g_w): the PS averages the decoded gradients.
-      for (int w : members_) {
-        harness_.ApplyCompression(w, round, harness_.worker(w).gradient);
-      }
-    }
-    std::vector<double> mean_gradient(harness_.worker(0).gradient.size(), 0.0);
-    for (int w : members_) {
-      linalg::AddInPlace(harness_.worker(w).gradient, mean_gradient);
-    }
-    linalg::Scale(1.0 / static_cast<double>(g), mean_gradient);
+    // The PS applies the averaged gradient once; each member uploaded C(g_w).
+    const std::vector<double> mean =
+        MeanGradient(harness_.compression_enabled(), round);
     ps_->optimizer().set_learning_rate(
         harness_.worker(0).optimizer->learning_rate());
-    ps_->optimizer().Step(ps_->model().parameters(), mean_gradient);
+    ps_->optimizer().Step(ps_->model().parameters(), mean);
 
-    // Phase 3: downloads, serialized again; the round ends when the last
-    // member holds the fresh model (dead/dropped workers keep their stale
-    // replicas until they rejoin a round).
-    for (int w : members_) {
-      clock += ps_->LinkSeconds(w, clock, payload_bytes);
-    }
+    // Downloads, serialized again; the round ends when the last member holds
+    // the fresh model (dead or dropped workers keep their stale replicas
+    // until they rejoin a round). Nothing is pending, but the download
+    // writes every replica, so AdoptModel notifies per the contract.
+    for (int w : group) clock += ps_->LinkSeconds(w, clock, payload_bytes);
     const auto fresh = ps_->model().parameters();
-    for (int k = 0; k < g; ++k) {
-      const int w = members_[static_cast<size_t>(k)];
-      // Round-structured like allreduce: nothing is pending, but the
-      // download writes every replica, so notify per the contract (a later
-      // backend that pre-dispatches the next round would depend on it).
-      harness_.sim().NotifyStateWrite(w);
-      auto params = harness_.worker(w).model->parameters();
-      if (!harness_.compression_enabled()) {
-        std::copy(fresh.begin(), fresh.end(), params.begin());
-      } else {
-        // The download carries C(fresh - x_w): the replica lands exactly on
-        // the PS model where the encoding is lossless and moves by the
-        // decoded difference elsewhere.
-        std::span<double> diff = harness_.CompressionScratch();
-        for (size_t j = 0; j < params.size(); ++j) {
-          diff[j] = fresh[j] - params[j];
-        }
-        harness_.ApplyCompression(w, round, diff);
-        for (size_t j = 0; j < params.size(); ++j) params[j] += diff[j];
-      }
-      harness_.AccountIteration(w, computes[static_cast<size_t>(k)],
+    for (int w : group) {
+      harness_.AdoptModel(w, fresh, round);
+      harness_.AccountIteration(w, harness_.EffectiveComputeSeconds(w),
                                 clock - t0);
     }
-    core::ScheduleReifiedAt(harness_.sim(), clock, core::kPlainEvent,
-                            {kRunRound, {}}, builder_);
+    return clock;
   }
 
-  Status RestoreRoundState(Deserializer& in) {
-    NETMAX_RETURN_IF_ERROR(in.ReadIntVec(&members_));
-    for (int w : members_) {
-      if (w < 0 || w >= harness_.num_workers()) {
-        return InvalidArgumentError("round member out of range");
-      }
-    }
-    NETMAX_ASSIGN_OR_RETURN(pending_, in.ReadInt());
-    if (pending_ < 0 || pending_ > static_cast<int>(members_.size())) {
-      return InvalidArgumentError("pending commit count out of range");
-    }
-    NETMAX_ASSIGN_OR_RETURN(round_waiting_, in.ReadBool());
-    return Status::Ok();
+  void SaveState(Serializer& out) const override {
+    RoundEngine::SaveState(out);
+    ps_->SaveState(out);
+  }
+  Status RestoreState(Deserializer& in) override {
+    NETMAX_RETURN_IF_ERROR(RoundEngine::RestoreState(in));
+    return ps_->RestoreState(in);
   }
 
-  ExperimentHarness harness_;
   std::unique_ptr<PsState> ps_;
-  // Current round membership, outstanding commit count, and the once-per-
-  // blockage flag for the kWait degraded-round accounting.
-  std::vector<int> members_;
-  int pending_ = 0;
-  bool round_waiting_ = false;
-  net::EventRebuilder builder_;
 };
 
-class PsAsyncEngine {
+class PsAsyncEngine : public core::Engine {
  public:
-  explicit PsAsyncEngine(const ExperimentConfig& config)
-      : harness_(config, "PS-asyn") {}
-
-  StatusOr<RunResult> Run() {
-    NETMAX_RETURN_IF_ERROR(harness_.Init());
-    ps_ = std::make_unique<PsState>(harness_, harness_.config(),
-                                    /*use_momentum=*/false);
-    parked_.assign(static_cast<size_t>(harness_.num_workers()), 0);
-    builder_ = [this](const net::SavedEvent& event) {
-      return BuildEvent(event);
-    };
-    if (harness_.restore_requested()) {
-      NETMAX_RETURN_IF_ERROR(harness_.Restore(
-          [this](Deserializer& in) {
-            NETMAX_RETURN_IF_ERROR(ps_->RestoreState(in));
-            for (size_t w = 0; w < parked_.size(); ++w) {
-              NETMAX_ASSIGN_OR_RETURN(const bool parked, in.ReadBool());
-              parked_[w] = parked ? 1 : 0;
-            }
-            return Status::Ok();
-          },
-          builder_));
-    } else {
-      for (int w = 0; w < harness_.num_workers(); ++w) StartIteration(w);
-    }
-    harness_.ArmCheckpoint([this](Serializer& out) {
-      ps_->SaveState(out);
-      for (const uint8_t parked : parked_) out.WriteBool(parked != 0);
-      return Status::Ok();
-    });
-    // The PS itself never dies (worker faults only target workers); a
-    // rejoining worker's chain restarts iff it parked. A worker that dies
-    // mid round-trip finishes it — its NIC reservations already happened —
-    // and parks at the download's StartIteration.
-    harness_.set_fault_listener([this](const net::FaultEvent& fault) {
-      if (fault.kind == net::FaultKind::kJoin &&
-          parked_[static_cast<size_t>(fault.worker)] != 0) {
-        StartIteration(fault.worker);
-      }
-    });
-    harness_.sim().RunUntilIdle();
-    NETMAX_RETURN_IF_ERROR(harness_.checkpoint_status());
-    return harness_.Finalize();
-  }
+  explicit PsAsyncEngine(const core::ExperimentConfig& config)
+      : Engine(config, "PS-asyn") {}
 
  private:
   // Checkpoint reification tags (core/checkpoint.h). An in-flight PS round
   // trip checkpoints as its pending upload/download events: the NIC
   // reservations already happened at commit time and live in PsState's
   // nic_free_, and the worker's gradient rides in the worker snapshot, so the
-  // pending events only need (w, t0, compute) to replay exactly.
+  // pending events only need (w, t0, compute, round) to replay exactly.
   enum Tag : int64_t {
     kCompute = 0,   // compute event: args [t0, compute_seconds]
     kUpload = 1,    // plain event: args [worker, round]
     kDownload = 2,  // plain event: args [worker, t0, compute_seconds, round]
   };
 
-  void Emit(double delay, int worker_key, net::EventPayload payload) {
-    core::ScheduleReified(harness_.sim(), delay, worker_key,
-                          std::move(payload), builder_);
+  Status Setup() override {
+    ps_ = std::make_unique<PsState>(harness_, /*use_momentum=*/false);
+    return Status::Ok();
   }
 
-  StatusOr<net::RebuiltEvent> BuildEvent(const net::SavedEvent& event) {
+  void Start() override {
+    for (int w = 0; w < harness_.num_workers(); ++w) StartIteration(w);
+  }
+
+  // The PS itself never dies (faults target workers). A worker that dies
+  // mid round trip finishes it — its NIC reservations already happened — and
+  // parks at the download's StartIteration.
+  void StartIteration(int w) override {
+    if (ParkIfDone(w)) return;
+    const double compute = harness_.EffectiveComputeSeconds(w);
+    // Gradient at the worker's (possibly stale) parameters: the pure compute
+    // half; the NIC reservation and PS interaction commit in event order.
+    harness_.SampleBatch(w);
+    Emit(compute, w, {kCompute, {harness_.sim().Now(), compute}});
+  }
+
+  StatusOr<net::RebuiltEvent> BuildEvent(
+      const net::SavedEvent& event) override {
     const std::vector<double>& args = event.payload.args;
-    const int n = harness_.num_workers();
-    net::RebuiltEvent rebuilt;
     switch (event.payload.tag) {
       case kCompute: {
+        if (!IsComputeEvent(event, 2)) break;
         const int w = event.worker_key;
-        if (w < 0 || w >= n || args.size() != 2) break;
         const double t0 = args[0];
         const double compute = args[1];
-        rebuilt.compute = [this, w] { return harness_.EvalBatchGradient(w); };
-        rebuilt.commit = [this, w, t0, compute](double loss) {
+        return GradientEvent(w, [this, w, t0, compute](double loss) {
           harness_.CommitBatchStats(w, loss);
-          const double now = harness_.sim().Now();
-          // One communication round per PS round trip, claimed here so the
-          // NIC reservations below price the round's actual payload.
-          int64_t round = 0;
-          if (harness_.compression_enabled()) {
-            round = harness_.NextCommRound(w);
-          }
-          const int64_t payload_bytes = harness_.MessagePayloadBytes(round);
-          const int64_t baseline_bytes =
-              harness_.config().profile.message_bytes();
-          harness_.AccountWire(2, 2 * payload_bytes, 2 * baseline_bytes);
-          // Upload, then download, both serialized on the PS NIC; the worker
-          // blocks for the round trip (async only across workers).
-          const double upload_done = ps_->ReserveNic(
-              now, ps_->LinkSeconds(w, now, payload_bytes));
-          const double download_done = ps_->ReserveNic(
-              upload_done,
-              ps_->LinkSeconds(w, upload_done, payload_bytes));
-          core::ScheduleReifiedAt(
-              harness_.sim(), upload_done, core::kPlainEvent,
-              {kUpload,
-               {static_cast<double>(w), static_cast<double>(round)}},
-              builder_);
-          core::ScheduleReifiedAt(
-              harness_.sim(), download_done, core::kPlainEvent,
-              {kDownload,
-               {static_cast<double>(w), t0, compute,
-                static_cast<double>(round)}},
-              builder_);
-        };
-        return rebuilt;
+          SendRoundTrip(w, t0, compute);
+        });
       }
       case kUpload: {
-        if (event.worker_key >= 0 || args.size() != 2) break;
+        if (!IsPlainEvent(event, 2)) break;
         const int w = static_cast<int>(args[0]);
         const int64_t round = static_cast<int64_t>(args[1]);
-        if (w < 0 || w >= n) break;
-        rebuilt.plain = [this, w, round] {
+        if (!IsWorker(w)) break;
+        return PlainEvent([this, w, round] {
           // Async SGD: apply this worker's gradient immediately. The PS
           // received C(g_w); the decode happens in place (the buffer is
           // rewritten by w's next compute anyway).
@@ -457,66 +208,58 @@ class PsAsyncEngine {
               harness_.worker(w).optimizer->learning_rate());
           ps_->optimizer().Step(ps_->model().parameters(),
                                 harness_.worker(w).gradient);
-        };
-        return rebuilt;
+        });
       }
       case kDownload: {
-        if (event.worker_key >= 0 || args.size() != 4) break;
+        if (!IsPlainEvent(event, 4)) break;
         const int w = static_cast<int>(args[0]);
-        if (w < 0 || w >= n) break;
+        if (!IsWorker(w)) break;
         const double t0 = args[1];
         const double compute = args[2];
         const int64_t round = static_cast<int64_t>(args[3]);
-        rebuilt.plain = [this, w, t0, compute, round] {
-          // The download overwrites w's replica. w's own next compute is
-          // only scheduled below, but OTHER workers' in-flight window
-          // evaluations never read w's parameters, so notifying w alone
-          // satisfies the write contract under every backend.
-          harness_.sim().NotifyStateWrite(w);
-          const auto fresh = ps_->model().parameters();
-          auto params = harness_.worker(w).model->parameters();
-          if (!harness_.compression_enabled()) {
-            std::copy(fresh.begin(), fresh.end(), params.begin());
-          } else {
-            // C(fresh - x_w): on-model where lossless, decoded elsewhere.
-            std::span<double> diff = harness_.CompressionScratch();
-            for (size_t j = 0; j < params.size(); ++j) {
-              diff[j] = fresh[j] - params[j];
-            }
-            harness_.ApplyCompression(w, round, diff);
-            for (size_t j = 0; j < params.size(); ++j) params[j] += diff[j];
-          }
+        return PlainEvent([this, w, t0, compute, round] {
+          // The download overwrites w's replica. OTHER workers' in-flight
+          // evaluations never read w's parameters, so notifying w alone (in
+          // AdoptModel) satisfies the write contract under every backend.
+          harness_.AdoptModel(w, ps_->model().parameters(), round);
           harness_.AccountIteration(w, compute, harness_.sim().Now() - t0);
           StartIteration(w);
-        };
-        return rebuilt;
+        });
       }
       default:
         break;
     }
-    return InvalidArgumentError("malformed PS-asyn event (tag " +
-                                std::to_string(event.payload.tag) + ")");
+    return Malformed(event);
   }
 
-  void StartIteration(int w) {
-    if (harness_.WorkerDone(w)) {
-      parked_[static_cast<size_t>(w)] = 1;
-      return;
-    }
-    parked_[static_cast<size_t>(w)] = 0;
-    const double t0 = harness_.sim().Now();
-    const double compute = harness_.EffectiveComputeSeconds(w);
-    // Gradient at the worker's (possibly stale) parameters: pure compute
-    // half; the NIC reservation and PS interaction commit in event order.
-    harness_.SampleBatch(w);
-    Emit(compute, w, {kCompute, {t0, compute}});
+  // Upload, then download, both serialized on the PS NIC; the worker blocks
+  // for the round trip (async only across workers). One communication round
+  // per round trip, claimed here so the reservations price its payload.
+  void SendRoundTrip(int w, double t0, double compute) {
+    const double now = harness_.sim().Now();
+    const int64_t round =
+        harness_.compression_enabled() ? harness_.NextCommRound(w) : 0;
+    const int64_t payload_bytes = harness_.MessagePayloadBytes(round);
+    harness_.AccountWire(2, 2 * payload_bytes,
+                         2 * config().profile.message_bytes());
+    const double upload_done =
+        ps_->ReserveNic(now, ps_->LinkSeconds(w, now, payload_bytes));
+    const double download_done = ps_->ReserveNic(
+        upload_done, ps_->LinkSeconds(w, upload_done, payload_bytes));
+    EmitAt(upload_done, core::kPlainEvent,
+           {kUpload, {static_cast<double>(w), static_cast<double>(round)}});
+    EmitAt(download_done, core::kPlainEvent,
+           {kDownload,
+            {static_cast<double>(w), t0, compute,
+             static_cast<double>(round)}});
   }
 
-  ExperimentHarness harness_;
+  void SaveState(Serializer& out) const override { ps_->SaveState(out); }
+  Status RestoreState(Deserializer& in) override {
+    return ps_->RestoreState(in);
+  }
+
   std::unique_ptr<PsState> ps_;
-  // Per-worker "iteration chain is parked" flag (see the join listener).
-  std::vector<uint8_t> parked_;
-  net::EventRebuilder builder_;
 };
 
 }  // namespace

@@ -3,13 +3,11 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <span>
-#include <string>
-#include <utility>
 #include <vector>
 
-#include "core/checkpoint.h"
-#include "net/fault_schedule.h"
+#include "core/pull_engine.h"
 
 namespace netmax::algos {
 
@@ -75,20 +73,17 @@ net::Topology BuildFastLinkSubgraph(const linalg::Matrix& cost) {
 
 namespace {
 
-using core::ExperimentConfig;
-using core::ExperimentHarness;
-using core::RunResult;
-
-class SapsEngine {
+class SapsEngine : public core::PullEngine {
  public:
-  explicit SapsEngine(const ExperimentConfig& config)
-      : harness_(config, "SAPS-PSGD") {}
+  explicit SapsEngine(const core::ExperimentConfig& config)
+      : PullEngine(config, "SAPS-PSGD", /*step_before_mix=*/false) {}
 
-  StatusOr<RunResult> Run() {
-    NETMAX_RETURN_IF_ERROR(harness_.Init());
+ private:
+  // One-shot link measurement at t = 0 (the paper's "initially high-speed
+  // links"); the subgraph never changes afterwards, so a restored run
+  // rebuilds it here and needs no engine blob.
+  Status Setup() override {
     const int n = harness_.num_workers();
-    // One-shot link measurement at t = 0 (the paper's "initially high-speed
-    // links"); the subgraph never changes afterwards.
     linalg::Matrix cost(n, n, 0.0);
     for (int a = 0; a < n; ++a) {
       for (int b = 0; b < n; ++b) {
@@ -97,242 +92,37 @@ class SapsEngine {
     }
     subgraph_ = std::make_unique<net::Topology>(BuildFastLinkSubgraph(cost));
     NETMAX_CHECK(subgraph_->IsConnected());
-    parked_.assign(static_cast<size_t>(n), 0);
-    builder_ = [this](const net::SavedEvent& event) {
-      return BuildEvent(event);
-    };
-    if (harness_.restore_requested()) {
-      // The subgraph above is rebuilt deterministically from the t = 0 link
-      // costs, so the queue, worker state, and parked flags are the only
-      // mutable state.
-      NETMAX_RETURN_IF_ERROR(harness_.Restore(
-          [this](Deserializer& in) {
-            for (size_t w = 0; w < parked_.size(); ++w) {
-              NETMAX_ASSIGN_OR_RETURN(const bool parked, in.ReadBool());
-              parked_[w] = parked ? 1 : 0;
-            }
-            return Status::Ok();
-          },
-          builder_));
-    } else {
-      for (int w = 0; w < n; ++w) StartIteration(w);
-    }
-    harness_.ArmCheckpoint([this](Serializer& out) {
-      for (const uint8_t parked : parked_) out.WriteBool(parked != 0);
-      return Status::Ok();
-    });
-    // Restart a rejoining worker's iteration chain iff it parked.
-    harness_.set_fault_listener([this](const net::FaultEvent& fault) {
-      if (fault.kind == net::FaultKind::kJoin &&
-          parked_[static_cast<size_t>(fault.worker)] != 0) {
-        StartIteration(fault.worker);
-      }
-    });
-    harness_.sim().RunUntilIdle();
-    NETMAX_RETURN_IF_ERROR(harness_.checkpoint_status());
-    return harness_.Finalize();
+    return Status::Ok();
   }
 
- private:
-  // Checkpoint reification tags (core/checkpoint.h).
-  enum Tag : int64_t {
-    kIterate = 0,  // compute event: args [peer, compute_secs, wall_secs, round]
-    kPeerWait = 1,     // plain event: args [worker, peer, waited_secs]
-    kPeerTimeout = 2,  // plain event: args [worker, peer]
-    kLocalStep = 3,    // compute event: args [compute_secs, wall_secs]
-  };
-
-  void Emit(double delay, int worker_key, net::EventPayload payload) {
-    core::ScheduleReified(harness_.sim(), delay, worker_key,
-                          std::move(payload), builder_);
+  // Uniform over w's subgraph neighbors.
+  int DrawPeer(int w) override {
+    const auto& neighbors = subgraph_->Neighbors(w);
+    return neighbors[static_cast<size_t>(harness_.worker(w).rng.UniformInt(
+        0, static_cast<int64_t>(neighbors.size()) - 1))];
   }
 
-  StatusOr<net::RebuiltEvent> BuildEvent(const net::SavedEvent& event) {
-    const std::vector<double>& args = event.payload.args;
-    const int n = harness_.num_workers();
-    net::RebuiltEvent rebuilt;
-    switch (event.payload.tag) {
-      case kIterate: {
-        const int w = event.worker_key;
-        if (w < 0 || w >= n || args.size() != 4) break;
-        const int m = static_cast<int>(args[0]);
-        const double compute = args[1];
-        const double wall = args[2];
-        const int64_t round = static_cast<int64_t>(args[3]);
-        if (m < 0 || m >= n || m == w) break;
-        rebuilt.compute = [this, w] { return harness_.EvalBatchGradient(w); };
-        rebuilt.commit = [this, w, m, compute, wall, round](double loss) {
-          CompleteIteration(w, m, compute, wall, round, loss);
-        };
-        return rebuilt;
-      }
-      case kPeerWait: {
-        if (event.worker_key >= 0 || args.size() != 3) break;
-        const int w = static_cast<int>(args[0]);
-        const int m = static_cast<int>(args[1]);
-        const double waited = args[2];
-        if (w < 0 || w >= n || m < 0 || m >= n || m == w) break;
-        rebuilt.plain = [this, w, m, waited] { PeerWaitTick(w, m, waited); };
-        return rebuilt;
-      }
-      case kPeerTimeout: {
-        if (event.worker_key >= 0 || args.size() != 2) break;
-        const int w = static_cast<int>(args[0]);
-        const int m = static_cast<int>(args[1]);
-        if (w < 0 || w >= n || m < 0 || m >= n || m == w) break;
-        rebuilt.plain = [this, w, m] { PeerTimeoutExpired(w, m); };
-        return rebuilt;
-      }
-      case kLocalStep: {
-        const int w = event.worker_key;
-        if (w < 0 || w >= n || args.size() != 2) break;
-        const double compute = args[0];
-        const double wall = args[1];
-        rebuilt.compute = [this, w] { return harness_.EvalBatchGradient(w); };
-        rebuilt.commit = [this, w, compute, wall](double loss) {
-          harness_.CommitBatchStats(w, loss);
-          harness_.ApplyStoredGradient(w);
-          harness_.AccountIteration(w, compute, wall);
-          StartIteration(w);
-        };
-        return rebuilt;
-      }
-      default:
-        break;
-    }
-    return InvalidArgumentError("malformed SAPS-PSGD event (tag " +
-                                std::to_string(event.payload.tag) + ")");
-  }
-
-  void CompleteIteration(int w, int m, double compute, double wall,
-                         int64_t round, double loss) {
-    core::WorkerRuntime& wr = harness_.worker(w);
-    harness_.CommitBatchStats(w, loss);
-    if (!harness_.WorkerAlive(m)) {
-      // The peer died while this pull was in flight: keep the gradient
-      // progress, skip the averaging leg.
-      harness_.CountDegradedRound();
-      harness_.ApplyStoredGradient(w);
-      harness_.AccountIteration(w, compute, wall);
-      StartIteration(w);
-      return;
-    }
-    // One-sided averaging writes only the puller's parameters (m is
-    // read-only here, and compute halves only read their own worker's
-    // parameters, so no notify is needed for m under any backend).
+  // One-sided averaging writes only the puller's parameters (m is read-only,
+  // and compute halves only read their own worker's parameters, so m needs
+  // no notify under any backend).
+  void Mix(int w, int m, int64_t round) override {
     harness_.sim().NotifyStateWrite(w);
-    auto x_i = wr.model->parameters();
+    auto x_i = harness_.worker(w).model->parameters();
     const auto x_m = harness_.worker(m).model->parameters();
     if (!harness_.compression_enabled()) {
       for (size_t j = 0; j < x_i.size(); ++j) {
         x_i[j] = 0.5 * (x_i[j] + x_m[j]);
       }
     } else {
-      // One-sided compressed pull: the puller moves halfway along the decoded
-      // difference C(x_m - x_i); m stays read-only like the exact path.
+      // The puller moves halfway along the decoded difference C(x_m - x_i).
       std::span<double> diff = harness_.CompressionScratch();
       for (size_t j = 0; j < x_i.size(); ++j) diff[j] = x_m[j] - x_i[j];
       harness_.ApplyCompression(w, round, diff);
       for (size_t j = 0; j < x_i.size(); ++j) x_i[j] += 0.5 * diff[j];
     }
-    harness_.ApplyStoredGradient(w);
-    harness_.AccountIteration(w, compute, wall);
-    StartIteration(w);
   }
 
-  void StartIteration(int w) {
-    if (harness_.WorkerDone(w)) {
-      parked_[static_cast<size_t>(w)] = 1;
-      return;
-    }
-    parked_[static_cast<size_t>(w)] = 0;
-    core::WorkerRuntime& worker = harness_.worker(w);
-    const auto& neighbors = subgraph_->Neighbors(w);
-    const int m = neighbors[static_cast<size_t>(worker.rng.UniformInt(
-        0, static_cast<int64_t>(neighbors.size()) - 1))];
-    if (!harness_.WorkerAlive(m)) {
-      // The drawn neighbor is dead: hold this iteration per the peer policy;
-      // the batch is sampled only when the pull actually goes out.
-      BeginPeerWait(w, m);
-      return;
-    }
-    const double compute = harness_.EffectiveComputeSeconds(w);
-    const int64_t round = harness_.NextCommRound(w);
-    const double transfer = harness_.SendSeconds(m, w, round);
-    harness_.SampleBatch(w);
-    const double wall = std::max(compute, transfer);
-    Emit(wall, w,
-         {kIterate,
-          {static_cast<double>(m), compute, wall,
-           static_cast<double>(round)}});
-  }
-
-  // Dead-neighbor handling (same per-episode machinery as AD-PSGD): kWait
-  // re-probes at the poll cadence, kTimeoutAndContinue degrades to a local
-  // step after one deadline.
-  void BeginPeerWait(int w, int m) {
-    harness_.CountDegradedRound();
-    const core::ExperimentConfig& config = harness_.config();
-    if (config.peer_policy == core::PeerPolicy::kTimeoutAndContinue) {
-      Emit(config.peer_timeout_seconds, core::kPlainEvent,
-           {kPeerTimeout, {static_cast<double>(w), static_cast<double>(m)}});
-    } else {
-      Emit(config.peer_poll_seconds, core::kPlainEvent,
-           {kPeerWait,
-            {static_cast<double>(w), static_cast<double>(m),
-             config.peer_poll_seconds}});
-    }
-  }
-
-  void PeerWaitTick(int w, int m, double waited) {
-    if (harness_.WorkerDone(w)) {
-      parked_[static_cast<size_t>(w)] = 1;
-      return;
-    }
-    if (harness_.WorkerAlive(m)) {
-      ResumePull(w, m, waited);
-      return;
-    }
-    Emit(harness_.config().peer_poll_seconds, core::kPlainEvent,
-         {kPeerWait,
-          {static_cast<double>(w), static_cast<double>(m),
-           waited + harness_.config().peer_poll_seconds}});
-  }
-
-  void PeerTimeoutExpired(int w, int m) {
-    if (harness_.WorkerDone(w)) {
-      parked_[static_cast<size_t>(w)] = 1;
-      return;
-    }
-    if (harness_.WorkerAlive(m)) {
-      ResumePull(w, m, harness_.config().peer_timeout_seconds);
-      return;
-    }
-    harness_.CountPeerTimeout();
-    const double compute = harness_.EffectiveComputeSeconds(w);
-    harness_.SampleBatch(w);
-    Emit(compute, w,
-         {kLocalStep,
-          {compute, harness_.config().peer_timeout_seconds + compute}});
-  }
-
-  void ResumePull(int w, int m, double waited) {
-    const double compute = harness_.EffectiveComputeSeconds(w);
-    const int64_t round = harness_.NextCommRound(w);
-    const double transfer = harness_.SendSeconds(m, w, round);
-    harness_.SampleBatch(w);
-    const double wall = std::max(compute, transfer);
-    Emit(wall, w,
-         {kIterate,
-          {static_cast<double>(m), compute, waited + wall,
-           static_cast<double>(round)}});
-  }
-
-  ExperimentHarness harness_;
   std::unique_ptr<net::Topology> subgraph_;
-  // Per-worker "iteration chain is parked" flag (see the join listener).
-  std::vector<uint8_t> parked_;
-  net::EventRebuilder builder_;
 };
 
 }  // namespace

@@ -247,10 +247,10 @@ StatusOr<net::RebuiltEvent> ExperimentHarness::BuildHarnessEvent(
 
 void ExperimentHarness::ScheduleHarnessEvent(double time,
                                              net::EventPayload payload) {
-  ScheduleReifiedAt(sim_, time, kPlainEvent, std::move(payload),
-                    [this](const net::SavedEvent& saved) {
-                      return BuildHarnessEvent(saved);
-                    });
+  ScheduleReified(sim_, time, kPlainEvent, std::move(payload),
+                  [this](const net::SavedEvent& saved) {
+                    return BuildHarnessEvent(saved);
+                  });
 }
 
 StatusOr<std::vector<uint8_t>> ExperimentHarness::SerializeCheckpoint(

@@ -54,8 +54,12 @@ inline constexpr uint32_t kCheckpointEndMarker = 0x4E4D4345;
 // factors, fault counters) and the periodic-cadence tick index. Version 3
 // added the wire-accounting counters (messages/bytes sent, bytes saved), the
 // per-worker communication-round index, and the compression spec in the
-// config fingerprint.
-inline constexpr uint32_t kCheckpointVersion = 3;
+// config fingerprint. Version 4 moved the engines onto shared loops
+// (core/engine.h, core/pull_engine.h): new event tags, the parked-chain flags
+// saved once by the skeleton ahead of every engine blob, and leaner blobs
+// (no policy for monitor-less engines, no duplicate policy counter, no
+// reduce seconds in Prague's group events).
+inline constexpr uint32_t kCheckpointVersion = 4;
 
 // Whole-file read/write. Write goes through a temp file + rename so a crash
 // mid-write never leaves a truncated checkpoint at `path`.
@@ -76,46 +80,28 @@ void SaveEmaGrid(Serializer& out,
 Status RestoreEmaGrid(Deserializer& in,
                       std::vector<std::vector<ExponentialMovingAverage>>* grid);
 
-// Schedules the event described by (worker_key, payload) `delay` seconds
-// from now by running the description through `builder` — the same mapping
-// Restore uses — so each engine defines every event closure exactly once and
-// live scheduling cannot drift from the restore path. `builder` rejecting an
-// engine's own payload is a programmer error and aborts.
-inline void ScheduleReified(net::EventSimulator& sim, double delay,
+// Schedules the event described by (worker_key, payload) at virtual time
+// `time` (>= Now()) by running the description through `builder` — the same
+// mapping Restore uses — so each engine defines every event closure exactly
+// once and live scheduling cannot drift from the restore path. The payload
+// is moved into the description, built, and moved on into the queue, never
+// copied; builders' closures capture by value, so they outlive that move.
+// Relative scheduling passes sim.Now() + delay, the same double the
+// simulator's own *After overloads compute. `builder` rejecting an engine's
+// own payload is a programmer error and aborts.
+inline void ScheduleReified(net::EventSimulator& sim, double time,
                             int worker_key, net::EventPayload payload,
                             const net::EventRebuilder& builder) {
   net::SavedEvent saved;
-  saved.time = sim.Now() + delay;
-  saved.worker_key = worker_key;
-  saved.payload = payload;
-  StatusOr<net::RebuiltEvent> rebuilt = builder(saved);
-  NETMAX_CHECK_OK(rebuilt.status());
-  if (worker_key < 0) {
-    sim.ScheduleAfter(delay, std::move(payload), std::move(rebuilt->plain));
-  } else {
-    sim.ScheduleComputeAfter(delay, worker_key, std::move(payload),
-                             std::move(rebuilt->compute),
-                             std::move(rebuilt->commit));
-  }
-}
-
-// Absolute-time variant: schedules at virtual time `time` (>= Now()). Engines
-// that place events at computed absolute times (NIC reservations, round
-// clocks) use this so the event time stays bit-exact instead of round-tripping
-// through a Now()-relative delay.
-inline void ScheduleReifiedAt(net::EventSimulator& sim, double time,
-                              int worker_key, net::EventPayload payload,
-                              const net::EventRebuilder& builder) {
-  net::SavedEvent saved;
   saved.time = time;
   saved.worker_key = worker_key;
-  saved.payload = payload;
+  saved.payload = std::move(payload);
   StatusOr<net::RebuiltEvent> rebuilt = builder(saved);
   NETMAX_CHECK_OK(rebuilt.status());
   if (worker_key < 0) {
-    sim.ScheduleAt(time, std::move(payload), std::move(rebuilt->plain));
+    sim.ScheduleAt(time, std::move(saved.payload), std::move(rebuilt->plain));
   } else {
-    sim.ScheduleCompute(time, worker_key, std::move(payload),
+    sim.ScheduleCompute(time, worker_key, std::move(saved.payload),
                         std::move(rebuilt->compute),
                         std::move(rebuilt->commit));
   }

@@ -400,6 +400,43 @@ double ExperimentHarness::SendSeconds(int src, int dst, int64_t round) {
   return links_->TransferSeconds(src, dst, sim_.Now(), message.PayloadBytes());
 }
 
+double ExperimentHarness::RingAllreduceSeconds(std::span<const int> ring,
+                                               int64_t round) {
+  const int g = static_cast<int>(ring.size());
+  const int64_t baseline_chunk = config_.profile.message_bytes() / g;
+  const int64_t chunk_bytes = MessagePayloadBytes(round) / g;
+  const int64_t chunk_messages = static_cast<int64_t>(g) * 2 * (g - 1);
+  AccountWire(chunk_messages, chunk_messages * chunk_bytes,
+              chunk_messages * baseline_chunk);
+  const double now = sim_.Now();
+  double step_seconds = 0.0;
+  double latency_seconds = 0.0;
+  for (int k = 0; k < g; ++k) {
+    const int a = ring[static_cast<size_t>(k)];
+    const int b = ring[static_cast<size_t>((k + 1) % g)];
+    const double latency = links_->TransferSeconds(a, b, now, 0);
+    const double chunk = links_->TransferSeconds(a, b, now, chunk_bytes);
+    step_seconds = std::max(step_seconds, chunk - latency);
+    latency_seconds = std::max(latency_seconds, latency);
+  }
+  return 2.0 * (g - 1) * step_seconds + 2.0 * latency_seconds;
+}
+
+void ExperimentHarness::AdoptModel(int w, std::span<const double> target,
+                                   int64_t round) {
+  sim_.NotifyStateWrite(w);
+  const std::span<double> params =
+      workers_[static_cast<size_t>(w)].model->parameters();
+  if (!compression_enabled()) {
+    std::copy(target.begin(), target.end(), params.begin());
+    return;
+  }
+  const std::span<double> diff = compression_scratch_;
+  for (size_t j = 0; j < params.size(); ++j) diff[j] = target[j] - params[j];
+  ApplyCompression(w, round, diff);
+  for (size_t j = 0; j < params.size(); ++j) params[j] += diff[j];
+}
+
 void ExperimentHarness::SampleBatch(int w) {
   WorkerRuntime& worker = workers_[static_cast<size_t>(w)];
   worker.sampler->NextBatch(worker.batch_indices);

@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -368,6 +369,7 @@ class ExperimentHarness {
   Status Init();
 
   const ExperimentConfig& config() const { return config_; }
+  const std::string& algorithm_name() const { return algorithm_name_; }
   net::EventSimulator& sim() { return sim_; }
   net::LinkModel& links() { return *links_; }
   const net::Topology& topology() const { return *topology_; }
@@ -433,6 +435,20 @@ class ExperimentHarness {
   // build a delta to compress (commits are strictly serial per run, so one
   // buffer suffices).
   std::span<double> CompressionScratch() { return compression_scratch_; }
+
+  // Seconds of a ring allreduce of one model-sized message over `ring`
+  // (>= 2 workers) starting now, with chunks encoded as round `round`
+  // prescribes: 2(G-1) pipelined chunk steps paced by the slowest ring link,
+  // plus that link's latency once per direction (T(0 bytes) isolates it).
+  // Accounts the G * 2(G-1) chunk messages on the wire (commit contexts
+  // only).
+  double RingAllreduceSeconds(std::span<const int> ring, int64_t round);
+
+  // Moves worker w's parameters onto `target` as round `round`'s encoding of
+  // the difference delivers it: a plain copy with compression off, else
+  // x_w += C(target - x_w), which lands exactly on `target` where the
+  // encoding is lossless. Notifies the write first (commit contexts only).
+  void AdoptModel(int w, std::span<const double> target, int64_t round);
 
   // --- two-phase gradient step (the engines' unit of work) ---
   // One serial local step splits into three halves that map onto
@@ -500,9 +516,10 @@ class ExperimentHarness {
   }
 
   // Called by the harness after applying each fault, on the simulator thread
-  // at the fault's virtual time. Engines use it to restart a rejoining
-  // worker (kJoin) or drop a dead one from waiting rooms (kLeave). Must be
-  // (re-)registered on every run, including restored ones — listeners are
+  // at the fault's virtual time. The engine skeleton (core/engine.h) uses it
+  // to restart a rejoining worker's parked chain (kJoin) and to run engine
+  // hooks such as dropping a dead worker from a waiting room (kLeave). Must
+  // be (re-)registered on every run, including restored ones — listeners are
   // not checkpointed.
   using FaultListener = std::function<void(const net::FaultEvent&)>;
   void set_fault_listener(FaultListener listener) {

@@ -1,21 +1,28 @@
 // Bit-exact checkpoint/restore (core/checkpoint.h): for every registered
 // algorithm and every execution backend, a run that (a) checkpoints mid-run
 // and keeps going, or (b) restores from that checkpoint and finishes, must
-// produce a RunResult bit-identical to the uninterrupted run. Also covers the
-// wire-format error paths: truncation, corruption, fingerprint mismatches,
-// and the file round trip.
+// produce a RunResult bit-identical to the uninterrupted run — at one point
+// on every backend, and at ~65 points under faults and compression (the
+// sweep). Also covers the wire-format error paths: truncation, corruption,
+// old versions, fingerprint mismatches, and the file round trip.
 
 #include <cstdint>
 #include <cstdio>
+#include <map>
+#include <set>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "algos/registry.h"
+#include "common/serialize.h"
 #include "core/checkpoint.h"
+#include "core/engine.h"
 #include "core/execution_backend.h"
 #include "core/experiment.h"
+#include "core/pull_engine.h"
+#include "ml/compression.h"
 #include "net/fault_schedule.h"
 
 namespace netmax {
@@ -251,6 +258,174 @@ TEST_P(CheckpointRoundTrip, CrashRestoreFromPeriodicCheckpoint) {
 INSTANTIATE_TEST_SUITE_P(AllAlgorithms, CheckpointRoundTrip,
                          ::testing::ValuesIn(algos::AlgorithmNames()));
 
+// --- the checkpoint sweep ---------------------------------------------------
+
+// tools/trace_dump's pinned golden experiment, and its pinned fault schedule
+// and int8 compression variants.
+ExperimentConfig GoldenConfig() {
+  ExperimentConfig config = BaseConfig();
+  config.dataset.name = "golden";
+  config.dataset.num_train = 512;
+  config.dataset.num_test = 128;
+  return config;
+}
+
+enum class SweepPath { kPlain, kFaultsWait, kFaultsTimeout, kInt8 };
+
+ExperimentConfig SweepConfig(SweepPath path) {
+  ExperimentConfig config = GoldenConfig();
+  if (path == SweepPath::kFaultsWait || path == SweepPath::kFaultsTimeout) {
+    auto faults =
+        net::FaultSchedule::Parse("slow@0.5+2x4:w1;leave@1:w2;join@3:w2");
+    NETMAX_CHECK_OK(faults.status());
+    config.faults = *faults;
+    config.peer_policy = path == SweepPath::kFaultsWait
+                             ? core::PeerPolicy::kWait
+                             : core::PeerPolicy::kTimeoutAndContinue;
+    config.peer_timeout_seconds = 1.0;
+    config.peer_poll_seconds = 0.4;
+  }
+  if (path == SweepPath::kInt8) {
+    auto spec = ml::ParseCompressionSpec("int8");
+    NETMAX_CHECK_OK(spec.status());
+    config.compress = *spec;
+  }
+  return config;
+}
+
+// ExpectBitIdentical plus the fault and wire counters, which are simulation
+// outputs too.
+void ExpectSameRun(const RunResult& a, const RunResult& b) {
+  ExpectBitIdentical(a, b);
+  EXPECT_EQ(a.faults_injected, b.faults_injected);
+  EXPECT_EQ(a.rounds_degraded, b.rounds_degraded);
+  EXPECT_EQ(a.peers_timed_out, b.peers_timed_out);
+  EXPECT_EQ(a.messages_sent, b.messages_sent);
+  EXPECT_EQ(a.bytes_sent, b.bytes_sent);
+  EXPECT_EQ(a.bytes_saved, b.bytes_saved);
+}
+
+// The pending events a checkpoint holds, read past its fingerprint and
+// clock (the layout SerializeCheckpoint writes).
+std::vector<net::SavedEvent> PendingEvents(const std::vector<uint8_t>& bytes) {
+  Deserializer in(bytes);
+  in.ReadU32().value();     // magic
+  in.ReadU32().value();     // version
+  in.ReadString().value();  // algorithm
+  in.ReadInt().value();     // workers
+  in.ReadU64().value();     // seed
+  in.ReadInt().value();     // max_epochs
+  in.ReadI64().value();     // model parameters
+  in.ReadString().value();  // profile name
+  in.ReadI64().value();     // profile parameters
+  in.ReadDouble().value();  // profile compute seconds
+  in.ReadString().value();  // compression spec
+  in.ReadDouble().value();  // now
+  in.ReadI64().value();     // next sequence
+  in.ReadI64().value();     // events processed
+  std::vector<net::SavedEvent> events(in.ReadU64().value());
+  for (net::SavedEvent& event : events) {
+    event.time = in.ReadDouble().value();
+    event.sequence = in.ReadI64().value();
+    event.worker_key = in.ReadInt().value();
+    event.payload.tag = in.ReadI64().value();
+    NETMAX_CHECK_OK(in.ReadDoubleVec(&event.payload.args));
+  }
+  return events;
+}
+
+using core::PullEngine;
+using core::RoundEngine;
+
+// The engine tags each algorithm's sweep must catch pending: every tag it
+// schedules, except the round loop's kRoundCompute. Gossip, PS-async and
+// Prague number their own tables from 0 (their .cc files).
+const std::map<std::string, std::set<int64_t>>& ExpectedTags() {
+  static const auto* tags = new std::map<std::string, std::set<int64_t>>{
+      {"netmax",
+       {PullEngine::kLocalStep, PullEngine::kPull, PullEngine::kMonitorTick,
+        PullEngine::kPeerWait, PullEngine::kPeerTimeout}},
+      {"adpsgd+monitor",
+       {PullEngine::kLocalStep, PullEngine::kPull, PullEngine::kMonitorTick,
+        PullEngine::kPeerWait, PullEngine::kPeerTimeout}},
+      {"adpsgd",
+       {PullEngine::kLocalStep, PullEngine::kPull, PullEngine::kPeerWait,
+        PullEngine::kPeerTimeout}},
+      {"saps",
+       {PullEngine::kLocalStep, PullEngine::kPull, PullEngine::kPeerWait,
+        PullEngine::kPeerTimeout}},
+      {"allreduce", {RoundEngine::kRunRound}},
+      {"ps-sync", {RoundEngine::kRunRound}},
+      {"gossip", {0, 1}},
+      {"ps-async", {0, 1, 2}},
+      {"prague", {0, 1, 2}},
+  };
+  return *tags;
+}
+
+// Every algorithm on every path the golden traces pin (plain, both fault
+// policies, int8), checkpointed at 63 evenly spaced times and restored from
+// each: both the checkpointed run and its continuation must equal the
+// uninterrupted run bit for bit. Two kinds of extra points catch tags the
+// even grid misses: one inside the first compute interval (where Prague's
+// and PS-async's short computes are pending) and one just after each peer
+// deadline that expired (where the pull loop's fallback local step is
+// pending — AD-PSGD's and SAPS's only local step). kRoundCompute events are
+// scheduled at their own round's time, so one is never pending at a
+// checkpoint; no point can catch them.
+class CheckpointSweep : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(CheckpointSweep, EveryPointRestoresBitIdentically) {
+  const std::string& name = GetParam();
+  std::set<int64_t> covered;
+  for (const SweepPath path : {SweepPath::kPlain, SweepPath::kFaultsWait,
+                               SweepPath::kFaultsTimeout, SweepPath::kInt8}) {
+    SCOPED_TRACE("path " + std::to_string(static_cast<int>(path)));
+    const ExperimentConfig base = SweepConfig(path);
+    const RunResult reference = MustRun(name, base);
+    const double end = reference.total_virtual_seconds;
+    const double compute =
+        core::ExperimentHarness(base, name).ComputeSeconds(base.batch_size);
+    std::set<double> times = {0.5 * compute};
+    for (int k = 1; k < 64; ++k) times.insert(end * k / 64.0);
+    std::set<double> done;
+    while (times.size() > done.size()) {
+      double at = 0.0;
+      for (const double t : times) {
+        if (done.count(t) == 0) {
+          at = t;
+          break;
+        }
+      }
+      done.insert(at);
+      SCOPED_TRACE("checkpoint at " + std::to_string(at));
+      std::vector<uint8_t> checkpoint;
+      ExperimentConfig with_checkpoint = base;
+      with_checkpoint.checkpoint_at_seconds = at;
+      with_checkpoint.checkpoint_sink = &checkpoint;
+      ExpectSameRun(reference, MustRun(name, with_checkpoint));
+      ExperimentConfig resumed = base;
+      resumed.restore_source = &checkpoint;
+      ExpectSameRun(reference, MustRun(name, resumed));
+      if (HasFailure()) return;
+      for (const net::SavedEvent& event : PendingEvents(checkpoint)) {
+        if (event.payload.tag >= core::kHarnessFaultTag) continue;
+        covered.insert(event.payload.tag);
+        const bool pull_deadline =
+            ExpectedTags().at(name).count(PullEngine::kPeerTimeout) > 0 &&
+            event.payload.tag == PullEngine::kPeerTimeout;
+        if (pull_deadline && event.time + 0.5 * compute < end) {
+          times.insert(event.time + 0.5 * compute);
+        }
+      }
+    }
+  }
+  EXPECT_EQ(covered, ExpectedTags().at(name));
+}
+
+INSTANTIATE_TEST_SUITE_P(AllAlgorithms, CheckpointSweep,
+                         ::testing::ValuesIn(algos::AlgorithmNames()));
+
 // --- wire-format and plumbing error paths (one algorithm suffices) ---
 
 std::vector<uint8_t> MakeCheckpoint(const ExperimentConfig& base,
@@ -285,6 +460,19 @@ TEST(CheckpointErrors, BadMagicIsRejected) {
   const Status status = TryRun("gossip", resumed);
   EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
   EXPECT_NE(status.message().find("magic"), std::string::npos);
+}
+
+TEST(CheckpointErrors, OlderVersionIsRejected) {
+  const ExperimentConfig base = BaseConfig();
+  std::vector<uint8_t> checkpoint = MakeCheckpoint(base);
+  // The version is the little-endian u32 after the magic.
+  ASSERT_EQ(checkpoint[4], core::kCheckpointVersion);
+  checkpoint[4] = 3;
+  ExperimentConfig resumed = base;
+  resumed.restore_source = &checkpoint;
+  const Status status = TryRun("gossip", resumed);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("version 3"), std::string::npos);
 }
 
 TEST(CheckpointErrors, TrailingGarbageIsRejected) {
