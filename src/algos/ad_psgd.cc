@@ -28,7 +28,7 @@ class AdPsgdEngine : public core::PullEngine {
   // The first monitor tick precedes the workers' first iterations.
   void Start() override {
     if (with_monitor_) ScheduleMonitorTick();
-    PullEngine::Start();
+    Engine::Start();
   }
 
   // Always a real neighbor: redraw until the policy row yields one.

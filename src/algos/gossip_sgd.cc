@@ -26,10 +26,6 @@ class GossipEngine : public core::Engine {
     return Status::Ok();
   }
 
-  void Start() override {
-    for (int w = 0; w < harness_.num_workers(); ++w) StartIteration(w);
-  }
-
   void StartIteration(int w) override {
     if (ParkIfDone(w)) return;
     const double compute = harness_.EffectiveComputeSeconds(w);

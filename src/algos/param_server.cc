@@ -162,10 +162,6 @@ class PsAsyncEngine : public core::Engine {
     return Status::Ok();
   }
 
-  void Start() override {
-    for (int w = 0; w < harness_.num_workers(); ++w) StartIteration(w);
-  }
-
   // The PS itself never dies (faults target workers). A worker that dies
   // mid round trip finishes it — its NIC reservations already happened — and
   // parks at the download's StartIteration.

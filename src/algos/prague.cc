@@ -35,10 +35,6 @@ class PragueEngine : public core::Engine {
     return Status::Ok();
   }
 
-  void Start() override {
-    for (int w = 0; w < harness_.num_workers(); ++w) StartIteration(w);
-  }
-
   void StartIteration(int w) override {
     if (ParkIfDone(w)) {
       // A finished worker no longer joins groups; flush stragglers so the

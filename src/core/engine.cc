@@ -42,6 +42,10 @@ StatusOr<RunResult> Engine::Run() {
   return harness_.Finalize();
 }
 
+void Engine::Start() {
+  for (int w = 0; w < harness_.num_workers(); ++w) StartIteration(w);
+}
+
 void Engine::EmitAt(double time, int worker_key, net::EventPayload payload) {
   ScheduleReified(harness_.sim(), time, worker_key, std::move(payload),
                   builder_);

@@ -53,8 +53,9 @@ class Engine {
   // Deterministic setup after harness Init (policies, monitors, subgraphs).
   // Restored runs run it too, before the checkpoint is read.
   virtual Status Setup() { return Status::Ok(); }
-  // Schedules a fresh run's initial events.
-  virtual void Start() = 0;
+  // Schedules a fresh run's initial events: by default every worker's
+  // first iteration.
+  virtual void Start();
   // Maps one event description to its closures; rejects malformed ones.
   virtual StatusOr<net::RebuiltEvent> BuildEvent(
       const net::SavedEvent& event) = 0;

@@ -32,7 +32,7 @@ class NetMaxEngine : public PullEngine {
 
   // The first monitor tick follows the workers' first iterations.
   void Start() override {
-    PullEngine::Start();
+    Engine::Start();
     if (config().adaptive_policy) ScheduleMonitorTick();
   }
 

@@ -22,10 +22,6 @@ void PullEngine::ScheduleMonitorTick() {
   Emit(config().monitor_period_seconds, kPlainEvent, {kMonitorTick, {}});
 }
 
-void PullEngine::Start() {
-  for (int w = 0; w < harness_.num_workers(); ++w) StartIteration(w);
-}
-
 void PullEngine::StartIteration(int w) {
   if (ParkIfDone(w)) return;
   const int m = DrawPeer(w);

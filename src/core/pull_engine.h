@@ -81,8 +81,6 @@ class PullEngine : public Engine {
   }
   void ScheduleMonitorTick();
 
-  // Every worker's first iteration.
-  void Start() override;
   void StartIteration(int w) override;
   StatusOr<net::RebuiltEvent> BuildEvent(const net::SavedEvent& event) override;
   void SaveState(Serializer& out) const override;
