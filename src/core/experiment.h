@@ -545,7 +545,8 @@ class ExperimentHarness {
   // ceil(threads / num_workers)).
   int shards() const { return shards_; }
 
-  // For NetMax diagnostics.
+  // Policies the monitor produced (NetMax, AD-PSGD+Monitor), reported in
+  // RunResult and checkpointed; the pull loop sets it after every tick.
   void set_policies_generated(int64_t n) { policies_generated_ = n; }
   int64_t policies_generated() const { return policies_generated_; }
 

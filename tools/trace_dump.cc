@@ -212,9 +212,12 @@ int main(int argc, char** argv) {
     // both (blocking and membership exclusion), Prague's waiting room under
     // timeout, and push gossip under wait (its parked chain rejoins). The PS
     // engines are left out: under the pinned schedule their fault runs equal
-    // the plain ones. Every other "<algorithm>+faults-{wait,timeout}"
-    // spelling also runs, unpinned.
-    const char* const fault_variants[][2] = {
+    // the plain ones. Then the pinned compression variants: every engine's
+    // compressed mix or reduce, spread across the encoding families and the
+    // wire-accounting shapes (directed consensus sends, push-gossip
+    // snapshots, ring and group chunks, PS uploads and downloads). Every
+    // other "<algorithm>+<variant>" spelling also runs, unpinned.
+    const char* const pinned_variants[][2] = {
         {"netmax", netmax::kWaitSuffix},
         {"netmax", netmax::kTimeoutSuffix},
         {"allreduce", netmax::kTimeoutSuffix},
@@ -224,13 +227,6 @@ int main(int argc, char** argv) {
         {"prague", netmax::kTimeoutSuffix},
         {"gossip", netmax::kWaitSuffix},
         {"allreduce", netmax::kWaitSuffix},
-    };
-    // The pinned compression variants: every engine's compressed mix or
-    // reduce, spread across the encoding families and the wire-accounting
-    // shapes (directed consensus sends, push-gossip snapshots, ring and
-    // group chunks, PS uploads and downloads). Every other
-    // "<algorithm>+{topk,int8,layerwise}" spelling also runs, unpinned.
-    const char* const compression_variants[][2] = {
         {"netmax", netmax::kTopKSuffix},
         {"gossip", netmax::kInt8Suffix},
         {"allreduce", netmax::kLayerwiseSuffix},
@@ -240,10 +236,7 @@ int main(int argc, char** argv) {
         {"ps-sync", netmax::kTopKSuffix},
         {"ps-async", netmax::kInt8Suffix},
     };
-    for (const auto& variant : fault_variants) {
-      std::printf("%s%s\n", variant[0], variant[1]);
-    }
-    for (const auto& variant : compression_variants) {
+    for (const auto& variant : pinned_variants) {
       std::printf("%s%s\n", variant[0], variant[1]);
     }
     return 0;
