@@ -210,13 +210,14 @@ int main(int argc, char** argv) {
     // The pinned fault variants: both policies on the peer-pull engines
     // (the timeout ones expire real peer deadlines), the round loop under
     // both (blocking and membership exclusion), Prague's waiting room under
-    // timeout, and push gossip under wait (its parked chain rejoins). The PS
-    // engines are left out: under the pinned schedule their fault runs equal
-    // the plain ones. Then the pinned compression variants: every engine's
-    // compressed mix or reduce, spread across the encoding families and the
-    // wire-accounting shapes (directed consensus sends, push-gossip
-    // snapshots, ring and group chunks, PS uploads and downloads). Every
-    // other "<algorithm>+<variant>" spelling also runs, unpinned.
+    // timeout, and push gossip under wait (the join revisits a parked
+    // chain). The PS engines are left out: under the pinned schedule their
+    // fault runs equal the plain ones. Then the pinned compression variants:
+    // every engine's compressed mix or reduce, spread across the encoding
+    // families and the wire-accounting shapes (directed consensus sends,
+    // push-gossip snapshots, ring and group chunks, PS uploads and
+    // downloads). Every other "<algorithm>+<variant>" spelling also runs,
+    // unpinned.
     const char* const pinned_variants[][2] = {
         {"netmax", netmax::kWaitSuffix},
         {"netmax", netmax::kTimeoutSuffix},
