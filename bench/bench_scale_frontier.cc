@@ -1,26 +1,22 @@
 // Scale frontier of the simulator core: how many simulated events per second
-// each event-queue backend sustains as the worker count grows, and where the
-// queue choice starts to dominate a run's wall clock.
+// the event queue (net/event_queue.h) sustains as the worker count grows.
 //
 // Three panels:
 //
 //  1. Queue frontier — a synthetic self-rescheduling tick workload (every
 //     worker always has exactly one pending event, so the queue holds N
 //     entries in steady state) driven through the real EventSimulator for a
-//     fixed wall-clock budget per cell. The sorted vector pays an O(N)
-//     memmove per insert, the calendar queue O(1); at 10^5+ workers the
-//     frontier separates them by orders of magnitude.
-//  2. Queue x backend matrix — one real training experiment per
-//     {event queue, execution backend} pair, wall clock measured and results
-//     verified bit-identical across all six runs (the queue and the backend
-//     are real-machine choices only; virtual results never move). The pooled
-//     backends run on one thread per hardware core (at least 2, or
-//     --threads=N); serial dispatch runs on one.
+//     fixed wall-clock budget per cell.
+//  2. Backend matrix — one real training experiment per execution backend,
+//     wall clock measured and results verified bit-identical across the
+//     three runs (the backend is a real-machine choice only; virtual results
+//     never move). The pooled backends run on one thread per hardware core
+//     (at least 2, or --threads=N); serial dispatch runs on one.
 //  3. Hierarchical gossip at scale — 10^5+ workers on the
 //     clusters-of-clusters topology with the O(1)-memory hierarchical link
-//     model, each worker gossiping rounds to its neighbors through the
-//     calendar queue. A complete graph at this scale would need ~10^10 edges;
-//     the hierarchical topology keeps the whole run in memory.
+//     model, each worker gossiping rounds to its neighbors. A complete graph
+//     at this scale would need ~10^10 edges; the hierarchical topology keeps
+//     the whole run in memory.
 //
 // Wall-clock numbers vary by machine, so this bench's stdout is NOT part of
 // the CI determinism diff; CI runs it with --smoke for coverage only. Set
@@ -47,7 +43,6 @@
 #include "core/execution_backend.h"
 #include "core/experiment.h"
 #include "net/cluster.h"
-#include "net/event_queue.h"
 #include "net/event_sim.h"
 #include "net/link_model.h"
 #include "net/topology.h"
@@ -67,7 +62,7 @@ struct TickContext {
   net::EventSimulator* sim = nullptr;
   // Per-worker tick period, drawn once up front so the measured loop does no
   // RNG work; the spread keeps steady-state insert positions scattered
-  // across the whole queue (the adversarial case for the sorted vector).
+  // across the whole queue.
   std::vector<double> periods;
 };
 
@@ -79,25 +74,19 @@ void TickStep(TickContext* ctx, int worker) {
 
 struct FrontierCell {
   int workers = 0;
-  net::EventQueueKind queue = net::EventQueueKind::kSortedVector;
   int64_t events = 0;
   double wall_seconds = 0.0;
   double events_per_sec = 0.0;
 };
 
-FrontierCell MeasureQueueFrontier(int workers, net::EventQueueKind kind,
-                                  double budget_seconds) {
+FrontierCell MeasureQueueFrontier(int workers, double budget_seconds) {
   net::EventSimulator sim;
-  sim.ReplaceQueue(net::MakeEventQueue(kind));
   TickContext ctx;
   ctx.sim = &sim;
   ctx.periods.resize(static_cast<size_t>(workers));
   Rng rng(20260808);
   for (double& period : ctx.periods) period = rng.Uniform(0.5, 1.5);
-  // Seed one pending event per worker, scheduled in DESCENDING time order so
-  // the fill itself is O(N) for every queue (each new event is the earliest
-  // so far; ascending order would cost the sorted vector an O(N) memmove per
-  // seed event before the measurement even starts).
+  // Seed one pending event per worker.
   for (int w = workers - 1; w >= 0; --w) {
     const double phase =
         1.0 + static_cast<double>(w) * (1.0 / static_cast<double>(workers));
@@ -105,8 +94,7 @@ FrontierCell MeasureQueueFrontier(int workers, net::EventQueueKind kind,
   }
   // Steady state: every pop schedules exactly one replacement, so the queue
   // holds `workers` entries throughout. Run until the wall budget is spent,
-  // checking the clock every few events so even a queue managing only
-  // hundreds of events per second stops on time.
+  // checking the clock every few events.
   const auto start = Clock::now();
   int64_t events = 0;
   while (sim.Step()) {
@@ -115,7 +103,6 @@ FrontierCell MeasureQueueFrontier(int workers, net::EventQueueKind kind,
   }
   FrontierCell cell;
   cell.workers = workers;
-  cell.queue = kind;
   cell.events = events;
   cell.wall_seconds = SecondsSince(start);
   cell.events_per_sec =
@@ -124,10 +111,9 @@ FrontierCell MeasureQueueFrontier(int workers, net::EventQueueKind kind,
   return cell;
 }
 
-// --- Panel 2: queue x backend matrix on a real experiment --------------------
+// --- Panel 2: backend matrix on a real experiment ----------------------------
 
 struct MatrixCell {
-  net::EventQueueKind queue = net::EventQueueKind::kSortedVector;
   core::ExecutionBackendKind backend = core::ExecutionBackendKind::kSerial;
   double wall_seconds = 0.0;
   double virtual_seconds = 0.0;
@@ -147,9 +133,9 @@ void CheckBitIdentical(const std::string& label, const core::RunResult& a,
   NETMAX_CHECK_EQ(a.consensus_distance, b.consensus_distance) << label;
 }
 
-StatusOr<std::vector<MatrixCell>> RunQueueBackendMatrix(std::ostream& os) {
+StatusOr<std::vector<MatrixCell>> RunBackendMatrix(std::ostream& os) {
   core::ExperimentConfig config = bench::PaperBaseConfig();
-  config.max_epochs = 8;  // the matrix is 6 runs; keep full mode in minutes
+  config.max_epochs = 8;  // keep full mode in minutes
   bench::MaybeApplySmoke(config);
   config.shards = 1;
   const int parallel_threads =
@@ -159,51 +145,39 @@ StatusOr<std::vector<MatrixCell>> RunQueueBackendMatrix(std::ostream& os) {
   std::vector<MatrixCell> cells;
   const core::RunResult* reference = nullptr;
   std::vector<core::RunResult> results;
-  results.reserve(6);
-  TablePrinter table({"queue", "backend", "wall_s", "virtual_s", "identical"});
-  for (const net::EventQueueKind queue :
-       {net::EventQueueKind::kSortedVector, net::EventQueueKind::kCalendar}) {
-    for (const core::ExecutionBackendKind backend :
-         {core::ExecutionBackendKind::kSerial,
-          core::ExecutionBackendKind::kSpeculative,
-          core::ExecutionBackendKind::kAsyncPipeline}) {
-      core::ExperimentConfig cell_config = config;
-      cell_config.event_queue = queue;
-      cell_config.backend = backend;
-      cell_config.threads = backend == core::ExecutionBackendKind::kSerial
-                                ? 1
-                                : parallel_threads;
-      NETMAX_ASSIGN_OR_RETURN(const auto algorithm,
-                              algos::MakeAlgorithm("netmax"));
-      const auto start = Clock::now();
-      auto result = algorithm->Run(cell_config);
-      const double wall = SecondsSince(start);
-      if (!result.ok()) {
-        return Status(result.status().code(),
-                      std::string(net::EventQueueKindName(queue)) + "/" +
-                          result.status().message());
-      }
-      results.push_back(std::move(result.value()));
-      const core::RunResult& run = results.back();
-      if (reference == nullptr) reference = &results.front();
-      const std::string label = std::string(net::EventQueueKindName(queue)) +
-                                "/" + std::string(run.backend);
-      CheckBitIdentical(label, *reference, run);
-      MatrixCell cell;
-      cell.queue = queue;
-      cell.backend = backend;
-      cell.wall_seconds = wall;
-      cell.virtual_seconds = run.total_virtual_seconds;
-      cells.push_back(cell);
-      table.AddRow({std::string(net::EventQueueKindName(queue)),
-                    std::string(run.backend), Fmt(wall, 3),
-                    Fmt(run.total_virtual_seconds, 1), "yes"});
-    }
+  results.reserve(3);
+  TablePrinter table({"backend", "wall_s", "virtual_s", "identical"});
+  for (const core::ExecutionBackendKind backend :
+       {core::ExecutionBackendKind::kSerial,
+        core::ExecutionBackendKind::kSpeculative,
+        core::ExecutionBackendKind::kAsyncPipeline}) {
+    core::ExperimentConfig cell_config = config;
+    cell_config.backend = backend;
+    cell_config.threads = backend == core::ExecutionBackendKind::kSerial
+                              ? 1
+                              : parallel_threads;
+    NETMAX_ASSIGN_OR_RETURN(const auto algorithm,
+                            algos::MakeAlgorithm("netmax"));
+    const auto start = Clock::now();
+    auto result = algorithm->Run(cell_config);
+    const double wall = SecondsSince(start);
+    if (!result.ok()) return result.status();
+    results.push_back(std::move(result.value()));
+    const core::RunResult& run = results.back();
+    if (reference == nullptr) reference = &results.front();
+    CheckBitIdentical(run.backend, *reference, run);
+    MatrixCell cell;
+    cell.backend = backend;
+    cell.wall_seconds = wall;
+    cell.virtual_seconds = run.total_virtual_seconds;
+    cells.push_back(cell);
+    table.AddRow({std::string(run.backend), Fmt(wall, 3),
+                  Fmt(run.total_virtual_seconds, 1), "yes"});
   }
-  os << "\n== Queue x backend matrix (netmax, 8 workers; all six runs "
-        "verified bit-identical) ==\n";
+  os << "\n== Backend matrix (netmax, 8 workers; all three runs verified "
+        "bit-identical) ==\n";
   table.Print(os);
-  table.PrintCsv(os, "Queue x backend matrix");
+  table.PrintCsv(os, "Backend matrix");
   return cells;
 }
 
@@ -259,7 +233,6 @@ GossipResult RunHierarchicalGossip(int workers, int cluster_size, int rounds) {
   out.build_seconds = SecondsSince(build_start);
   out.edges = topology.num_edges();
   net::EventSimulator sim;
-  sim.ReplaceQueue(net::MakeEventQueue(net::EventQueueKind::kCalendar));
   GossipContext ctx;
   ctx.sim = &sim;
   ctx.topology = &topology;
@@ -267,8 +240,7 @@ GossipResult RunHierarchicalGossip(int workers, int cluster_size, int rounds) {
   ctx.rounds_left.assign(static_cast<size_t>(workers), rounds);
   ctx.next_neighbor.assign(static_cast<size_t>(workers), 0);
   ctx.payload_bytes = 1 << 20;  // 1 MiB gossip payload per round
-  // Stagger the first round across a second (descending order: O(N) seed
-  // fill, same as the frontier panel).
+  // Stagger the first round across a second.
   for (int w = workers - 1; w >= 0; --w) {
     const double phase =
         static_cast<double>(w) / static_cast<double>(workers);
@@ -296,19 +268,16 @@ std::string JsonReport(bool smoke, const std::vector<FrontierCell>& frontier,
   os << "  \"queue_frontier\": [\n";
   for (size_t i = 0; i < frontier.size(); ++i) {
     const FrontierCell& c = frontier[i];
-    os << "    {\"workers\": " << c.workers << ", \"queue\": \""
-       << net::EventQueueKindName(c.queue) << "\", \"events\": " << c.events
+    os << "    {\"workers\": " << c.workers << ", \"events\": " << c.events
        << ", \"wall_seconds\": " << Fmt(c.wall_seconds, 4)
        << ", \"events_per_sec\": " << Fmt(c.events_per_sec, 1) << "}"
        << (i + 1 < frontier.size() ? "," : "") << "\n";
   }
   os << "  ],\n";
-  os << "  \"queue_backend_matrix\": [\n";
+  os << "  \"backend_matrix\": [\n";
   for (size_t i = 0; i < matrix.size(); ++i) {
     const MatrixCell& c = matrix[i];
-    os << "    {\"queue\": \"" << net::EventQueueKindName(c.queue)
-       << "\", \"backend\": \""
-       << core::ExecutionBackendKindName(c.backend)
+    os << "    {\"backend\": \"" << core::ExecutionBackendKindName(c.backend)
        << "\", \"wall_seconds\": " << Fmt(c.wall_seconds, 3)
        << ", \"virtual_seconds\": " << Fmt(c.virtual_seconds, 1)
        << ", \"bit_identical\": true}"
@@ -323,29 +292,7 @@ std::string JsonReport(bool smoke, const std::vector<FrontierCell>& frontier,
      << ", \"build_seconds\": " << Fmt(gossip.build_seconds, 3)
      << ", \"run_seconds\": " << Fmt(gossip.run_seconds, 3)
      << ", \"events_per_sec\": " << Fmt(gossip.events_per_sec, 1)
-     << ", \"virtual_seconds\": " << Fmt(gossip.virtual_seconds, 2) << "},\n";
-  // Headline: the acceptance reading — calendar vs sorted vector at the
-  // largest worker count in the frontier grid.
-  double vector_eps = 0.0;
-  double calendar_eps = 0.0;
-  int max_workers = 0;
-  for (const FrontierCell& c : frontier) {
-    max_workers = std::max(max_workers, c.workers);
-  }
-  for (const FrontierCell& c : frontier) {
-    if (c.workers != max_workers) continue;
-    if (c.queue == net::EventQueueKind::kSortedVector) {
-      vector_eps = c.events_per_sec;
-    }
-    if (c.queue == net::EventQueueKind::kCalendar) {
-      calendar_eps = c.events_per_sec;
-    }
-  }
-  os << "  \"headline\": {\"workers\": " << max_workers
-     << ", \"vector_events_per_sec\": " << Fmt(vector_eps, 1)
-     << ", \"calendar_events_per_sec\": " << Fmt(calendar_eps, 1)
-     << ", \"calendar_vs_vector_speedup\": "
-     << Fmt(vector_eps > 0.0 ? calendar_eps / vector_eps : 0.0, 2) << "}\n";
+     << ", \"virtual_seconds\": " << Fmt(gossip.virtual_seconds, 2) << "}\n";
   os << "}\n";
   return os.str();
 }
@@ -361,19 +308,14 @@ Status Run() {
 
   std::vector<FrontierCell> frontier;
   TablePrinter frontier_table(
-      {"workers", "queue", "events", "wall_s", "events_per_sec"});
+      {"workers", "events", "wall_s", "events_per_sec"});
   for (const int workers : worker_grid) {
-    for (const net::EventQueueKind kind :
-         {net::EventQueueKind::kSortedVector, net::EventQueueKind::kCalendar}) {
-      const FrontierCell cell =
-          MeasureQueueFrontier(workers, kind, cell_budget);
-      frontier.push_back(cell);
-      frontier_table.AddRow({std::to_string(cell.workers),
-                             std::string(net::EventQueueKindName(cell.queue)),
-                             std::to_string(cell.events),
-                             Fmt(cell.wall_seconds, 3),
-                             Fmt(cell.events_per_sec, 0)});
-    }
+    const FrontierCell cell = MeasureQueueFrontier(workers, cell_budget);
+    frontier.push_back(cell);
+    frontier_table.AddRow({std::to_string(cell.workers),
+                           std::to_string(cell.events),
+                           Fmt(cell.wall_seconds, 3),
+                           Fmt(cell.events_per_sec, 0)});
   }
   std::cout << "\n== Queue frontier (self-rescheduling tick workload; queue "
                "holds one event per worker) ==\n";
@@ -381,7 +323,7 @@ Status Run() {
   frontier_table.PrintCsv(std::cout, "Queue frontier");
 
   NETMAX_ASSIGN_OR_RETURN(const std::vector<MatrixCell> matrix,
-                          RunQueueBackendMatrix(std::cout));
+                          RunBackendMatrix(std::cout));
 
   const GossipResult gossip =
       smoke ? RunHierarchicalGossip(/*workers=*/4096, /*cluster_size=*/64,
@@ -397,8 +339,8 @@ Status Run() {
        std::to_string(gossip.rounds), std::to_string(gossip.events),
        Fmt(gossip.build_seconds, 3), Fmt(gossip.run_seconds, 3),
        Fmt(gossip.events_per_sec, 0)});
-  std::cout << "\n== Hierarchical gossip at scale (calendar queue, "
-               "clusters-of-clusters topology, O(1)-memory link model) ==\n";
+  std::cout << "\n== Hierarchical gossip at scale (clusters-of-clusters "
+               "topology, O(1)-memory link model) ==\n";
   gossip_table.Print(std::cout);
   gossip_table.PrintCsv(std::cout, "Hierarchical gossip at scale");
 

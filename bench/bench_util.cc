@@ -14,7 +14,6 @@
 #include "common/table.h"
 #include "common/thread_pool.h"
 #include "ml/compression.h"
-#include "net/event_queue.h"
 #include "net/fault_schedule.h"
 #include "net/topology.h"
 
@@ -44,8 +43,6 @@ uint64_t faults_seed = 0;
 net::FaultSchedule faults_override;
 bool peer_policy_override_set = false;
 core::PeerPolicy peer_policy_override = core::PeerPolicy::kWait;
-bool event_queue_override_set = false;
-net::EventQueueKind event_queue_override = net::EventQueueKind::kSortedVector;
 int workers_override = -1;
 bool topology_override_set = false;
 net::TopologySpec topology_override;
@@ -92,8 +89,6 @@ void PrintUsage(std::ostream& os, const char* binary) {
         "re-probe) or timeout (degrade after the deadline and continue)\n"
      << "  --checkpoint-every=S rewrite each run's checkpoint every S "
         "virtual seconds (rotating history; requires --checkpoint-path)\n"
-     << "  --event-queue=K      simulator event-queue backend: vector | "
-        "calendar (results are bit-identical)\n"
      << "  --workers=N          simulated worker count (N >= 2; overrides "
         "every run's num_workers)\n"
      << "  --topology=SPEC      gossip topology: complete or "
@@ -109,7 +104,6 @@ void PrintUsage(std::ostream& os, const char* binary) {
      << "  NETMAX_FAULTS=SPEC        same as --faults=SPEC\n"
      << "  NETMAX_PEER_POLICY=P      same as --peer-policy=P\n"
      << "  NETMAX_CHECKPOINT_EVERY=S same as --checkpoint-every=S\n"
-     << "  NETMAX_EVENT_QUEUE=K      same as --event-queue=K\n"
      << "  NETMAX_WORKERS=N          same as --workers=N\n"
      << "  NETMAX_TOPOLOGY=SPEC      same as --topology=SPEC\n"
      << "  NETMAX_COMPRESS=SPEC      same as --compress=SPEC\n";
@@ -194,19 +188,6 @@ Status ParsePeerPolicyFlag(const std::string& flag_text,
   return Status::Ok();
 }
 
-// Strict value parse for "--event-queue=K" and NETMAX_EVENT_QUEUE.
-Status ParseEventQueueFlag(const std::string& flag_text,
-                           std::string_view value) {
-  StatusOr<net::EventQueueKind> kind = net::ParseEventQueueKind(value);
-  if (!kind.ok()) {
-    return InvalidArgumentError("bad flag value: " + flag_text +
-                                " (expected vector or calendar)");
-  }
-  event_queue_override = *kind;
-  event_queue_override_set = true;
-  return Status::Ok();
-}
-
 // Strict value parse for "--workers=N" and NETMAX_WORKERS: a decentralized
 // run needs at least two workers, so 0 and 1 are usage errors, not configs.
 Status ParseWorkersFlag(const std::string& flag_text, std::string_view value) {
@@ -263,7 +244,6 @@ void ApplyExecutionOverrides(core::ExperimentConfig& config,
   }
   if (shards_override >= 0) config.shards = shards_override;
   if (backend_override_set) config.backend = backend_override;
-  if (event_queue_override_set) config.event_queue = event_queue_override;
   if (topology_override_set) config.topology = topology_override;
   // The worker override must land before a seed-derived fault schedule is
   // resolved below: FromSeed draws its churn targets from num_workers.
@@ -336,8 +316,6 @@ StatusOr<bool> InitBench(int argc, char** argv) {
   faults_seed = 0;
   faults_override = net::FaultSchedule();
   peer_policy_override_set = false;
-  event_queue_override_set = false;
-  event_queue_override = net::EventQueueKind::kSortedVector;
   workers_override = -1;
   topology_override_set = false;
   topology_override = net::TopologySpec();
@@ -377,11 +355,6 @@ StatusOr<bool> InitBench(int argc, char** argv) {
   if (env_policy != nullptr) {
     NETMAX_RETURN_IF_ERROR(ParsePeerPolicyFlag(
         std::string("NETMAX_PEER_POLICY=") + env_policy, env_policy));
-  }
-  const char* env_queue = std::getenv("NETMAX_EVENT_QUEUE");
-  if (env_queue != nullptr) {
-    NETMAX_RETURN_IF_ERROR(ParseEventQueueFlag(
-        std::string("NETMAX_EVENT_QUEUE=") + env_queue, env_queue));
   }
   const char* env_workers = std::getenv("NETMAX_WORKERS");
   if (env_workers != nullptr) {
@@ -440,9 +413,6 @@ StatusOr<bool> InitBench(int argc, char** argv) {
     } else if (arg.rfind("--peer-policy=", 0) == 0) {
       NETMAX_RETURN_IF_ERROR(
           ParsePeerPolicyFlag(arg, std::string_view(arg).substr(14)));
-    } else if (arg.rfind("--event-queue=", 0) == 0) {
-      NETMAX_RETURN_IF_ERROR(
-          ParseEventQueueFlag(arg, std::string_view(arg).substr(14)));
     } else if (arg.rfind("--workers=", 0) == 0) {
       NETMAX_RETURN_IF_ERROR(
           ParseWorkersFlag(arg, std::string_view(arg).substr(10)));

@@ -69,11 +69,6 @@ namespace netmax::bench {
 //                        crash-recovery workflow: a crash@T fault halts the
 //                        run, and --restore-path resumes from the newest
 //                        periodic checkpoint bit-identically.
-//   --event-queue=K      simulator event-queue backend: vector | calendar
-//                        (overrides ExperimentConfig::event_queue; pop
-//                        order — and therefore every result — is
-//                        bit-identical for both; they differ only in
-//                        real-machine cost, see bench_scale_frontier).
 //   --workers=N          simulated worker count (overrides
 //                        ExperimentConfig::num_workers; N >= 2). Applied
 //                        before a seed-derived --faults=seed:K schedule is

@@ -168,9 +168,6 @@ Status ExperimentHarness::Init() {
   // result bits are identical (core/execution_backend.h).
   backend_ = MakeExecutionBackend(config_.backend, pool_.get());
   sim_.set_backend(backend_.get());
-  // Event-queue implementation (net/event_queue.h): like the backend, a pure
-  // execution choice — every kind pops the identical (time, sequence) stream.
-  sim_.ReplaceQueue(net::MakeEventQueue(config_.event_queue));
   // Intra-worker sharding bound: auto (0) shards only the cores left over
   // after the distinct-worker frontier has one thread per worker, so
   // paper-scale runs (workers >= cores) stay unsharded while wide-model
@@ -258,7 +255,8 @@ Status ExperimentHarness::Init() {
             net::Topology::Complete(config_.num_workers));
   }
 
-  // Workers: identical initial replicas (x^0), forked RNG/sampler streams.
+  // Workers: identical initial replicas (x^0, drawn once for worker 0 and
+  // cloned into the rest), forked RNG/sampler streams.
   Rng root(config_.seed);
   const int feature_dim = dataset_spec.feature_dim;
   const int num_classes = dataset_spec.num_classes;
@@ -275,8 +273,12 @@ Status ExperimentHarness::Init() {
     workers_.emplace_back(w, std::move((*shards)[static_cast<size_t>(w)]),
                           root.Fork(static_cast<uint64_t>(w)).Next64());
     WorkerRuntime& worker = workers_.back();
-    worker.model = std::make_unique<ml::Mlp>(layers);
-    worker.model->InitializeParameters(config_.seed);  // same x^0 everywhere
+    if (w == 0) {
+      worker.model = std::make_unique<ml::Mlp>(layers);
+      worker.model->InitializeParameters(config_.seed);
+    } else {
+      worker.model = workers_.front().model->Clone();
+    }
     ml::SgdOptions sgd;
     sgd.learning_rate = config_.learning_rate;
     sgd.momentum = config_.momentum;
@@ -444,9 +446,12 @@ void ExperimentHarness::SampleBatch(int w) {
 
 double ExperimentHarness::EvalBatchGradient(int w) {
   WorkerRuntime& worker = workers_[static_cast<size_t>(w)];
-  return ml::ShardedLossAndGradient(*worker.model, worker.shard,
-                                    worker.batch_indices, worker.gradient,
-                                    worker.workspace, pool_.get(), shards_);
+  // A thread evaluates one compute half at a time, and a call overwrites the
+  // workspace scratch it reads, so the evaluating thread's workspace serves
+  // every worker: a fleet holds one per thread, not one per worker.
+  return ml::ShardedLossAndGradient(
+      *worker.model, worker.shard, worker.batch_indices, worker.gradient,
+      ml::ThreadLocalWorkspace(), pool_.get(), shards_);
 }
 
 void ExperimentHarness::CommitBatchStats(int w, double loss) {
@@ -524,8 +529,7 @@ void ExperimentHarness::RecordGlobalEpochPoint() {
   if (config_.eval_every_epochs > 0 &&
       static_cast<int64_t>(global_epoch) % config_.eval_every_epochs == 0) {
     accuracy_vs_time_.push_back(
-        {sim_.Now(),
-         ml::Accuracy(*workers_[0].model, test_set_, eval_workspace_)});
+        {sim_.Now(), ml::Accuracy(*workers_[0].model, test_set_)});
   }
 }
 
@@ -552,7 +556,6 @@ RunResult ExperimentHarness::Finalize() {
   result.policies_generated = policies_generated_;
   result.backend =
       backend_ != nullptr ? std::string(backend_->name()) : "serial";
-  result.event_queue = std::string(sim_.queue_name());
   const net::ExecutionStats stats = sim_.execution_stats();
   result.parallel_batches = stats.parallel_batches;
   result.computes_speculated = stats.computes_speculated;
@@ -567,18 +570,34 @@ RunResult ExperimentHarness::Finalize() {
   result.bytes_sent = bytes_sent_;
   result.bytes_saved = bytes_saved_;
 
+  // Per-worker test accuracy, each on the evaluating thread's workspace. The
+  // run is idle, so the models are read-only and the pool may evaluate them:
+  // each task writes its own slot, and the slots are summed in worker order
+  // below, so the mean is the same double a serial loop gives.
+  std::vector<double> accuracy(workers_.size());
+  const auto evaluate = [this, &accuracy](int w) {
+    const size_t i = static_cast<size_t>(w);
+    accuracy[i] = ml::Accuracy(*workers_[i].model, test_set_);
+  };
+  if (pool_ != nullptr) {
+    ParallelFor(*pool_, config_.num_workers, evaluate);
+  } else {
+    for (int w = 0; w < config_.num_workers; ++w) evaluate(w);
+  }
+
   double loss_sum = 0.0;
   int loss_count = 0;
   double accuracy_sum = 0.0;
   double compute_total = 0.0;
   double comm_total = 0.0;
   int64_t epochs_total = 0;
-  for (const auto& worker : workers_) {
+  for (size_t w = 0; w < workers_.size(); ++w) {
+    const WorkerRuntime& worker = workers_[w];
     if (worker.has_epoch_loss) {
       loss_sum += worker.latest_epoch_loss;
       ++loss_count;
     }
-    accuracy_sum += ml::Accuracy(*worker.model, test_set_, eval_workspace_);
+    accuracy_sum += accuracy[w];
     compute_total += worker.compute_cost_total;
     comm_total += worker.comm_cost_total;
     epochs_total += worker.epochs_completed;

@@ -183,12 +183,10 @@ struct ExperimentConfig {
   // and every kind degrades to serial. Like threads/shards, purely an
   // execution choice — RunResult is bit-identical for every backend.
   ExecutionBackendKind backend = ExecutionBackendKind::kSpeculative;
-  // Priority-queue implementation behind the simulator (net/event_queue.h).
-  // Purely an execution choice: (time, sequence) is a strict total order, so
-  // RunResult is bit-identical for every kind. The sorted-vector default is
-  // fastest at the paper's O(10) worker scale; the calendar queue wins once
-  // thousands of events are pending (see bench_scale_frontier).
-  net::EventQueueKind event_queue = net::EventQueueKind::kSortedVector;
+  // Read by nothing in src/: the simulator has one queue
+  // (net/event_queue.h). Kept only because perfbench's queue probe builds
+  // the queue this names; the probe rewrite retires it.
+  net::EventQueueKind event_queue = net::EventQueueKind::kCalendar;
 
   // --- fault injection / graceful degradation (net/fault_schedule.h) ---
   // Worker lifecycle faults injected as first-class virtual-time events. An
@@ -214,7 +212,7 @@ struct ExperimentConfig {
   // (net/wire_format.h), and apply the matching lossy transform to every
   // exchanged delta/gradient; int8's stochastic rounding draws from the
   // committing worker's RNG stream, so results stay bit-identical across the
-  // whole {backend, threads, shards, event queue} grid.
+  // whole {backend, threads, shards} grid.
   ml::CompressionSpec compress;
 
   // --- checkpoint / restore (core/checkpoint.h) ---
@@ -286,9 +284,6 @@ struct RunResult {
   // head-of-window stalls and full-window backpressure events (stalls are
   // real-timing dependent; the other counters are deterministic per config).
   std::string backend;
-  // Event-queue implementation the run used ("vector", "calendar");
-  // diagnostics only — the queue never affects simulation output.
-  std::string event_queue;
   int64_t parallel_batches = 0;
   int64_t computes_speculated = 0;
   int64_t computes_redispatched = 0;
@@ -331,7 +326,6 @@ struct WorkerRuntime {
   Rng rng;
   std::vector<double> gradient;     // scratch buffer
   std::vector<int> batch_indices;   // scratch buffer (sampler output)
-  ml::TrainingWorkspace workspace;  // batched forward/backward scratch
   int batch_size = 0;
   double compute_seconds_per_batch = 0.0;
 
@@ -456,8 +450,9 @@ class ExperimentHarness {
   //   SampleBatch(w)        at schedule time (commit context: advances the
   //                         worker's sampler stream deterministically),
   //   EvalBatchGradient(w)  as the pure compute half (reads w's parameters
-  //                         and batch, writes w's gradient/workspace scratch;
-  //                         idempotent, safe on a pool thread),
+  //                         and batch, writes w's gradient and the calling
+  //                         thread's workspace; idempotent, safe on a pool
+  //                         thread),
   //   CommitBatchStats(w)   in the commit half (epoch bookkeeping, series
   //                         points, LR schedule — strictly ordered).
 
@@ -590,7 +585,8 @@ class ExperimentHarness {
   const Status& checkpoint_status() const { return checkpoint_status_; }
 
   // Assembles the RunResult (final accuracy over all worker models, cost
-  // averages, consensus distance).
+  // averages, consensus distance). Call only while the run is idle: with a
+  // pool, the per-worker evaluations run on it.
   RunResult Finalize();
 
  private:
@@ -643,10 +639,6 @@ class ExperimentHarness {
   // and allocator traffic of one-unique_ptr-per-worker are measurable.
   std::vector<WorkerRuntime> workers_;
   ml::Dataset test_set_{1, 2};
-  // Shared by every test-set evaluation (all worker models have identical
-  // shapes, so one set of buffers serves Finalize and the periodic
-  // accuracy-vs-time points without reallocating).
-  ml::TrainingWorkspace eval_workspace_;
 
   // Recording state.
   ml::Series loss_vs_time_;

@@ -11,8 +11,9 @@
 // steady-state batch loop performs zero heap allocations: the first batch
 // sizes the buffers, every later batch (same size or smaller) reuses them.
 //
-// Workspaces are not thread-safe; give each worker its own (see
-// core::WorkerRuntime) or use the per-thread fallback below. Intra-worker
+// Workspaces are not thread-safe; give each thread its own (the per-thread
+// workspace below, on which core::ExperimentHarness runs every compute half
+// and test-set evaluation) or own one per caller. Intra-worker
 // gradient sharding (ml/sharding.h) evaluates one worker's batch on several
 // threads at once: shard task t borrows the grow-only child workspace
 // ShardWorkspace(t) — children are independent TrainingWorkspaces, so the
@@ -30,8 +31,8 @@ class TrainingWorkspace {
   TrainingWorkspace() = default;
   TrainingWorkspace(const TrainingWorkspace&) = delete;
   TrainingWorkspace& operator=(const TrainingWorkspace&) = delete;
-  // Movable so owners (e.g. core::WorkerRuntime) can live in contiguous
-  // storage; moving steals the grow-only buffers, it never copies them.
+  // Movable so owners can live in contiguous storage; moving steals the
+  // grow-only buffers, it never copies them.
   TrainingWorkspace(TrainingWorkspace&&) = default;
   TrainingWorkspace& operator=(TrainingWorkspace&&) = default;
 
@@ -71,11 +72,11 @@ class TrainingWorkspace {
   int64_t growth_count_ = 0;
 };
 
-// A lazily constructed workspace owned by the calling thread, used by the
-// workspace-free Model API overloads so legacy callers (tests, one-off
-// evaluations) get the batched path without threading a workspace through.
-// Engines should prefer explicit per-worker workspaces: the thread-local one
-// is sized to the largest batch any model on this thread has seen.
+// A lazily constructed workspace owned by the calling thread, sized to the
+// largest batch any model on this thread has seen. The harness's compute
+// halves run on it, and the workspace-free Model API overloads use it so
+// one-off callers (tests, evaluations) get the batched path without
+// threading a workspace through.
 TrainingWorkspace& ThreadLocalWorkspace();
 
 }  // namespace netmax::ml

@@ -6,20 +6,10 @@
 
 namespace netmax::net {
 
-EventSimulator::EventSimulator()
-    : queue_(MakeEventQueue(EventQueueKind::kSortedVector)) {}
-
-void EventSimulator::ReplaceQueue(std::unique_ptr<EventQueue> queue) {
-  NETMAX_CHECK(queue != nullptr);
-  NETMAX_CHECK(queue_->empty())
-      << "ReplaceQueue requires an empty event queue";
-  queue_ = std::move(queue);
-}
-
-void EventSimulator::Insert(SimEvent event) {
+void EventSimulator::Insert(SimEvent&& event) {
   NETMAX_CHECK_GE(event.time, now_) << "cannot schedule into the past";
   event.sequence = next_sequence_++;
-  queue_->Push(std::move(event));
+  queue_.Push(std::move(event));
 }
 
 void EventSimulator::ScheduleAt(double time, Callback callback) {
@@ -107,7 +97,7 @@ ExecutionStats EventSimulator::execution_stats() const {
 void EventSimulator::ScanPendingComputes(
     int64_t max_scan,
     const std::function<ScanAction(const PendingComputeView&)>& visit) const {
-  queue_->VisitInOrder(max_scan, [&visit](const SimEvent& event) {
+  queue_.VisitInOrder(max_scan, [&visit](const SimEvent& event) {
     if (event.compute == nullptr) return EventQueue::VisitAction::kContinue;
     const PendingComputeView view{event.time, event.sequence,
                                   event.worker_key, event.compute};
@@ -118,9 +108,9 @@ void EventSimulator::ScanPendingComputes(
 }
 
 bool EventSimulator::StepWith(const SpeculationProvider& provider) {
-  if (queue_->empty()) return false;
+  if (queue_.empty()) return false;
   // Pop by value so the handlers may schedule new events.
-  SimEvent event = queue_->PopNext();
+  SimEvent event = queue_.PopNext();
   now_ = event.time;
   ++processed_;
   if (event.compute != nullptr) {
@@ -140,7 +130,7 @@ bool EventSimulator::Step() { return StepWith(nullptr); }
 
 int64_t EventSimulator::RunUntil(double time_limit) {
   int64_t count = 0;
-  while (!queue_->empty() && queue_->NextTime() <= time_limit) {
+  while (!queue_.empty() && queue_.NextTime() <= time_limit) {
     Step();
     ++count;
   }
@@ -150,10 +140,10 @@ int64_t EventSimulator::RunUntil(double time_limit) {
 
 StatusOr<std::vector<SavedEvent>> EventSimulator::SaveQueue() const {
   std::vector<SavedEvent> events;
-  events.reserve(static_cast<size_t>(queue_->size()));
+  events.reserve(static_cast<size_t>(queue_.size()));
   Status status = Status::Ok();
-  queue_->VisitInOrder(
-      queue_->size(), [&events, &status](const SimEvent& event) {
+  queue_.VisitInOrder(
+      queue_.size(), [&events, &status](const SimEvent& event) {
         if (event.payload.tag < 0) {
           status = FailedPreconditionError(
               "cannot checkpoint: pending event at t=" +
@@ -172,7 +162,7 @@ StatusOr<std::vector<SavedEvent>> EventSimulator::SaveQueue() const {
 
 Status EventSimulator::RestoreQueue(const std::vector<SavedEvent>& events,
                                     const EventRebuilder& rebuilder) {
-  if (!queue_->empty()) {
+  if (!queue_.empty()) {
     return FailedPreconditionError(
         "RestoreQueue requires an empty event queue");
   }
@@ -237,14 +227,14 @@ Status EventSimulator::RestoreQueue(const std::vector<SavedEvent>& events,
   }
   // Sequence numbers are restored exactly as saved (Insert is bypassed), so
   // relative (time, sequence) ordering — and with it every tie-break —
-  // replays bit-identically in any queue implementation.
-  for (SimEvent& event : rebuilt_events) queue_->Push(std::move(event));
+  // replays bit-identically.
+  for (SimEvent& event : rebuilt_events) queue_.Push(std::move(event));
   return Status::Ok();
 }
 
 void EventSimulator::RestoreClock(double now, int64_t next_sequence,
                                   int64_t processed) {
-  NETMAX_CHECK(queue_->empty()) << "restore the clock before the queue";
+  NETMAX_CHECK(queue_.empty()) << "restore the clock before the queue";
   now_ = now;
   next_sequence_ = next_sequence;
   processed_ = processed;
@@ -254,7 +244,7 @@ int64_t EventSimulator::RunUntilIdle() {
   if (backend_ != nullptr) return backend_->RunUntilIdle(*this);
   int64_t count = 0;
   while (!halt_requested_ && Step()) ++count;
-  if (halt_requested_) queue_->Clear();
+  if (halt_requested_) queue_.Clear();
   return count;
 }
 

@@ -24,7 +24,8 @@
 //    draws, parameter updates, and scheduling of follow-up events belong
 //    there.
 //
-// The simulator owns the queue and the ordering contract only. HOW compute
+// The simulator owns the queue (one calendar queue that never moves a pending
+// closure, net/event_queue.h) and the ordering contract only. HOW compute
 // halves are evaluated relative to the strictly ordered commit drain is an
 // ExecutionBackend decision (set_backend): speculate frontier batches of
 // distinct-worker events on a ThreadPool behind a barrier (speculative), or
@@ -42,8 +43,8 @@
 // evaluation so the caller's write cannot race its reads.
 //
 // One asymmetry to respect: a dispatched compute half's scratch writes (the
-// worker's gradient buffer, workspace) may land before earlier-ordered events
-// run. While a worker has a compute event pending, no OTHER event may read
+// worker's gradient buffer) may land before earlier-ordered events run.
+// While a worker has a compute event pending, no OTHER event may read
 // that worker's scratch — only the paired commit (and events it schedules
 // afterwards, e.g. a parameter-server upload consuming the gradient) may.
 // Engines satisfy this naturally by keeping at most one outstanding compute
@@ -52,7 +53,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <string_view>
 #include <vector>
 
@@ -130,7 +130,7 @@ class EventSimulator {
   using ComputeFn = SimEvent::ComputeFn;
   using CommitFn = SimEvent::CommitFn;
 
-  EventSimulator();
+  EventSimulator() = default;
   EventSimulator(const EventSimulator&) = delete;
   EventSimulator& operator=(const EventSimulator&) = delete;
 
@@ -184,14 +184,6 @@ class EventSimulator {
   void set_backend(ExecutionBackend* backend) { backend_ = backend; }
   ExecutionBackend* backend() const { return backend_; }
 
-  // Swaps in a different priority-queue implementation (see event_queue.h).
-  // Queue choice never changes simulation output — the (time, sequence)
-  // order is a strict total order — only wall-clock scaling. Must be called
-  // while the queue is empty (before scheduling, or after a completed run).
-  void ReplaceQueue(std::unique_ptr<EventQueue> queue);
-  EventQueueKind queue_kind() const { return queue_->kind(); }
-  std::string_view queue_name() const { return queue_->name(); }
-
   // Pops and runs the earliest event fully serially (compute half inline on
   // this thread, then commit). Returns false when no events remain. Bypasses
   // the backend: callers driving the queue by hand get serial semantics.
@@ -206,7 +198,7 @@ class EventSimulator {
   // none is attached). Returns the number of events processed.
   int64_t RunUntilIdle();
 
-  bool empty() const { return queue_->empty(); }
+  bool empty() const { return queue_.empty(); }
   int64_t num_events_processed() const { return processed_; }
   int64_t next_sequence() const { return next_sequence_; }
 
@@ -224,7 +216,7 @@ class EventSimulator {
 
   // Drops every pending event (halt path; backends must have discarded their
   // in-flight evaluations first — see ExecutionBackend::OnHalt).
-  void ClearQueue() { queue_->Clear(); }
+  void ClearQueue() { queue_.Clear(); }
 
   // --- checkpoint support --------------------------------------------------
 
@@ -301,16 +293,13 @@ class EventSimulator {
  private:
   static constexpr int kNoKey = kNoWorkerKey;
 
-  void Insert(SimEvent event);
+  void Insert(SimEvent&& event);
 
   double now_ = 0.0;
   int64_t next_sequence_ = 0;
   int64_t processed_ = 0;
   bool halt_requested_ = false;
-  // Pending events, behind the pluggable EventQueue seam. Defaults to the
-  // sorted vector (fastest at the paper's O(10) worker scale); large-N runs
-  // swap in the calendar queue via ReplaceQueue.
-  std::unique_ptr<EventQueue> queue_;
+  EventQueue queue_;  // pending events (net/event_queue.h)
   ExecutionBackend* backend_ = nullptr;
 };
 

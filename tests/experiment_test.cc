@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include "algos/registry.h"
-#include "net/event_queue.h"
 #include "net/fault_schedule.h"
 
 namespace netmax::core {
@@ -155,44 +154,6 @@ TEST(HarnessTest, HierarchicalTopologyBuildsClusteredGossipGraph) {
   EXPECT_EQ(topo.num_edges(), 13);  // two K4 clusters + one hub edge
   EXPECT_TRUE(topo.AreNeighbors(0, 4));
   EXPECT_FALSE(topo.AreNeighbors(1, 5));
-}
-
-TEST(HarnessTest, EventQueueChoiceNeverChangesResults) {
-  // A full engine run on the hierarchical topology under both queue
-  // implementations: the (time, sequence) order is a strict total order, so
-  // every result field must match bit-for-bit; only RunResult.event_queue
-  // (a diagnostic) differs.
-  ExperimentConfig config = TinyConfig();
-  config.num_workers = 8;
-  config.topology.shape = net::TopologyShape::kHierarchical;
-  config.topology.cluster_size = 4;
-  config.threads = 1;
-  std::vector<RunResult> results;
-  for (const net::EventQueueKind kind :
-       {net::EventQueueKind::kSortedVector, net::EventQueueKind::kCalendar}) {
-    config.event_queue = kind;
-    const auto algorithm = algos::MakeAlgorithm("gossip");
-    NETMAX_CHECK_OK(algorithm.status());
-    auto result = (*algorithm)->Run(config);
-    NETMAX_CHECK_OK(result.status());
-    EXPECT_EQ(result->event_queue, net::EventQueueKindName(kind));
-    results.push_back(std::move(result.value()));
-  }
-  const RunResult& want = results.front();
-  EXPECT_GT(want.loss_vs_time.size(), 0u);
-  for (size_t k = 1; k < results.size(); ++k) {
-    const RunResult& got = results[k];
-    ASSERT_EQ(got.loss_vs_time.size(), want.loss_vs_time.size());
-    for (size_t i = 0; i < want.loss_vs_time.size(); ++i) {
-      EXPECT_EQ(got.loss_vs_time[i].x, want.loss_vs_time[i].x);
-      EXPECT_EQ(got.loss_vs_time[i].y, want.loss_vs_time[i].y);
-    }
-    EXPECT_EQ(got.final_train_loss, want.final_train_loss);
-    EXPECT_EQ(got.final_accuracy, want.final_accuracy);
-    EXPECT_EQ(got.total_virtual_seconds, want.total_virtual_seconds);
-    EXPECT_EQ(got.consensus_distance, want.consensus_distance);
-    EXPECT_EQ(got.total_local_iterations, want.total_local_iterations);
-  }
 }
 
 TEST(HarnessTest, InitValidatesFaultConfig) {

@@ -3,10 +3,9 @@
 // must be bit-identical between the serial dispatch (threads=1) and the
 // pooled two-phase dispatch (threads=8), across every intra-worker shard
 // count (the gradient is defined over a fixed leaf decomposition and tree
-// reduction, ml/sharding.h), across every execution backend
-// (core/execution_backend.h), and across every event queue
-// (net/event_queue.h). This is the contract that lets the benches and golden
-// tests run at any {backend, threads, shards, event queue} point.
+// reduction, ml/sharding.h) and across every execution backend
+// (core/execution_backend.h). This is the contract that lets the benches and
+// golden tests run at any {backend, threads, shards} point.
 
 #include <string>
 #include <vector>
@@ -17,7 +16,6 @@
 #include "core/execution_backend.h"
 #include "core/experiment.h"
 #include "ml/compression.h"
-#include "net/event_queue.h"
 #include "net/fault_schedule.h"
 
 namespace netmax {
@@ -52,13 +50,11 @@ ExperimentConfig BaseConfig() {
 RunResult RunWithThreads(
     const std::string& name, const ExperimentConfig& base, int threads,
     int shards = 1,
-    ExecutionBackendKind backend = ExecutionBackendKind::kSpeculative,
-    net::EventQueueKind queue = net::EventQueueKind::kSortedVector) {
+    ExecutionBackendKind backend = ExecutionBackendKind::kSpeculative) {
   ExperimentConfig config = base;
   config.threads = threads;
   config.shards = shards;
   config.backend = backend;
-  config.event_queue = queue;
   auto algorithm = algos::MakeAlgorithm(name);
   NETMAX_CHECK_OK(algorithm.status());
   auto result = (*algorithm)->Run(config);
@@ -98,7 +94,7 @@ void ExpectBitIdentical(const RunResult& a, const RunResult& b) {
 }
 
 // Runs `config` over the acceptance grid of the execution seams — backend x
-// event queue x threads {1, 8} x shards {1, 2} — and expects the bits of its
+// threads {1, 8} x shards {1, 2} — and expects the bits of its
 // fully serial unsharded run (returned) at every point, with no inline
 // recompute. threads=1 collapses every backend to serial dispatch, kSerial
 // with a pool still shards on it, and the async window is 2x threads, so the
@@ -109,19 +105,15 @@ RunResult ExpectGridBitIdentical(const std::string& name,
   for (const ExecutionBackendKind backend :
        {ExecutionBackendKind::kSerial, ExecutionBackendKind::kSpeculative,
         ExecutionBackendKind::kAsyncPipeline}) {
-    for (const net::EventQueueKind queue :
-         {net::EventQueueKind::kSortedVector, net::EventQueueKind::kCalendar}) {
-      for (const int threads : {1, 8}) {
-        for (const int shards : {1, 2}) {
-          const RunResult run = RunWithThreads(name, config, threads, shards,
-                                               backend, queue);
-          SCOPED_TRACE(std::string("backend=") + run.backend +
-                       " queue=" + run.event_queue +
-                       " threads=" + std::to_string(threads) +
-                       " shards=" + std::to_string(shards));
-          ExpectBitIdentical(reference, run);
-          EXPECT_EQ(run.computes_recomputed, 0);
-        }
+    for (const int threads : {1, 8}) {
+      for (const int shards : {1, 2}) {
+        const RunResult run =
+            RunWithThreads(name, config, threads, shards, backend);
+        SCOPED_TRACE(std::string("backend=") + run.backend +
+                     " threads=" + std::to_string(threads) +
+                     " shards=" + std::to_string(shards));
+        ExpectBitIdentical(reference, run);
+        EXPECT_EQ(run.computes_recomputed, 0);
       }
     }
   }

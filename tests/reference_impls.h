@@ -9,7 +9,9 @@
 //  * core::reference — Algorithm 3 policy generation as one whole-matrix
 //    Eq. (14) LP per grid point (with its p <= 1 bound rows), lambda_2 read
 //    off the full JacobiEigenSymmetric decomposition, and the serial
-//    first-wins argmin (bit for bit).
+//    first-wins argmin (bit for bit);
+//  * net::reference — the sorted-vector event queue the golden traces were
+//    generated under, the pop-order oracle for net::EventQueue.
 // Not built into any library: production code must never call these.
 
 #include <algorithm>
@@ -31,6 +33,7 @@
 #include "ml/dataset.h"
 #include "ml/linear_model.h"
 #include "ml/mlp.h"
+#include "net/event_queue.h"
 
 namespace netmax::ml::reference {
 
@@ -503,5 +506,44 @@ inline StatusOr<GeneratedPolicy> Generate(
 }
 
 }  // namespace netmax::core::reference
+
+namespace netmax::net::reference {
+
+// A vector sorted by descending (time, sequence), next event at the back:
+// O(1) pop, O(n) shifting insert. Same interface as net::EventQueue.
+class SortedVectorEventQueue {
+ public:
+  void Push(SimEvent&& event) {
+    const auto position = std::upper_bound(
+        queue_.begin(), queue_.end(), event,
+        [](const SimEvent& a, const SimEvent& b) {
+          return b.DispatchesBefore(a);
+        });
+    queue_.insert(position, std::move(event));
+  }
+
+  SimEvent PopNext() {
+    SimEvent event = std::move(queue_.back());
+    queue_.pop_back();
+    return event;
+  }
+
+  double NextTime() const { return queue_.back().time; }
+  int64_t size() const { return static_cast<int64_t>(queue_.size()); }
+  bool empty() const { return queue_.empty(); }
+
+  void VisitInOrder(int64_t max_visit, const EventQueue::Visitor& visit) const {
+    int64_t visited = 0;
+    for (auto it = queue_.rbegin(); it != queue_.rend() && visited < max_visit;
+         ++it, ++visited) {
+      if (visit(*it) == EventQueue::VisitAction::kStop) return;
+    }
+  }
+
+ private:
+  std::vector<SimEvent> queue_;
+};
+
+}  // namespace netmax::net::reference
 
 #endif  // NETMAX_TESTS_REFERENCE_IMPLS_H_

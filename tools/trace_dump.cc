@@ -12,9 +12,8 @@
 //   trace_dump --list          print registered algorithm names, one per line
 //   trace_dump <algorithm>     print the canonical trace on stdout
 //
-// NETMAX_THREADS=N, NETMAX_BACKEND=serial|speculative|async and
-// NETMAX_EVENT_QUEUE=vector|calendar pick the execution point; the trace
-// bytes must not depend on it.
+// NETMAX_THREADS=N and NETMAX_BACKEND=serial|speculative|async pick the
+// execution point; the trace bytes must not depend on it.
 //
 // Fault variants: "<algorithm>+faults-wait" and "<algorithm>+faults-timeout"
 // run the same pinned experiment under the pinned fault schedule below with
@@ -44,7 +43,6 @@
 #include "core/experiment.h"
 #include "ml/compression.h"
 #include "ml/metrics.h"
-#include "net/event_queue.h"
 #include "net/fault_schedule.h"
 
 namespace netmax {
@@ -128,15 +126,11 @@ Status DumpTrace(const std::string& request) {
     compress_spec = kLayerwiseSpec;
   }
   core::ExperimentConfig config = GoldenConfig();
-  // NETMAX_EVENT_QUEUE, NETMAX_THREADS and NETMAX_BACKEND select the
-  // execution point without perturbing the pinned config: every queue,
-  // thread count and backend must reproduce the same trace bytes, which is
-  // exactly what CI's golden-trace gates check. The pinned threads = 1 runs
-  // serially; NETMAX_THREADS > 1 runs the backend (default speculative).
-  if (const char* queue_env = std::getenv("NETMAX_EVENT_QUEUE")) {
-    NETMAX_ASSIGN_OR_RETURN(config.event_queue,
-                            net::ParseEventQueueKind(queue_env));
-  }
+  // NETMAX_THREADS and NETMAX_BACKEND select the execution point without
+  // perturbing the pinned config: every thread count and backend must
+  // reproduce the same trace bytes, which is exactly what CI's golden-trace
+  // gates check. The pinned threads = 1 runs serially; NETMAX_THREADS > 1
+  // runs the backend (default speculative).
   if (const char* threads_env = std::getenv("NETMAX_THREADS")) {
     NETMAX_ASSIGN_OR_RETURN(config.threads, ParseNonNegativeInt(threads_env));
   }
