@@ -1,16 +1,13 @@
 // Scaling headroom demo for the parallel simulation runtime: a 32-worker
 // heterogeneous-dynamic scenario (8 servers, dynamic slow links) training a
 // wider MLP than the paper-scale benches. Each algorithm runs the identical
-// experiment through all three execution backends — serial dispatch
-// (threads=1), the pooled speculative frontier dispatch with intra-worker
-// gradient sharding, and the async bounded-reorder commit pipeline — and the
-// bench reports real wall-clock for all three plus the speculation /
-// re-dispatch / window-health counters, after verifying the runs are
-// bit-identical. Virtual-time results never depend on the backend, thread,
-// or shard choice; only the real seconds columns do (expect ~1x on a
-// single-core machine; on real multi-core hardware the pooled backends scale
-// with cores, and the async pipeline additionally stops paying the frontier
-// barrier when per-worker compute times diverge).
+// experiment twice — serial dispatch (threads=1), and the pooled speculative
+// frontier dispatch with intra-worker gradient sharding — and the bench
+// reports real wall-clock for both plus the speculation / re-dispatch
+// counters, after verifying the runs are bit-identical. Virtual-time results
+// never depend on the backend, thread, or shard choice; only the real
+// seconds columns do (expect ~1x on a single-core machine; on real
+// multi-core hardware the pooled leg scales with cores).
 
 #include <algorithm>
 #include <chrono>
@@ -23,7 +20,6 @@
 #include "bench/bench_util.h"
 #include "common/logging.h"
 #include "common/table.h"
-#include "core/execution_backend.h"
 
 namespace netmax {
 namespace {
@@ -81,11 +77,10 @@ Status Run() {
   core::ExperimentConfig config = Scale32Config();
   bench::MaybeApplySmoke(config);
   // --threads=N pins the pooled legs; otherwise one thread per hardware
-  // core, floored at 2 so the pooled backends are exercised (and measured
-  // honestly) even on a single-core machine. The async leg's window is 2x
-  // that thread budget (the harness's fixed choice). --shards=N pins both
-  // pooled legs' shard bound (default 4 = the leaf count of the batch-32
-  // scenario, the maximum nested parallelism available per worker).
+  // core, floored at 2 so the pooled dispatch is exercised (and measured
+  // honestly) even on a single-core machine. --shards=N pins the pooled
+  // leg's shard bound (default 4 = the leaf count of the batch-32 scenario,
+  // the maximum nested parallelism available per worker).
   const unsigned hw = std::thread::hardware_concurrency();
   const int parallel_threads = bench::ThreadsOverride() > 0
                                    ? bench::ThreadsOverride()
@@ -96,9 +91,8 @@ Status Run() {
       bench::ShardsOverride() >= 0 ? bench::ShardsOverride() : 4;
 
   TablePrinter table({"algorithm", "virtual_s", "serial_wall_s",
-                      "speculative_wall_s", "async_wall_s", "spec_speedup",
-                      "async_speedup", "speculated", "redispatched", "stalls",
-                      "backpressure"});
+                      "speculative_wall_s", "spec_speedup", "speculated",
+                      "redispatched"});
   for (const std::string name : {"netmax", "adpsgd", "allreduce", "gossip"}) {
     NETMAX_ASSIGN_OR_RETURN(
         const TimedRun serial,
@@ -108,29 +102,20 @@ Status Run() {
         const TimedRun speculative,
         RunWith(name, config, parallel_threads, sharded_shards,
                 core::ExecutionBackendKind::kSpeculative));
-    NETMAX_ASSIGN_OR_RETURN(
-        const TimedRun async,
-        RunWith(name, config, parallel_threads, sharded_shards,
-                core::ExecutionBackendKind::kAsyncPipeline));
     CheckBitIdentical(name, serial.result, speculative.result);
-    CheckBitIdentical(name, serial.result, async.result);
-    const auto speedup = [&serial](double wall) {
-      return wall > 0.0 ? serial.wall_seconds / wall : 0.0;
-    };
-    table.AddRow(
-        {serial.result.algorithm,
-         Fmt(serial.result.total_virtual_seconds, 1),
-         Fmt(serial.wall_seconds, 3), Fmt(speculative.wall_seconds, 3),
-         Fmt(async.wall_seconds, 3), Fmt(speedup(speculative.wall_seconds), 2),
-         Fmt(speedup(async.wall_seconds), 2),
-         std::to_string(async.result.computes_speculated),
-         std::to_string(async.result.computes_redispatched),
-         std::to_string(async.result.window_stalls),
-         std::to_string(async.result.window_backpressure)});
+    const double speedup = speculative.wall_seconds > 0.0
+                               ? serial.wall_seconds / speculative.wall_seconds
+                               : 0.0;
+    table.AddRow({serial.result.algorithm,
+                  Fmt(serial.result.total_virtual_seconds, 1),
+                  Fmt(serial.wall_seconds, 3),
+                  Fmt(speculative.wall_seconds, 3), Fmt(speedup, 2),
+                  std::to_string(speculative.result.computes_speculated),
+                  std::to_string(speculative.result.computes_redispatched)});
   }
   std::cout << "\n== Scale-32 parallel runtime (32 workers, hidden=96; "
-               "serial vs speculative+sharded vs async reorder-window "
-               "backends; results verified bit-identical) ==\n";
+               "serial vs speculative+sharded dispatch; results verified "
+               "bit-identical) ==\n";
   table.Print(std::cout);
   table.PrintCsv(std::cout, "Scale-32 parallel runtime");
   return Status::Ok();

@@ -9,8 +9,8 @@
 //     fixed wall-clock budget per cell.
 //  2. Backend matrix — one real training experiment per execution backend,
 //     wall clock measured and results verified bit-identical across the
-//     three runs (the backend is a real-machine choice only; virtual results
-//     never move). The pooled backends run on one thread per hardware core
+//     two runs (the backend is a real-machine choice only; virtual results
+//     never move). Speculative dispatch runs on one thread per hardware core
 //     (at least 2, or --threads=N); serial dispatch runs on one.
 //  3. Hierarchical gossip at scale — 10^5+ workers on the
 //     clusters-of-clusters topology with the O(1)-memory hierarchical link
@@ -40,7 +40,6 @@
 #include "common/logging.h"
 #include "common/random.h"
 #include "common/table.h"
-#include "core/execution_backend.h"
 #include "core/experiment.h"
 #include "net/cluster.h"
 #include "net/event_sim.h"
@@ -145,12 +144,11 @@ StatusOr<std::vector<MatrixCell>> RunBackendMatrix(std::ostream& os) {
   std::vector<MatrixCell> cells;
   const core::RunResult* reference = nullptr;
   std::vector<core::RunResult> results;
-  results.reserve(3);
+  results.reserve(2);
   TablePrinter table({"backend", "wall_s", "virtual_s", "identical"});
   for (const core::ExecutionBackendKind backend :
        {core::ExecutionBackendKind::kSerial,
-        core::ExecutionBackendKind::kSpeculative,
-        core::ExecutionBackendKind::kAsyncPipeline}) {
+        core::ExecutionBackendKind::kSpeculative}) {
     core::ExperimentConfig cell_config = config;
     cell_config.backend = backend;
     cell_config.threads = backend == core::ExecutionBackendKind::kSerial
@@ -174,7 +172,7 @@ StatusOr<std::vector<MatrixCell>> RunBackendMatrix(std::ostream& os) {
     table.AddRow({std::string(run.backend), Fmt(wall, 3),
                   Fmt(run.total_virtual_seconds, 1), "yes"});
   }
-  os << "\n== Backend matrix (netmax, 8 workers; all three runs verified "
+  os << "\n== Backend matrix (netmax, 8 workers; both runs verified "
         "bit-identical) ==\n";
   table.Print(os);
   table.PrintCsv(os, "Backend matrix");

@@ -71,8 +71,8 @@ void PrintUsage(std::ostream& os, const char* binary) {
         "core, 1 = serial; results are bit-identical)\n"
      << "  --shards=N           intra-worker gradient shard tasks (0 = auto "
         "from the thread budget; results are bit-identical)\n"
-     << "  --backend=K          execution backend: serial | speculative | "
-        "async (results are bit-identical)\n"
+     << "  --backend=K          execution backend: serial | speculative "
+        "(results are bit-identical)\n"
      << "  --checkpoint-at=S    write a checkpoint S virtual seconds into "
         "every run (requires --checkpoint-path)\n"
      << "  --checkpoint-path=P  checkpoint file prefix; each run writes "
@@ -128,7 +128,7 @@ StatusOr<core::ExecutionBackendKind> ParseBackend(const std::string& flag_text,
   core::ExecutionBackendKind kind;
   if (!core::ParseExecutionBackendKind(value, &kind)) {
     return InvalidArgumentError("bad flag value: " + flag_text +
-                                " (expected serial, speculative, or async)");
+                                " (expected serial|speculative)");
   }
   return kind;
 }
@@ -624,14 +624,11 @@ void PrintSpeedups(std::ostream& os, const std::string& title,
   // equal-work ratio is the stable equivalent on these shortened runs, where
   // a single curve crossing can swing threshold-based readings.
   const double threshold = CommonLossThreshold(results);
-  const double ref_loss_time =
-      ConvergenceSeconds(results.back().result, threshold);
   const double ref_total = results.back().result.total_virtual_seconds;
   TablePrinter table({"algorithm", "time_to_loss_s", "total_time_s",
                       "netmax_speedup"});
   for (const NamedResult& entry : results) {
     const double seconds = ConvergenceSeconds(entry.result, threshold);
-    (void)ref_loss_time;
     table.AddRow({entry.name, Fmt(seconds, 1),
                   Fmt(entry.result.total_virtual_seconds, 1),
                   Fmt(ref_total > 0.0
@@ -687,8 +684,7 @@ void PrintExecutionDiagnostics(std::ostream& os,
   }
   std::vector<std::string> header = {"run",          "backend",
                                      "batches",      "speculated",
-                                     "redispatched", "recomputed",
-                                     "stalls",       "backpressure"};
+                                     "redispatched", "recomputed"};
   if (any_faults) {
     header.insert(header.end(), {"faults", "degraded", "timeouts"});
   }
@@ -703,9 +699,7 @@ void PrintExecutionDiagnostics(std::ostream& os,
                                     std::to_string(r.parallel_batches),
                                     std::to_string(r.computes_speculated),
                                     std::to_string(r.computes_redispatched),
-                                    std::to_string(r.computes_recomputed),
-                                    std::to_string(r.window_stalls),
-                                    std::to_string(r.window_backpressure)};
+                                    std::to_string(r.computes_recomputed)};
     if (any_faults) {
       row.insert(row.end(), {std::to_string(r.faults_injected),
                              std::to_string(r.rounds_degraded),

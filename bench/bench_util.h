@@ -34,9 +34,9 @@ namespace netmax::bench {
 //                        ExperimentConfig::shards; 0 = auto from the per-run
 //                        thread budget, results are bit-identical for any
 //                        value).
-//   --backend=K          execution backend: serial | speculative | async
+//   --backend=K          execution backend: serial | speculative
 //                        (overrides ExperimentConfig::backend; results are
-//                        bit-identical for every backend).
+//                        bit-identical for both).
 //   --checkpoint-at=S    arm a checkpoint S virtual seconds into every run
 //                        (overrides ExperimentConfig::checkpoint_at_seconds;
 //                        pair with --checkpoint-path).
@@ -109,7 +109,7 @@ int ThreadsOverride();
 
 // The --shards/NETMAX_SHARDS override, or -1 when unset.
 // (The --backend override has no accessor: benches that run experiments by
-// hand pin their backends per leg — bench_scale32 compares all three — and
+// hand pin their backends per leg — bench_scale32 compares both — and
 // RunAlgorithms/RunConfigs apply the override internally.)
 int ShardsOverride();
 
@@ -177,13 +177,12 @@ void PrintSpeedups(std::ostream& os, const std::string& title,
 void PrintEpochCostSplit(std::ostream& os, const std::string& title,
                          const std::vector<NamedResult>& results);
 
-// Prints the execution-backend health table for `results`: backend, frontier
-// or window batches, speculated / re-dispatched / inline-recomputed compute
-// halves, and the async window's stall/backpressure counters. When any run
-// reports fault activity (faults_injected, rounds_degraded,
-// peers_timed_out), three extra columns carry those counters; fault-free
-// batches suppress the all-zero columns so their stderr table keeps the
-// exact pre-fault shape. Likewise, when any run
+// Prints the execution-backend health table for `results`: backend,
+// frontier batches, and speculated / re-dispatched / inline-recomputed
+// compute halves. When any run reports fault activity (faults_injected,
+// rounds_degraded, peers_timed_out), three extra columns carry those
+// counters; fault-free batches suppress the all-zero columns so their
+// stderr table keeps the exact pre-fault shape. Likewise, when any run
 // compressed its gradients (bytes_saved != 0), three extra columns report
 // messages / bytes_sent / bytes_saved; uncompressed batches suppress them so
 // existing benches' stderr tables are unchanged. RunAlgorithms and

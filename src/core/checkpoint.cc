@@ -1,6 +1,7 @@
 #include "core/checkpoint.h"
 
 #include <array>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <utility>
@@ -112,6 +113,26 @@ void SaveSeries(Serializer& out, const ml::Series& series) {
   }
 }
 
+// A worker index from a checkpointed event's args: an integral value in
+// [0, num_workers). Checked on the double, before any narrowing cast.
+StatusOr<int> WorkerArg(double value, int num_workers, const char* what) {
+  if (!(value >= 0.0 && value < num_workers && value == std::floor(value))) {
+    return InvalidArgumentError(std::string(what) + " names worker " +
+                                std::to_string(value) + ", outside [0, " +
+                                std::to_string(num_workers) + ")");
+  }
+  return static_cast<int>(value);
+}
+
+// A slowdown factor from a checkpointed event's args: finite and > 0.
+Status CheckFactor(double factor, const char* what) {
+  if (!std::isfinite(factor) || factor <= 0.0) {
+    return InvalidArgumentError(std::string(what) +
+                                " has a non-finite or non-positive factor");
+  }
+  return Status::Ok();
+}
+
 Status LoadSeries(Deserializer& in, ml::Series* series) {
   NETMAX_ASSIGN_OR_RETURN(const uint64_t size, in.ReadU64());
   if (size * 16 > in.remaining()) {
@@ -200,17 +221,32 @@ StatusOr<net::RebuiltEvent> ExperimentHarness::BuildHarnessEvent(
       if (args.size() != 4) {
         return InvalidArgumentError("harness fault event needs 4 args");
       }
-      const int kind_index = static_cast<int>(args[0]);
-      if (kind_index < 0 ||
-          kind_index > static_cast<int>(net::FaultKind::kSlowdown)) {
+      if (!(args[0] >= 0.0 &&
+            args[0] <= static_cast<double>(net::FaultKind::kSlowdown) &&
+            args[0] == std::floor(args[0]))) {
         return InvalidArgumentError("harness fault event has an unknown kind");
       }
       net::FaultEvent fault;
       fault.time = saved.time;
-      fault.kind = static_cast<net::FaultKind>(kind_index);
-      fault.worker = static_cast<int>(args[1]);
+      fault.kind = static_cast<net::FaultKind>(static_cast<int>(args[0]));
+      // A crash names no worker (-1); every other kind indexes per-worker
+      // state when it fires.
+      if (fault.kind != net::FaultKind::kCrash) {
+        NETMAX_ASSIGN_OR_RETURN(
+            fault.worker,
+            WorkerArg(args[1], config_.num_workers, "harness fault event"));
+      }
       fault.factor = args[2];
       fault.duration = args[3];
+      // Only a slowdown reads its factor and duration.
+      if (fault.kind == net::FaultKind::kSlowdown) {
+        NETMAX_RETURN_IF_ERROR(
+            CheckFactor(fault.factor, "harness slowdown fault event"));
+        if (!std::isfinite(fault.duration) || fault.duration < 0.0) {
+          return InvalidArgumentError("harness slowdown fault event has a "
+                                      "non-finite or negative duration");
+        }
+      }
       rebuilt.plain = [this, fault] { ApplyFault(fault); };
       return rebuilt;
     }
@@ -218,8 +254,13 @@ StatusOr<net::RebuiltEvent> ExperimentHarness::BuildHarnessEvent(
       if (args.size() != 2) {
         return InvalidArgumentError("harness slowdown-end event needs 2 args");
       }
-      const int worker = static_cast<int>(args[0]);
+      NETMAX_ASSIGN_OR_RETURN(
+          const int worker,
+          WorkerArg(args[0], config_.num_workers,
+                    "harness slowdown-end event"));
       const double factor = args[1];
+      NETMAX_RETURN_IF_ERROR(
+          CheckFactor(factor, "harness slowdown-end event"));
       rebuilt.plain = [this, worker, factor] { EndSlowdown(worker, factor); };
       return rebuilt;
     }
@@ -258,7 +299,7 @@ StatusOr<std::vector<uint8_t>> ExperimentHarness::SerializeCheckpoint(
   NETMAX_CHECK(save_engine != nullptr)
       << "checkpoint armed without an engine saver";
   // Quiesce: invalidate every speculated compute evaluation so all state
-  // below is at its committed value. The backend re-dispatches the
+  // below is at its committed value. The simulator re-dispatches the
   // invalidated evaluations after this handler returns; compute halves are
   // pure, so the re-evaluations reproduce the same bits and the run
   // continues unperturbed.
@@ -560,6 +601,15 @@ Status ExperimentHarness::RestoreWorker(Deserializer& in,
   NETMAX_RETURN_IF_ERROR(worker.lr_schedule->RestoreState(in));
   NETMAX_RETURN_IF_ERROR(in.ReadDoubleSpan(worker.gradient));
   NETMAX_RETURN_IF_ERROR(in.ReadIntVec(&worker.batch_indices));
+  // A pending compute half reads the shard at these indices.
+  for (const int index : worker.batch_indices) {
+    if (index < 0 || index >= worker.shard.size()) {
+      return InvalidArgumentError(
+          "checkpointed batch index " + std::to_string(index) +
+          " is outside worker " + std::to_string(worker.id) + "'s shard of " +
+          std::to_string(worker.shard.size()));
+    }
+  }
   NETMAX_ASSIGN_OR_RETURN(worker.epoch_loss_sum, in.ReadDouble());
   NETMAX_ASSIGN_OR_RETURN(worker.epoch_batches, in.ReadI64());
   NETMAX_ASSIGN_OR_RETURN(worker.epochs_completed, in.ReadI64());

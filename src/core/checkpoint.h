@@ -8,8 +8,8 @@
 // event queue (as tagged, reified descriptions — see net::EventPayload), the
 // simulator clock and sequence counter, the harness's recorded series, and an
 // engine-specific state blob. Restoring the checkpoint and finishing the run
-// produces a RunResult bit-identical to the uninterrupted run, on any
-// execution backend.
+// produces a RunResult bit-identical to the uninterrupted run, under serial
+// or speculative dispatch at any thread count.
 //
 // Two properties make that work:
 //  * Quiesce-before-save: the checkpoint event runs on the simulator thread

@@ -107,8 +107,8 @@ class Engine {
 
 // The synchronous round loop of Allreduce and PS-sync. A round picks its
 // membership, samples one batch per member, and schedules every member's
-// gradient as a compute event at the current time, so a backend evaluates
-// the whole round concurrently. The commits run in membership order; the
+// gradient as a compute event at the current time, so pooled dispatch
+// evaluates the whole round concurrently. The commits run in membership order; the
 // last one calls Reduce, which returns the time the next round starts.
 //
 // Membership under faults: kWait blocks the round on any dead worker and

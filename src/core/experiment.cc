@@ -61,6 +61,29 @@ std::string_view PeerPolicyName(PeerPolicy policy) {
   return "unknown";
 }
 
+bool ParseExecutionBackendKind(std::string_view text,
+                               ExecutionBackendKind* kind) {
+  if (text == "serial") {
+    *kind = ExecutionBackendKind::kSerial;
+    return true;
+  }
+  if (text == "speculative") {
+    *kind = ExecutionBackendKind::kSpeculative;
+    return true;
+  }
+  return false;
+}
+
+std::string_view ExecutionBackendKindName(ExecutionBackendKind kind) {
+  switch (kind) {
+    case ExecutionBackendKind::kSerial:
+      return "serial";
+    case ExecutionBackendKind::kSpeculative:
+      return "speculative";
+  }
+  return "unknown";
+}
+
 Status ExperimentConfig::Validate() const {
   if (num_workers < 2) {
     return InvalidArgumentError("need at least 2 workers");
@@ -162,12 +185,13 @@ Status ExperimentHarness::Init() {
     threads_ = hw == 0 ? 1 : static_cast<int>(hw);
   }
   if (threads_ > 1) pool_ = std::make_unique<ThreadPool>(threads_ - 1);
-  // Execution backend: how compute halves overlap the ordered commit drain.
-  // Serial dispatch (kSerial, or no pool) attaches none — the pool, if any,
+  // Speculative dispatch overlaps compute halves on the pool; serial
+  // dispatch (kSerial, or no pool) runs them inline — the pool, if any,
   // still serves the policy generator and leaf sharding. Either way the
-  // result bits are identical (core/execution_backend.h).
-  backend_ = MakeExecutionBackend(config_.backend, pool_.get());
-  sim_.set_backend(backend_.get());
+  // result bits are identical (net/event_sim.h).
+  sim_.set_pool(config_.backend == ExecutionBackendKind::kSpeculative
+                    ? pool_.get()
+                    : nullptr);
   // Intra-worker sharding bound: auto (0) shards only the cores left over
   // after the distinct-worker frontier has one thread per worker, so
   // paper-scale runs (workers >= cores) stay unsharded while wide-model
@@ -554,15 +578,13 @@ RunResult ExperimentHarness::Finalize() {
   result.accuracy_vs_time = accuracy_vs_time_;
   result.total_virtual_seconds = sim_.Now();
   result.policies_generated = policies_generated_;
-  result.backend =
-      backend_ != nullptr ? std::string(backend_->name()) : "serial";
-  const net::ExecutionStats stats = sim_.execution_stats();
+  result.backend = ExecutionBackendKindName(
+      pool_ != nullptr ? config_.backend : ExecutionBackendKind::kSerial);
+  const net::ExecutionStats& stats = sim_.execution_stats();
   result.parallel_batches = stats.parallel_batches;
   result.computes_speculated = stats.computes_speculated;
   result.computes_redispatched = stats.computes_redispatched;
   result.computes_recomputed = stats.computes_recomputed;
-  result.window_stalls = stats.window_stalls;
-  result.window_backpressure = stats.window_backpressure;
   result.faults_injected = faults_injected_;
   result.rounds_degraded = rounds_degraded_;
   result.peers_timed_out = peers_timed_out_;

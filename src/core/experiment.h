@@ -16,13 +16,13 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/random.h"
 #include "common/serialize.h"
 #include "common/status.h"
 #include "common/thread_pool.h"
-#include "core/execution_backend.h"
 #include "core/policy_generator.h"
 #include "ml/compression.h"
 #include "ml/dataset.h"
@@ -60,6 +60,22 @@ bool ParsePeerPolicy(std::string_view text, PeerPolicy* policy);
 
 // The flag spelling of `policy` (inverse of ParsePeerPolicy).
 std::string_view PeerPolicyName(PeerPolicy policy);
+
+// How the simulator dispatches compute halves when the run has a pool
+// (net/event_sim.h). Both dispatches give bit-identical results.
+enum class ExecutionBackendKind {
+  kSerial,       // every event inline at its turn; the pool, if any, still
+                 // serves leaf sharding and the policy generator
+  kSpeculative,  // default: frontier speculation on the pool + re-dispatch
+};
+
+// Strict parse of a --backend / NETMAX_BACKEND value ("serial",
+// "speculative"); returns false on anything else, leaving *kind untouched.
+bool ParseExecutionBackendKind(std::string_view text,
+                               ExecutionBackendKind* kind);
+
+// The flag spelling of `kind` (inverse of ParseExecutionBackendKind).
+std::string_view ExecutionBackendKindName(ExecutionBackendKind kind);
 
 // --- harness-owned event tags ----------------------------------------------
 // Engines tag their events with small non-negative ints; the harness claims
@@ -176,12 +192,10 @@ struct ExperimentConfig {
   // and tree reduction (ml/sharding.h), so RunResult is bit-identical across
   // the whole {threads, shards} grid.
   int shards = 0;
-  // Execution backend for the simulator's compute halves
-  // (core/execution_backend.h): serial dispatch, frontier speculation with a
-  // barrier (default, today's engine), or the async bounded-reorder commit
-  // pipeline with a window of 2x threads. With threads <= 1 there is no pool
-  // and every kind degrades to serial. Like threads/shards, purely an
-  // execution choice — RunResult is bit-identical for every backend.
+  // How the simulator dispatches compute halves (ExecutionBackendKind
+  // above): serial, or frontier speculation on the pool (default). With
+  // threads <= 1 there is no pool and both are serial. Like threads/shards,
+  // purely an execution choice — RunResult is bit-identical for both.
   ExecutionBackendKind backend = ExecutionBackendKind::kSpeculative;
   // Read by nothing in src/: the simulator has one queue
   // (net/event_queue.h). Kept only because perfbench's queue probe builds
@@ -275,21 +289,18 @@ struct RunResult {
   double consensus_distance = 0.0;
   // NetMax diagnostics: number of policies the monitor produced.
   int64_t policies_generated = 0;
-  // Execution-backend diagnostics (all zero on the serial path; excluded
-  // from the bit-identity contract, which covers simulation outputs only):
-  // the backend that ran the simulation ("serial" when none was attached),
-  // frontier/window batches dispatched, compute halves evaluated ahead of
-  // their turn, invalidated evaluations re-dispatched onto the pool, the
-  // defensive inline recomputes (expected zero), and the async pipeline's
-  // head-of-window stalls and full-window backpressure events (stalls are
-  // real-timing dependent; the other counters are deterministic per config).
+  // Dispatch diagnostics (all zero on the serial path; excluded from the
+  // bit-identity contract, which covers simulation outputs only, though each
+  // is deterministic per config): the dispatch that ran the simulation
+  // ("speculative", or "serial" without a pool or under kSerial), frontiers
+  // dispatched, compute halves evaluated ahead of their turn, invalidated
+  // evaluations re-dispatched onto the pool, and the defensive inline
+  // recomputes (expected zero).
   std::string backend;
   int64_t parallel_batches = 0;
   int64_t computes_speculated = 0;
   int64_t computes_redispatched = 0;
   int64_t computes_recomputed = 0;
-  int64_t window_stalls = 0;
-  int64_t window_backpressure = 0;
   // Fault-injection diagnostics (all zero on fault-free runs; part of the
   // simulation output, so bit-identical across backends/threads/shards):
   // lifecycle events applied, rounds that degraded because a peer was dead
@@ -625,11 +636,6 @@ class ExperimentHarness {
   int threads_ = 1;
   int shards_ = 1;
   std::unique_ptr<ThreadPool> pool_;  // created by Init when threads_ > 1
-  // Execution strategy for sim_'s compute halves; null for serial dispatch.
-  // Owned here, borrowed by the simulator (declared before sim_ only for
-  // grouping — the simulator never touches the backend after RunUntilIdle
-  // returns).
-  std::unique_ptr<net::ExecutionBackend> backend_;
   net::EventSimulator sim_;
   std::unique_ptr<net::Topology> topology_;
   std::unique_ptr<net::LinkModel> links_;

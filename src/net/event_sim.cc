@@ -4,7 +4,24 @@
 #include <string>
 #include <utility>
 
+#include "common/thread_pool.h"
+
 namespace netmax::net {
+namespace {
+
+// Dispatch scan bound: how many queue entries a frontier scan examines
+// (plain events count toward the cap). Bounds the cost of skipping over
+// plain events.
+constexpr int64_t kMaxScannedEvents = 256;
+
+// Frontier bound: scales with the pool so the ordered drain (serial) phase
+// stays short relative to the compute phase. The RunUntilIdle caller
+// participates in the compute barrier, hence +1.
+int64_t FrontierCap(const ThreadPool& pool) {
+  return 4 * (static_cast<int64_t>(pool.num_threads()) + 1);
+}
+
+}  // namespace
 
 void EventSimulator::Insert(SimEvent&& event) {
   NETMAX_CHECK_GE(event.time, now_) << "cannot schedule into the past";
@@ -38,13 +55,6 @@ void EventSimulator::ScheduleCompute(double time, int worker_key,
   Insert(std::move(event));
 }
 
-void EventSimulator::ScheduleComputeAfter(double delay, int worker_key,
-                                          ComputeFn compute, CommitFn commit) {
-  NETMAX_CHECK_GE(delay, 0.0);
-  ScheduleCompute(now_ + delay, worker_key, std::move(compute),
-                  std::move(commit));
-}
-
 void EventSimulator::ScheduleAt(double time, EventPayload payload,
                                 Callback callback) {
   NETMAX_CHECK(callback != nullptr);
@@ -54,12 +64,6 @@ void EventSimulator::ScheduleAt(double time, EventPayload payload,
   event.plain = std::move(callback);
   event.payload = std::move(payload);
   Insert(std::move(event));
-}
-
-void EventSimulator::ScheduleAfter(double delay, EventPayload payload,
-                                   Callback callback) {
-  NETMAX_CHECK_GE(delay, 0.0);
-  ScheduleAt(now_ + delay, std::move(payload), std::move(callback));
 }
 
 void EventSimulator::ScheduleCompute(double time, int worker_key,
@@ -78,64 +82,18 @@ void EventSimulator::ScheduleCompute(double time, int worker_key,
   Insert(std::move(event));
 }
 
-void EventSimulator::ScheduleComputeAfter(double delay, int worker_key,
-                                          EventPayload payload,
-                                          ComputeFn compute, CommitFn commit) {
-  NETMAX_CHECK_GE(delay, 0.0);
-  ScheduleCompute(now_ + delay, worker_key, std::move(payload),
-                  std::move(compute), std::move(commit));
-}
-
-void EventSimulator::NotifyStateWrite(int worker_key) {
-  if (backend_ != nullptr) backend_->OnStateWrite(*this, worker_key);
-}
-
-ExecutionStats EventSimulator::execution_stats() const {
-  return backend_ != nullptr ? backend_->stats() : ExecutionStats{};
-}
-
-void EventSimulator::ScanPendingComputes(
-    int64_t max_scan,
-    const std::function<ScanAction(const PendingComputeView&)>& visit) const {
-  queue_.VisitInOrder(max_scan, [&visit](const SimEvent& event) {
-    if (event.compute == nullptr) return EventQueue::VisitAction::kContinue;
-    const PendingComputeView view{event.time, event.sequence,
-                                  event.worker_key, event.compute};
-    return visit(view) == ScanAction::kStop
-               ? EventQueue::VisitAction::kStop
-               : EventQueue::VisitAction::kContinue;
-  });
-}
-
-bool EventSimulator::StepWith(const SpeculationProvider& provider) {
+bool EventSimulator::Step() {
   if (queue_.empty()) return false;
   // Pop by value so the handlers may schedule new events.
   SimEvent event = queue_.PopNext();
   now_ = event.time;
   ++processed_;
   if (event.compute != nullptr) {
-    double value;
-    if (provider == nullptr ||
-        !provider(event.sequence, event.worker_key, &value)) {
-      value = event.compute();
-    }
-    event.commit(value);
+    event.commit(event.compute());
   } else {
     event.plain();
   }
   return true;
-}
-
-bool EventSimulator::Step() { return StepWith(nullptr); }
-
-int64_t EventSimulator::RunUntil(double time_limit) {
-  int64_t count = 0;
-  while (!queue_.empty() && queue_.NextTime() <= time_limit) {
-    Step();
-    ++count;
-  }
-  if (now_ < time_limit) now_ = time_limit;
-  return count;
 }
 
 StatusOr<std::vector<SavedEvent>> EventSimulator::SaveQueue() const {
@@ -241,29 +199,166 @@ void EventSimulator::RestoreClock(double now, int64_t next_sequence,
 }
 
 int64_t EventSimulator::RunUntilIdle() {
-  if (backend_ != nullptr) return backend_->RunUntilIdle(*this);
   int64_t count = 0;
-  while (!halt_requested_ && Step()) ++count;
-  if (halt_requested_) queue_.Clear();
+  while (!halt_requested_ && !queue_.empty()) {
+    if (pool_ != nullptr && uncommitted_ == 0) Dispatch();
+    SimEvent event = queue_.PopNext();
+    now_ = event.time;
+    ++processed_;
+    if (event.compute != nullptr) {
+      event.commit(ComputeValue(event));
+    } else {
+      event.plain();
+    }
+    // Handlers queue invalidated speculations; the second pass starts here,
+    // after the handler's writes are complete.
+    FlushRedispatches();
+    ++count;
+  }
+  if (halt_requested_) {
+    // Crash fault: discard pooled evaluations (waiting their tasks out),
+    // then drop the pending queue. Everything already committed stays;
+    // nothing else runs.
+    DiscardFrontier();
+    queue_.Clear();
+  }
+  NETMAX_CHECK_EQ(uncommitted_, 0) << "speculated event vanished from queue";
   return count;
 }
 
-int64_t ExecutionBackend::RunUntilIdle(EventSimulator& sim) {
-  int64_t count = 0;
-  while (!sim.halt_requested() && !sim.empty()) {
-    Dispatch(sim);
-    count += DrainCommits(sim);
+// --- pooled dispatch --------------------------------------------------------
+
+void EventSimulator::Dispatch() {
+  // Frontier scan: the longest prefix of compute events with pairwise-
+  // distinct worker keys. Plain events are skipped, not barriers: they run at
+  // their exact position during the drain, and any state they write is
+  // covered by NotifyStateWrite invalidation. A duplicate key ends the scan
+  // so no two speculations ever target the same state partition.
+  frontier_.clear();
+  const size_t cap = static_cast<size_t>(FrontierCap(*pool_));
+  queue_.VisitInOrder(kMaxScannedEvents, [this, cap](const SimEvent& event) {
+    if (event.compute == nullptr) return EventQueue::VisitAction::kContinue;
+    if (frontier_.size() >= cap ||
+        FindSpeculation(event.worker_key) != nullptr) {
+      return EventQueue::VisitAction::kStop;
+    }
+    Speculation& speculation = frontier_.emplace_back();
+    speculation.sequence = event.sequence;
+    speculation.time = event.time;
+    speculation.worker_key = event.worker_key;
+    speculation.compute = event.compute;
+    return EventQueue::VisitAction::kContinue;
+  });
+  if (frontier_.size() < 2) {
+    frontier_.clear();  // the drain runs a lone compute inline
+    return;
   }
-  if (sim.halt_requested()) {
-    // Crash fault: discard in-flight evaluations (waiting their pooled tasks
-    // out), then drop the pending queue. Everything already committed stays;
-    // nothing else runs.
-    OnHalt(sim);
-    sim.ClearQueue();
-    return count;
+  // Barrier compute: every frontier compute half runs concurrently on the
+  // pool (the caller participates). No commit runs in parallel with this
+  // phase, and each compute half touches only its own worker's state, so the
+  // phase is race-free by construction.
+  ParallelFor(*pool_, static_cast<int>(frontier_.size()), [this](int i) {
+    Speculation& speculation = frontier_[static_cast<size_t>(i)];
+    speculation.value = speculation.compute();
+  });
+  uncommitted_ = static_cast<int64_t>(frontier_.size());
+  ++stats_.parallel_batches;
+  stats_.computes_speculated += uncommitted_;
+}
+
+EventSimulator::Speculation* EventSimulator::FindSpeculation(int worker_key) {
+  for (Speculation& speculation : frontier_) {
+    if (speculation.worker_key == worker_key && !speculation.committed) {
+      return &speculation;
+    }
   }
-  OnIdle(sim);
-  return count;
+  return nullptr;
+}
+
+double EventSimulator::ComputeValue(SimEvent& event) {
+  Speculation* speculation =
+      uncommitted_ > 0 ? FindSpeculation(event.worker_key) : nullptr;
+  if (speculation == nullptr || speculation->sequence != event.sequence) {
+    return event.compute();
+  }
+  speculation->committed = true;
+  --uncommitted_;
+  if (!speculation->dirty) {
+    // Sound speculation: no commit since the frontier formed wrote this
+    // worker's compute-visible state, so the pooled result is exactly what
+    // an inline run would produce now.
+    return speculation->value;
+  }
+  // Invalidated speculation: its second-pass re-dispatch carries the value
+  // an inline recompute would produce (the key has not been written since
+  // the re-dispatch, or NotifyStateWrite would have invalidated and replaced
+  // it). The inline fallback only covers the defensive no-re-dispatch case
+  // and is expected to stay cold.
+  std::future<void> redispatch = std::move(speculation->redispatch);
+  if (redispatch.valid() && !speculation->redispatch_invalidated) {
+    redispatch.wait();
+    return speculation->redispatch_value;
+  }
+  ++stats_.computes_recomputed;
+  return event.compute();
+}
+
+void EventSimulator::NotifyStateWrite(int worker_key) {
+  if (uncommitted_ == 0) return;  // nothing to invalidate
+  Speculation* speculation = FindSpeculation(worker_key);
+  if (speculation == nullptr) return;
+  if (speculation->redispatch.valid() &&
+      !speculation->redispatch_invalidated) {
+    // A second-pass recompute for this key is in flight (or done): finish it
+    // before the caller's write can race its reads, discard its value, and
+    // queue yet another re-dispatch — it will observe the caller's write
+    // once the current handler returns.
+    speculation->redispatch.wait();
+    speculation->redispatch_invalidated = true;
+    pending_redispatch_.push_back(speculation);
+    return;
+  }
+  if (speculation->dirty) return;  // already queued by this handler
+  // First invalidation in the frontier: queue the second-pass re-dispatch
+  // (flushed after the current handler returns, so the recompute reads
+  // post-write state).
+  speculation->dirty = true;
+  pending_redispatch_.push_back(speculation);
+}
+
+void EventSimulator::FlushRedispatches() {
+  if (pending_redispatch_.empty()) return;
+  // Event order, so the pool starts the earliest-committing recompute first.
+  std::sort(pending_redispatch_.begin(), pending_redispatch_.end(),
+            [](const Speculation* a, const Speculation* b) {
+              if (a->time != b->time) return a->time < b->time;
+              return a->sequence < b->sequence;
+            });
+  for (Speculation* speculation : pending_redispatch_) {
+    // The task writes into the frontier member, which stays put until the
+    // drain consumes it (after waiting on `redispatch`) or the halt path
+    // waits it out.
+    speculation->redispatch_invalidated = false;
+    speculation->redispatch = pool_->Submit(std::packaged_task<void()>(
+        [speculation] {
+          speculation->redispatch_value = speculation->compute();
+        }));
+    ++stats_.computes_redispatched;
+  }
+  pending_redispatch_.clear();
+}
+
+void EventSimulator::DiscardFrontier() {
+  // Wait out the second-pass tasks (their pooled writes target the frontier
+  // members being dropped here), then drop every uncommitted speculation.
+  // Nothing here was committed, so discarding it cannot perturb the halted
+  // run's result.
+  for (Speculation& speculation : frontier_) {
+    if (speculation.redispatch.valid()) speculation.redispatch.wait();
+  }
+  frontier_.clear();
+  uncommitted_ = 0;
+  pending_redispatch_.clear();
 }
 
 }  // namespace netmax::net

@@ -38,14 +38,13 @@ TEST(InitBenchTest, NoFlagsProceedsWithDefaults) {
 
 TEST(InitBenchTest, ParsesTheDocumentedFlags) {
   const StatusOr<bool> init =
-      Init({"--smoke", "--threads=4", "--shards=2", "--backend=async"});
+      Init({"--smoke", "--threads=4", "--shards=2", "--backend=serial"});
   NETMAX_EXPECT_OK(init);
   EXPECT_TRUE(*init);
   EXPECT_TRUE(SmokeMode());
   EXPECT_EQ(ThreadsOverride(), 4);
   EXPECT_EQ(ShardsOverride(), 2);
-  for (const char* backend :
-       {"--backend=serial", "--backend=speculative", "--backend=async"}) {
+  for (const char* backend : {"--backend=serial", "--backend=speculative"}) {
     NETMAX_EXPECT_OK(Init({backend}));
   }
 }
@@ -117,6 +116,22 @@ TEST(InitBenchTest, RejectsUnknownEventQueueNamingTheSpellings) {
     ASSERT_FALSE(init.ok()) << arg;
     EXPECT_EQ(init.status().code(), StatusCode::kInvalidArgument) << arg;
     EXPECT_NE(init.status().message().find("unknown bench flag: " + arg),
+              std::string::npos)
+        << arg;
+  }
+}
+
+TEST(InitBenchTest, RejectsAsyncBackendNamingTheSpellings) {
+  // The async pipeline (like the process backend before it) is gone: its
+  // spelling is a malformed value whose error names the flag and the two
+  // spellings left.
+  for (const char* removed : {"async", "process"}) {
+    const std::string arg = std::string("--backend=") + removed;
+    const StatusOr<bool> init = Init({arg});
+    ASSERT_FALSE(init.ok()) << arg;
+    EXPECT_EQ(init.status().code(), StatusCode::kInvalidArgument) << arg;
+    EXPECT_NE(init.status().message().find(arg), std::string::npos) << arg;
+    EXPECT_NE(init.status().message().find("serial|speculative"),
               std::string::npos)
         << arg;
   }

@@ -1,15 +1,18 @@
 // Bit-exact checkpoint/restore (core/checkpoint.h): for every registered
-// algorithm and every execution backend, a run that (a) checkpoints mid-run
-// and keeps going, or (b) restores from that checkpoint and finishes, must
-// produce a RunResult bit-identical to the uninterrupted run — at one point
-// on every backend, and at ~65 points under faults and compression (the
-// sweep). Also covers the wire-format error paths: truncation, corruption,
-// old versions, fingerprint mismatches, and the file round trip.
+// algorithm under serial and speculative dispatch, a run that (a)
+// checkpoints mid-run and keeps going, or (b) restores from that checkpoint
+// and finishes, must produce a RunResult bit-identical to the uninterrupted
+// run — at one point under both dispatches, and at ~65 points under faults
+// and compression (the sweep). Also covers the wire-format error paths:
+// truncation, corruption, old versions, fingerprint mismatches, out-of-range
+// indices, and the file round trip.
 
+#include <bit>
 #include <cstdint>
 #include <cstdio>
 #include <map>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -19,7 +22,6 @@
 #include "common/serialize.h"
 #include "core/checkpoint.h"
 #include "core/engine.h"
-#include "core/execution_backend.h"
 #include "core/experiment.h"
 #include "core/pull_engine.h"
 #include "ml/compression.h"
@@ -101,7 +103,7 @@ void ExpectBitIdentical(const RunResult& a, const RunResult& b) {
 
 class CheckpointRoundTrip : public ::testing::TestWithParam<std::string> {};
 
-// The acceptance grid: for each algorithm, each backend's checkpointed run
+// The acceptance grid: for each algorithm, each dispatch's checkpointed run
 // and its restored continuation must match the uninterrupted serial
 // reference bit for bit.
 TEST_P(CheckpointRoundTrip, AllBackendsBitIdentical) {
@@ -117,7 +119,6 @@ TEST_P(CheckpointRoundTrip, AllBackendsBitIdentical) {
   const BackendPoint points[] = {
       {ExecutionBackendKind::kSerial, 1},
       {ExecutionBackendKind::kSpeculative, 8},
-      {ExecutionBackendKind::kAsyncPipeline, 8},
   };
   for (const BackendPoint& point : points) {
     SCOPED_TRACE(core::ExecutionBackendKindName(point.backend));
@@ -140,9 +141,9 @@ TEST_P(CheckpointRoundTrip, AllBackendsBitIdentical) {
   }
 }
 
-// A checkpoint written by the serial backend restores bit-identically on the
-// pooled backends (and vice versa): the bytes carry no execution-strategy
-// state.
+// A checkpoint written under serial dispatch restores bit-identically under
+// pooled speculation (the next test covers the reverse): the bytes carry no
+// execution-strategy state.
 TEST_P(CheckpointRoundTrip, CheckpointsAreBackendPortable) {
   const ExperimentConfig base = BaseConfig();
   const RunResult reference = MustRun(GetParam(), base);
@@ -154,19 +155,18 @@ TEST_P(CheckpointRoundTrip, CheckpointsAreBackendPortable) {
   MustRun(GetParam(), with_checkpoint);
 
   ExperimentConfig resumed = base;
-  resumed.backend = ExecutionBackendKind::kAsyncPipeline;
+  resumed.backend = ExecutionBackendKind::kSpeculative;
   resumed.threads = 8;
   resumed.restore_source = &checkpoint;
   ExpectBitIdentical(reference, MustRun(GetParam(), resumed));
 }
 
-// Cross-config restore from the speculative backend: a checkpoint written
-// under a full thread pool restores bit-identically under the async pipeline
-// backend, which dispatches out of order as the multi-process backend the
-// test is named for once did, and back under serial dispatch. The checkpoint
-// fingerprint covers the simulation config only — backend and threads are
-// real-machine choices — so both restores must accept the bytes and finish
-// on the reference's bits.
+// Cross-config restore from pooled speculation (the test's name is
+// historical): a checkpoint written under an 8-thread pool restores
+// bit-identically under a 3-thread pool, whose frontiers differ, and under
+// serial dispatch. The checkpoint fingerprint covers the simulation config
+// only — backend and threads are real-machine choices — so both restores
+// must accept the bytes and finish on the reference's bits.
 TEST_P(CheckpointRoundTrip, SpeculativeCheckpointRestoresUnderProcessBackend) {
   const ExperimentConfig base = BaseConfig();
   const RunResult reference = MustRun(GetParam(), base);
@@ -182,13 +182,13 @@ TEST_P(CheckpointRoundTrip, SpeculativeCheckpointRestoresUnderProcessBackend) {
   MustRun(GetParam(), with_checkpoint);
   ASSERT_FALSE(checkpoint.empty());
 
-  ExperimentConfig under_async = base;
-  under_async.backend = ExecutionBackendKind::kAsyncPipeline;
-  under_async.threads = 8;
-  under_async.restore_source = &checkpoint;
-  const RunResult async_restored = MustRun(GetParam(), under_async);
-  EXPECT_EQ(async_restored.backend, "async");
-  ExpectBitIdentical(reference, async_restored);
+  ExperimentConfig under_three = base;
+  under_three.backend = ExecutionBackendKind::kSpeculative;
+  under_three.threads = 3;
+  under_three.restore_source = &checkpoint;
+  const RunResult pooled_restored = MustRun(GetParam(), under_three);
+  EXPECT_EQ(pooled_restored.backend, "speculative");
+  ExpectBitIdentical(reference, pooled_restored);
 
   ExperimentConfig under_serial = base;
   under_serial.restore_source = &checkpoint;
@@ -306,8 +306,12 @@ void ExpectSameRun(const RunResult& a, const RunResult& b) {
 }
 
 // The pending events a checkpoint holds, read past its fingerprint and
-// clock (the layout SerializeCheckpoint writes).
-std::vector<net::SavedEvent> PendingEvents(const std::vector<uint8_t>& bytes) {
+// clock (the layout SerializeCheckpoint writes). `args_at`, when given,
+// receives each event's byte offset of args[0]; `workers_at`, the offset at
+// which the worker states begin.
+std::vector<net::SavedEvent> PendingEvents(
+    const std::vector<uint8_t>& bytes, std::vector<size_t>* args_at = nullptr,
+    size_t* workers_at = nullptr) {
   Deserializer in(bytes);
   in.ReadU32().value();     // magic
   in.ReadU32().value();     // version
@@ -329,8 +333,13 @@ std::vector<net::SavedEvent> PendingEvents(const std::vector<uint8_t>& bytes) {
     event.sequence = in.ReadI64().value();
     event.worker_key = in.ReadInt().value();
     event.payload.tag = in.ReadI64().value();
+    // args are a u64 count, then the doubles.
+    if (args_at != nullptr) {
+      args_at->push_back(bytes.size() - in.remaining() + 8);
+    }
     NETMAX_CHECK_OK(in.ReadDoubleVec(&event.payload.args));
   }
+  if (workers_at != nullptr) *workers_at = bytes.size() - in.remaining();
   return events;
 }
 
@@ -466,6 +475,128 @@ TEST(CheckpointErrors, OlderVersionIsRejected) {
   const Status status = TryRun("gossip", resumed);
   EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
   EXPECT_NE(status.message().find("version 3"), std::string::npos);
+}
+
+// Overwrites the little-endian 8 bytes at `offset` (a serialized double or
+// i64) with `word`.
+void PatchWord(std::vector<uint8_t>& bytes, size_t offset, uint64_t word) {
+  for (int i = 0; i < 8; ++i) {
+    bytes[offset + static_cast<size_t>(i)] =
+        static_cast<uint8_t>(word >> (8 * i));
+  }
+}
+
+// A fault schedule whose gossip run, checkpointed at 0.75 s
+// (FaultedCheckpoint), holds pending the first slowdown's end (worker 1,
+// factor 4), the second slowdown (worker 3) and worker 2's leave and join.
+ExperimentConfig FaultedConfig() {
+  ExperimentConfig config = BaseConfig();
+  auto faults = net::FaultSchedule::Parse(
+      "slow@0.5+2x4:w1;slow@1+2x4:w3;leave@1.5:w2;join@3:w2");
+  NETMAX_CHECK_OK(faults.status());
+  config.faults = *faults;
+  return config;
+}
+
+std::vector<uint8_t> FaultedCheckpoint() {
+  std::vector<uint8_t> checkpoint;
+  ExperimentConfig with_checkpoint = FaultedConfig();
+  with_checkpoint.checkpoint_at_seconds = 0.75;
+  with_checkpoint.checkpoint_sink = &checkpoint;
+  MustRun("gossip", with_checkpoint);
+  NETMAX_CHECK(!checkpoint.empty());
+  return checkpoint;
+}
+
+// Patches args[arg] of the pending harness event tagged `tag` whose args[0]
+// is `first_arg` to `value`, restores, and returns the run's status.
+Status RestorePatchedHarnessEvent(int64_t tag, double first_arg, size_t arg,
+                                  double value) {
+  std::vector<uint8_t> checkpoint = FaultedCheckpoint();
+  std::vector<size_t> args_at;
+  const std::vector<net::SavedEvent> events =
+      PendingEvents(checkpoint, &args_at);
+  bool patched = false;
+  for (size_t i = 0; i < events.size() && !patched; ++i) {
+    if (events[i].payload.tag != tag ||
+        events[i].payload.args[0] != first_arg) {
+      continue;
+    }
+    PatchWord(checkpoint, args_at[i] + 8 * arg, std::bit_cast<uint64_t>(value));
+    patched = true;
+  }
+  NETMAX_CHECK(patched) << "no pending event tagged " << tag;
+  ExperimentConfig resumed = FaultedConfig();
+  resumed.restore_source = &checkpoint;
+  return TryRun("gossip", resumed);
+}
+
+constexpr double kSlowdownKind =
+    static_cast<double>(net::FaultKind::kSlowdown);
+constexpr double kLeaveKind = static_cast<double>(net::FaultKind::kLeave);
+
+TEST(CheckpointErrors, SlowdownEndWorkerOutOfRangeIsRejected) {
+  const Status status =
+      RestorePatchedHarnessEvent(core::kHarnessSlowdownEndTag, 1.0, 0, 1e6);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("outside [0, 8)"), std::string::npos);
+}
+
+TEST(CheckpointErrors, FaultWorkerOutOfRangeIsRejected) {
+  EXPECT_EQ(RestorePatchedHarnessEvent(core::kHarnessFaultTag, kLeaveKind, 1,
+                                       8.0)
+                .code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST(CheckpointErrors, NonIntegralFaultKindIsRejected) {
+  EXPECT_EQ(RestorePatchedHarnessEvent(core::kHarnessFaultTag, kLeaveKind, 0,
+                                       0.5)
+                .code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST(CheckpointErrors, NonPositiveSlowdownFactorIsRejected) {
+  EXPECT_EQ(RestorePatchedHarnessEvent(core::kHarnessFaultTag, kSlowdownKind,
+                                       2, 0.0)
+                .code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST(CheckpointErrors, NegativeSlowdownDurationIsRejected) {
+  EXPECT_EQ(RestorePatchedHarnessEvent(core::kHarnessFaultTag, kSlowdownKind,
+                                       3, -1.0)
+                .code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST(CheckpointErrors, BatchIndexOutsideTheShardIsRejected) {
+  std::vector<uint8_t> checkpoint = FaultedCheckpoint();
+  size_t offset = 0;
+  PendingEvents(checkpoint, nullptr, &offset);
+  // Walk worker 0's state up to its batch indices (the layout SaveWorker
+  // writes), restoring the variable-length parts into a scratch harness.
+  const ExperimentConfig config = FaultedConfig();
+  core::ExperimentHarness scratch(config, "gossip");
+  NETMAX_CHECK_OK(scratch.Init());
+  core::WorkerRuntime& worker = scratch.worker(0);
+  Deserializer in(std::span<const uint8_t>(checkpoint).subspan(offset));
+  for (int i = 0; i < 5; ++i) in.ReadU64().value();  // rng state
+  NETMAX_CHECK_OK(in.ReadDoubleSpan(worker.model->parameters()));
+  NETMAX_CHECK_OK(worker.optimizer->RestoreState(in));
+  NETMAX_CHECK_OK(worker.sampler->RestoreState(in));
+  NETMAX_CHECK_OK(worker.lr_schedule->RestoreState(in));
+  NETMAX_CHECK_OK(in.ReadDoubleSpan(worker.gradient));
+  // batch_indices: a u64 count, then i64 indices.
+  ASSERT_GT(in.ReadU64().value(), 0u);
+  PatchWord(checkpoint, checkpoint.size() - in.remaining(),
+            static_cast<uint64_t>(worker.shard.size()));
+
+  ExperimentConfig resumed = config;
+  resumed.restore_source = &checkpoint;
+  const Status status = TryRun("gossip", resumed);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("batch index"), std::string::npos);
 }
 
 TEST(CheckpointErrors, TrailingGarbageIsRejected) {

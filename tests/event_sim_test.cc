@@ -1,12 +1,14 @@
 #include "net/event_sim.h"
 
+#include <chrono>
+#include <functional>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/thread_pool.h"
-#include "core/execution_backend.h"
 
 namespace netmax::net {
 namespace {
@@ -56,27 +58,6 @@ TEST(EventSimTest, CallbackMaySpawnEvents) {
   EXPECT_DOUBLE_EQ(sim.Now(), 9.0);
 }
 
-TEST(EventSimTest, RunUntilStopsAtLimit) {
-  EventSimulator sim;
-  std::vector<int> fired;
-  sim.ScheduleAt(1.0, [&] { fired.push_back(1); });
-  sim.ScheduleAt(2.0, [&] { fired.push_back(2); });
-  sim.ScheduleAt(3.0, [&] { fired.push_back(3); });
-  const int64_t processed = sim.RunUntil(2.0);
-  EXPECT_EQ(processed, 2);
-  EXPECT_EQ(fired, (std::vector<int>{1, 2}));
-  EXPECT_DOUBLE_EQ(sim.Now(), 2.0);
-  EXPECT_FALSE(sim.empty());
-  sim.RunUntilIdle();
-  EXPECT_EQ(fired, (std::vector<int>{1, 2, 3}));
-}
-
-TEST(EventSimTest, RunUntilAdvancesClockWhenIdle) {
-  EventSimulator sim;
-  sim.RunUntil(42.0);
-  EXPECT_DOUBLE_EQ(sim.Now(), 42.0);
-}
-
 TEST(EventSimTest, StepReturnsFalseWhenEmpty) {
   EventSimulator sim;
   EXPECT_FALSE(sim.Step());
@@ -121,11 +102,33 @@ TEST(ComputeEventTest, SerialDispatchRunsComputeThenCommit) {
   EXPECT_DOUBLE_EQ(trace[1].second, 42.0);
 }
 
+TEST(ExecutionBackendSeamTest, NoBackendMeansSerialAndNotifyIsANoOp) {
+  // No pool is the serial backend: the compute half runs exactly once,
+  // inline, nothing is speculated, and a notify has nothing to invalidate.
+  EventSimulator sim;
+  int compute_runs = 0;
+  double committed = 0.0;
+  sim.ScheduleCompute(
+      1.0, 0,
+      [&] {
+        ++compute_runs;
+        return 4.0;
+      },
+      [&](double value) {
+        sim.NotifyStateWrite(0);  // must be harmless without a pool
+        committed = value;
+      });
+  sim.RunUntilIdle();
+  EXPECT_EQ(compute_runs, 1);
+  EXPECT_DOUBLE_EQ(committed, 4.0);
+  EXPECT_EQ(sim.execution_stats().computes_speculated, 0);
+  EXPECT_EQ(sim.execution_stats().computes_redispatched, 0);
+}
+
 TEST(ComputeEventTest, CommitsRunInTimeSequenceOrderOnThePool) {
   ThreadPool pool(4);
   EventSimulator sim;
-  core::SpeculativeBackend backend(&pool);
-  sim.set_backend(&backend);
+  sim.set_pool(&pool);
   std::vector<int> commit_order;
   for (int key = 0; key < 8; ++key) {
     sim.ScheduleCompute(
@@ -138,7 +141,7 @@ TEST(ComputeEventTest, CommitsRunInTimeSequenceOrderOnThePool) {
   sim.RunUntilIdle();
   // Scheduled in reverse time order: commits must come back time-sorted.
   EXPECT_EQ(commit_order, (std::vector<int>{7, 6, 5, 4, 3, 2, 1, 0}));
-  EXPECT_GT(sim.computes_speculated(), 0);
+  EXPECT_GT(sim.execution_stats().computes_speculated, 0);
 }
 
 TEST(ComputeEventTest, SameKeyEventsSeeEachOthersCommitsInOrder) {
@@ -148,8 +151,7 @@ TEST(ComputeEventTest, SameKeyEventsSeeEachOthersCommitsInOrder) {
   // would return stale values.
   ThreadPool pool(4);
   EventSimulator sim;
-  core::SpeculativeBackend backend(&pool);
-  sim.set_backend(&backend);
+  sim.set_pool(&pool);
   double state = 0.0;  // owned by key 0
   std::vector<double> seen;
   for (int i = 0; i < 3; ++i) {
@@ -176,8 +178,7 @@ TEST(ComputeEventTest, NotifyStateWriteInvalidatesStaleSpeculation) {
   // A's commit, observing A's write.
   ThreadPool pool(4);
   EventSimulator sim;
-  core::SpeculativeBackend backend(&pool);
-  sim.set_backend(&backend);
+  sim.set_pool(&pool);
   double shared_b_state = 1.0;  // owned by key 1
   double b_saw = 0.0;
   sim.ScheduleCompute(
@@ -191,9 +192,9 @@ TEST(ComputeEventTest, NotifyStateWriteInvalidatesStaleSpeculation) {
       [&](double value) { b_saw = value; });
   sim.RunUntilIdle();
   EXPECT_DOUBLE_EQ(b_saw, 100.0);
-  EXPECT_EQ(sim.computes_speculated(), 2);
-  EXPECT_EQ(sim.computes_redispatched(), 1);
-  EXPECT_EQ(sim.computes_recomputed(), 0);
+  EXPECT_EQ(sim.execution_stats().computes_speculated, 2);
+  EXPECT_EQ(sim.execution_stats().computes_redispatched, 1);
+  EXPECT_EQ(sim.execution_stats().computes_recomputed, 0);
 }
 
 TEST(ComputeEventTest, RedispatchedComputeInvalidatedAgainStaysOrdered) {
@@ -204,8 +205,7 @@ TEST(ComputeEventTest, RedispatchedComputeInvalidatedAgainStaysOrdered) {
   // the value a serial run would produce, after the SECOND write.
   ThreadPool pool(4);
   EventSimulator sim;
-  core::SpeculativeBackend backend(&pool);
-  sim.set_backend(&backend);
+  sim.set_pool(&pool);
   double state = 1.0;  // owned by key 3
   double d_saw = 0.0;
   sim.ScheduleCompute(
@@ -227,9 +227,10 @@ TEST(ComputeEventTest, RedispatchedComputeInvalidatedAgainStaysOrdered) {
       [&](double value) { d_saw = value; });
   sim.RunUntilIdle();
   EXPECT_DOUBLE_EQ(d_saw, 20.0);
-  EXPECT_EQ(sim.computes_speculated(), 4);
-  EXPECT_EQ(sim.computes_redispatched(), 2);  // once per invalidation
-  EXPECT_EQ(sim.computes_recomputed(), 0);
+  EXPECT_EQ(sim.execution_stats().computes_speculated, 4);
+  // Once per invalidation.
+  EXPECT_EQ(sim.execution_stats().computes_redispatched, 2);
+  EXPECT_EQ(sim.execution_stats().computes_recomputed, 0);
 }
 
 TEST(ComputeEventTest, RedispatchWithinOneHandlerReadsPostHandlerState) {
@@ -238,8 +239,7 @@ TEST(ComputeEventTest, RedispatchWithinOneHandlerReadsPostHandlerState) {
   // handler returns) must observe both — not the state mid-handler.
   ThreadPool pool(4);
   EventSimulator sim;
-  core::SpeculativeBackend backend(&pool);
-  sim.set_backend(&backend);
+  sim.set_pool(&pool);
   double b_state = 1.0;  // owned by key 1
   double b_saw = 0.0;
   sim.ScheduleCompute(
@@ -255,15 +255,14 @@ TEST(ComputeEventTest, RedispatchWithinOneHandlerReadsPostHandlerState) {
       [&](double value) { b_saw = value; });
   sim.RunUntilIdle();
   EXPECT_DOUBLE_EQ(b_saw, 7.0);
-  EXPECT_EQ(sim.computes_redispatched(), 1);  // deduplicated
-  EXPECT_EQ(sim.computes_recomputed(), 0);
+  EXPECT_EQ(sim.execution_stats().computes_redispatched, 1);  // deduplicated
+  EXPECT_EQ(sim.execution_stats().computes_recomputed, 0);
 }
 
 TEST(ComputeEventTest, PlainEventsInterleaveAtExactPositions) {
   ThreadPool pool(2);
   EventSimulator sim;
-  core::SpeculativeBackend backend(&pool);
-  sim.set_backend(&backend);
+  sim.set_pool(&pool);
   std::vector<int> order;
   sim.ScheduleCompute(
       1.0, 0, [] { return 1.0; },
@@ -283,8 +282,7 @@ TEST(ComputeEventTest, CommitMayScheduleEarlierThanLaterFrontierMembers) {
   // run before B's commit and invalidate B's speculation.
   ThreadPool pool(4);
   EventSimulator sim;
-  core::SpeculativeBackend backend(&pool);
-  sim.set_backend(&backend);
+  sim.set_pool(&pool);
   double b_state = 1.0;
   double b_saw = 0.0;
   sim.ScheduleCompute(
@@ -301,40 +299,102 @@ TEST(ComputeEventTest, CommitMayScheduleEarlierThanLaterFrontierMembers) {
   EXPECT_DOUBLE_EQ(b_saw, 7.0);
 }
 
-TEST(ComputeEventTest, ChainedComputeEventsMatchSerialBits) {
-  // A mini workload in both modes: per-key chains whose commits couple
-  // neighboring keys (like consensus pulls). The event trace must be
-  // identical with and without a pool.
-  const auto run = [](ExecutionBackend* backend) {
-    EventSimulator sim;
-    sim.set_backend(backend);
-    std::vector<double> state(4, 1.0);
-    std::vector<double> trace;
-    std::function<void(int, int)> chain = [&](int key, int remaining) {
-      if (remaining == 0) return;
-      sim.ScheduleComputeAfter(
-          0.5 + 0.25 * key, key, [&state, key] { return state[key] * 3.0; },
-          [&, key, remaining](double value) {
-            trace.push_back(value);
-            const int peer = (key + 1) % 4;
-            sim.NotifyStateWrite(key);
-            sim.NotifyStateWrite(peer);
-            state[key] = 0.5 * (value + state[peer]);
-            state[peer] += 0.125;
-            chain(key, remaining - 1);
-          });
-    };
-    for (int key = 0; key < 4; ++key) chain(key, 6);
-    sim.RunUntilIdle();
-    return trace;
-  };
-  const std::vector<double> serial = run(nullptr);
+TEST(ComputeEventTest, HaltMidFrontierDiscardsPooledWork) {
+  // The first frontier member's commit invalidates a later member (queueing
+  // a re-dispatch) and requests a halt: the run stops after that commit, the
+  // pooled re-dispatch is waited out, and nothing else commits.
   ThreadPool pool(4);
-  core::SpeculativeBackend backend(&pool);
-  const std::vector<double> parallel = run(&backend);
+  EventSimulator sim;
+  sim.set_pool(&pool);
+  double state = 1.0;  // owned by key 2
+  std::vector<int> committed;
+  sim.ScheduleCompute(
+      1.0, /*worker_key=*/0, [] { return 0.0; },
+      [&](double) {
+        committed.push_back(0);
+        sim.NotifyStateWrite(2);
+        state = 2.0;
+        sim.RequestHalt();
+      });
+  for (int key = 1; key < 3; ++key) {
+    sim.ScheduleCompute(
+        1.0 + key, key, [&state] { return state; },
+        [&committed, key](double) { committed.push_back(key); });
+  }
+  EXPECT_EQ(sim.RunUntilIdle(), 1);
+  EXPECT_EQ(committed, (std::vector<int>{0}));
+  EXPECT_TRUE(sim.empty());
+  EXPECT_DOUBLE_EQ(sim.Now(), 1.0);
+  EXPECT_EQ(sim.execution_stats().computes_speculated, 3);
+  EXPECT_EQ(sim.execution_stats().computes_redispatched, 1);
+}
+
+struct ChainedRun {
+  std::vector<double> trace;
+  ExecutionStats stats;
+};
+
+// A mini workload: per-key chains whose commits couple neighboring keys
+// (like consensus pulls), with key 1 a straggler. Returns the commit trace
+// and the dispatch counters; `pool` may be null (inline dispatch).
+ChainedRun RunChainedWorkload(ThreadPool* pool) {
+  EventSimulator sim;
+  sim.set_pool(pool);
+  std::vector<double> state(4, 1.0);
+  ChainedRun run;
+  std::function<void(int, int)> chain = [&](int key, int remaining) {
+    if (remaining == 0) return;
+    sim.ScheduleCompute(
+        sim.Now() + 0.5 + 0.25 * key, key,
+        [&state, key] {
+          std::this_thread::sleep_for(
+              std::chrono::microseconds(key == 1 ? 500 : 50));
+          return state[static_cast<size_t>(key)] * 3.0;
+        },
+        [&, key, remaining](double value) {
+          run.trace.push_back(value);
+          const int peer = (key + 1) % 4;
+          sim.NotifyStateWrite(key);
+          sim.NotifyStateWrite(peer);
+          state[static_cast<size_t>(key)] =
+              0.5 * (value + state[static_cast<size_t>(peer)]);
+          state[static_cast<size_t>(peer)] += 0.125;
+          chain(key, remaining - 1);
+        });
+  };
+  for (int key = 0; key < 4; ++key) chain(key, 6);
+  sim.RunUntilIdle();
+  run.stats = sim.execution_stats();
+  return run;
+}
+
+TEST(ComputeEventTest, ChainedComputeEventsMatchSerialBits) {
+  // The event trace must be identical with and without a pool.
+  const std::vector<double> serial = RunChainedWorkload(nullptr).trace;
+  ThreadPool pool(4);
+  const std::vector<double> parallel = RunChainedWorkload(&pool).trace;
   ASSERT_EQ(serial.size(), parallel.size());
   for (size_t i = 0; i < serial.size(); ++i) {
     EXPECT_EQ(serial[i], parallel[i]) << i;
+  }
+}
+
+TEST(ExecutionBackendDeterminismTest, AllBackendsProduceTheSerialTrace) {
+  // Inline dispatch is the reference; speculative dispatch on pools of every
+  // size must reproduce it bit for bit, resolving every invalidation by a
+  // re-dispatch rather than an inline recompute.
+  const ChainedRun reference = RunChainedWorkload(nullptr);
+  EXPECT_EQ(reference.stats.computes_speculated, 0);
+  for (const int threads : {1, 2, 4}) {
+    ThreadPool pool(threads);
+    const ChainedRun run = RunChainedWorkload(&pool);
+    ASSERT_EQ(run.trace.size(), reference.trace.size()) << threads;
+    for (size_t i = 0; i < run.trace.size(); ++i) {
+      EXPECT_EQ(run.trace[i], reference.trace[i])
+          << threads << "[" << i << "]";
+    }
+    EXPECT_GT(run.stats.computes_speculated, 0) << threads;
+    EXPECT_EQ(run.stats.computes_recomputed, 0) << threads;
   }
 }
 

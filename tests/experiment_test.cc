@@ -1,6 +1,7 @@
 #include "core/experiment.h"
 
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -64,6 +65,28 @@ TEST(BuildShardsTest, RejectsMismatchedLostLabels) {
   config.lost_labels = {{0}};  // but 4 workers
   ml::DatasetPair pair = ml::GenerateSynthetic(config.dataset);
   EXPECT_FALSE(BuildShards(config, pair.train).ok());
+}
+
+TEST(ExecutionBackendKindTest, ParsingIsStrict) {
+  ExecutionBackendKind kind = ExecutionBackendKind::kSerial;
+  EXPECT_TRUE(ParseExecutionBackendKind("speculative", &kind));
+  EXPECT_EQ(kind, ExecutionBackendKind::kSpeculative);
+  EXPECT_TRUE(ParseExecutionBackendKind("serial", &kind));
+  EXPECT_EQ(kind, ExecutionBackendKind::kSerial);
+  // Removed spellings ("process", "async") are rejected like any other typo.
+  for (const std::string_view bad :
+       {"", "Serial", "asink", "speculative2", "process", "async"}) {
+    ExecutionBackendKind untouched = ExecutionBackendKind::kSpeculative;
+    EXPECT_FALSE(ParseExecutionBackendKind(bad, &untouched)) << bad;
+    EXPECT_EQ(untouched, ExecutionBackendKind::kSpeculative) << bad;
+  }
+  for (const ExecutionBackendKind k :
+       {ExecutionBackendKind::kSerial, ExecutionBackendKind::kSpeculative}) {
+    ExecutionBackendKind round_trip = ExecutionBackendKind::kSerial;
+    ASSERT_TRUE(
+        ParseExecutionBackendKind(ExecutionBackendKindName(k), &round_trip));
+    EXPECT_EQ(round_trip, k);
+  }
 }
 
 TEST(HarnessTest, InitValidatesConfig) {

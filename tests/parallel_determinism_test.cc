@@ -3,9 +3,9 @@
 // must be bit-identical between the serial dispatch (threads=1) and the
 // pooled two-phase dispatch (threads=8), across every intra-worker shard
 // count (the gradient is defined over a fixed leaf decomposition and tree
-// reduction, ml/sharding.h) and across every execution backend
-// (core/execution_backend.h). This is the contract that lets the benches and
-// golden tests run at any {backend, threads, shards} point.
+// reduction, ml/sharding.h) and under both dispatches (net/event_sim.h). This
+// is the contract that lets the benches and golden tests run at any
+// {backend, threads, shards} point.
 
 #include <string>
 #include <vector>
@@ -13,7 +13,6 @@
 #include <gtest/gtest.h>
 
 #include "algos/registry.h"
-#include "core/execution_backend.h"
 #include "core/experiment.h"
 #include "ml/compression.h"
 #include "net/fault_schedule.h"
@@ -96,15 +95,13 @@ void ExpectBitIdentical(const RunResult& a, const RunResult& b) {
 // Runs `config` over the acceptance grid of the execution seams — backend x
 // threads {1, 8} x shards {1, 2} — and expects the bits of its
 // fully serial unsharded run (returned) at every point, with no inline
-// recompute. threads=1 collapses every backend to serial dispatch, kSerial
-// with a pool still shards on it, and the async window is 2x threads, so the
-// threads axis varies it too.
+// recompute. threads=1 collapses both backends to serial dispatch, and
+// kSerial with a pool still shards on it.
 RunResult ExpectGridBitIdentical(const std::string& name,
                                  const ExperimentConfig& config) {
   const RunResult reference = RunWithThreads(name, config, 1, 1);
   for (const ExecutionBackendKind backend :
-       {ExecutionBackendKind::kSerial, ExecutionBackendKind::kSpeculative,
-        ExecutionBackendKind::kAsyncPipeline}) {
+       {ExecutionBackendKind::kSerial, ExecutionBackendKind::kSpeculative}) {
     for (const int threads : {1, 8}) {
       for (const int shards : {1, 2}) {
         const RunResult run =
@@ -147,7 +144,7 @@ TEST_P(ParallelDeterminism, ThreadShardGridBitIdentical) {
   }
 }
 
-// A leaner config than BaseConfig keeps the 24-point grids affordable;
+// A leaner config than BaseConfig keeps the 8-point grids affordable;
 // batch 24 = three gradient leaves, so shards=2 still splits leaf ranges
 // unevenly.
 ExperimentConfig GridConfig() {
@@ -161,30 +158,6 @@ ExperimentConfig GridConfig() {
 
 TEST_P(ParallelDeterminism, BackendWindowGridBitIdentical) {
   ExpectGridBitIdentical(GetParam(), GridConfig());
-}
-
-TEST(ParallelDeterminismTest, AsyncPipelineActuallyOverlapsAndRedispatches) {
-  // The async backend must put real compute halves in the window (not
-  // silently degrade to inline dispatch) and resolve consensus
-  // invalidations through re-dispatch, at every pooled thread budget (and
-  // with it every window the harness derives, 2x threads).
-  const ExperimentConfig config = BaseConfig();
-  for (const int threads : {2, 8}) {
-    const RunResult run = RunWithThreads("netmax", config, threads, 1,
-                                         ExecutionBackendKind::kAsyncPipeline);
-    SCOPED_TRACE(threads);
-    EXPECT_EQ(run.backend, "async");
-    EXPECT_GT(run.computes_speculated, 0);
-    EXPECT_EQ(run.computes_recomputed, 0);
-    // The consensus writes must hit window-resident entries.
-    EXPECT_GT(run.computes_redispatched, 0);
-    EXPECT_GT(run.parallel_batches, 0);
-  }
-  // --backend=serial attaches no backend even with a pool.
-  const RunResult serial =
-      RunWithThreads("netmax", config, 8, 1, ExecutionBackendKind::kSerial);
-  EXPECT_EQ(serial.backend, "serial");
-  EXPECT_EQ(serial.computes_speculated, 0);
 }
 
 TEST_P(ParallelDeterminism, FaultScheduleBitIdenticalAcrossExecutionPoints) {
@@ -315,6 +288,11 @@ TEST(ParallelDeterminismTest, ParallelRunsActuallySpeculate) {
     // inline fallback is defensive only.
     EXPECT_EQ(parallel.computes_recomputed, 0) << name;
   }
+  // --backend=serial dispatches inline even with a pool.
+  const RunResult serial =
+      RunWithThreads("netmax", config, 8, 1, ExecutionBackendKind::kSerial);
+  EXPECT_EQ(serial.backend, "serial");
+  EXPECT_EQ(serial.computes_speculated, 0);
 }
 
 TEST(ParallelDeterminismTest, ConsensusInvalidationsAreRedispatched) {

@@ -12,8 +12,9 @@
 //   trace_dump --list          print registered algorithm names, one per line
 //   trace_dump <algorithm>     print the canonical trace on stdout
 //
-// NETMAX_THREADS=N and NETMAX_BACKEND=serial|speculative|async pick the
-// execution point; the trace bytes must not depend on it.
+// NETMAX_THREADS=N and NETMAX_BACKEND=serial|speculative pick the execution
+// point; the trace bytes must not depend on it. Any other backend value is
+// an error.
 //
 // Fault variants: "<algorithm>+faults-wait" and "<algorithm>+faults-timeout"
 // run the same pinned experiment under the pinned fault schedule below with
@@ -137,7 +138,8 @@ Status DumpTrace(const std::string& request) {
   if (const char* backend_env = std::getenv("NETMAX_BACKEND")) {
     if (!core::ParseExecutionBackendKind(backend_env, &config.backend)) {
       return InvalidArgumentError(std::string("bad NETMAX_BACKEND value: ") +
-                                  backend_env);
+                                  backend_env +
+                                  " (expected serial|speculative)");
     }
   }
   if (fault_mode) {
