@@ -14,9 +14,7 @@
 #include "linalg/eigen.h"
 #include "linalg/matrix.h"
 #include "linalg/simplex.h"
-#include "ml/conv_net.h"
 #include "ml/dataset.h"
-#include "ml/linear_model.h"
 #include "common/thread_pool.h"
 #include "ml/metrics.h"
 #include "ml/mlp.h"
@@ -241,28 +239,14 @@ void BM_MlpForwardLoss(benchmark::State& state) {
 }
 BENCHMARK(BM_MlpForwardLoss);
 
-void BM_ConvNetTrainingStep(benchmark::State& state) {
-  ml::DatasetPair pair = ModelBenchData();
-  ml::ConvNet model(32, 8, 5, 10);
-  model.InitializeParameters(1);
-  ml::BatchSampler sampler(&pair.train, 32, 2);
-  std::vector<double> gradient(static_cast<size_t>(model.num_parameters()));
-  for (auto _ : state) {
-    const std::vector<int> batch = sampler.NextBatch();
-    const double loss = model.LossAndGradient(pair.train, batch, gradient);
-    benchmark::DoNotOptimize(loss);
-  }
-}
-BENCHMARK(BM_ConvNetTrainingStep);
-
-void BM_ShardedConvNetStep(benchmark::State& state) {
+void BM_ShardedMlpStep(benchmark::State& state) {
   // The intra-worker sharded gradient path (ml/sharding.h): the same batch
-  // as BM_ConvNetTrainingStep evaluated as 4 concurrent shard tasks on a
-  // 3-thread pool (+ caller), bit-identical to the serial step. On the
-  // single-core container this measures the sharding overhead; on
-  // multi-core hardware it measures the nested-parallel speedup.
+  // as BM_MlpTrainingStep evaluated as 4 concurrent shard tasks on a
+  // 3-thread pool (+ caller), bit-identical to the serial step. On one core
+  // this measures the sharding overhead; on several it measures the
+  // nested-parallel speedup.
   ml::DatasetPair pair = ModelBenchData();
-  ml::ConvNet model(32, 8, 5, 10);
+  ml::Mlp model({32, 32, 10});
   model.InitializeParameters(1);
   ml::BatchSampler sampler(&pair.train, 32, 2);
   ThreadPool pool(3);
@@ -275,21 +259,7 @@ void BM_ShardedConvNetStep(benchmark::State& state) {
     benchmark::DoNotOptimize(loss);
   }
 }
-BENCHMARK(BM_ShardedConvNetStep);
-
-void BM_LinearModelTrainingStep(benchmark::State& state) {
-  ml::DatasetPair pair = ModelBenchData();
-  ml::LinearModel model(32, 10);
-  model.InitializeParameters(1);
-  ml::BatchSampler sampler(&pair.train, 32, 2);
-  std::vector<double> gradient(static_cast<size_t>(model.num_parameters()));
-  for (auto _ : state) {
-    const std::vector<int> batch = sampler.NextBatch();
-    const double loss = model.LossAndGradient(pair.train, batch, gradient);
-    benchmark::DoNotOptimize(loss);
-  }
-}
-BENCHMARK(BM_LinearModelTrainingStep);
+BENCHMARK(BM_ShardedMlpStep);
 
 void BM_AccuracyEval(benchmark::State& state) {
   // The Finalize() / RecordGlobalEpochPoint() evaluation path: test accuracy
@@ -323,21 +293,6 @@ void BM_MlpTrainingStepNaive(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MlpTrainingStepNaive);
-
-void BM_ConvNetTrainingStepNaive(benchmark::State& state) {
-  ml::DatasetPair pair = ModelBenchData();
-  ml::ConvNet model(32, 8, 5, 10);
-  model.InitializeParameters(1);
-  ml::BatchSampler sampler(&pair.train, 32, 2);
-  std::vector<double> gradient(static_cast<size_t>(model.num_parameters()));
-  for (auto _ : state) {
-    const std::vector<int> batch = sampler.NextBatch();
-    const double loss = ml::reference::ConvNetLossAndGradient(
-        model, pair.train, batch, gradient);
-    benchmark::DoNotOptimize(loss);
-  }
-}
-BENCHMARK(BM_ConvNetTrainingStepNaive);
 
 void BM_GemmNaive(benchmark::State& state) {
   // The seed Matrix::Multiply loop (branch-per-element i-k-j), for the same
@@ -378,29 +333,6 @@ void BM_MlpTrainingStepWorkspace(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MlpTrainingStepWorkspace);
-
-void BM_GemmTransBKernel(benchmark::State& state) {
-  // The inner-product GEMM variant at MLP-layer shape: (batch x in) * W^T
-  // without a transposed copy. Tracked for comparison against the
-  // Transpose + GemmBias form the model forward passes actually use.
-  const int batch = 32;
-  const int n = static_cast<int>(state.range(0));
-  Rng rng(7);
-  std::vector<double> a(static_cast<size_t>(batch) * n);
-  std::vector<double> b(static_cast<size_t>(n) * n);
-  std::vector<double> bias(static_cast<size_t>(n));
-  std::vector<double> c(static_cast<size_t>(batch) * n);
-  for (double& v : a) v = rng.Gaussian();
-  for (double& v : b) v = rng.Gaussian();
-  for (double& v : bias) v = rng.Gaussian();
-  for (auto _ : state) {
-    linalg::GemmTransB(batch, n, n, a.data(), n, b.data(), n, bias.data(),
-                       c.data(), n);
-    benchmark::DoNotOptimize(c.data());
-  }
-  state.SetItemsProcessed(state.iterations() * int64_t{batch} * n * n);
-}
-BENCHMARK(BM_GemmTransBKernel)->Arg(32)->Arg(128);
 
 void BM_GemmAtBKernel(benchmark::State& state) {
   // The weight-gradient kernel: delta^T (out x batch) * input (batch x in).

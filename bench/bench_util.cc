@@ -682,9 +682,8 @@ void PrintExecutionDiagnostics(std::ostream& os,
       break;
     }
   }
-  std::vector<std::string> header = {"run",          "backend",
-                                     "batches",      "speculated",
-                                     "redispatched", "recomputed"};
+  std::vector<std::string> header = {"run", "backend", "batches",
+                                     "speculated", "redispatched"};
   if (any_faults) {
     header.insert(header.end(), {"faults", "degraded", "timeouts"});
   }
@@ -698,8 +697,7 @@ void PrintExecutionDiagnostics(std::ostream& os,
                                     r.backend,
                                     std::to_string(r.parallel_batches),
                                     std::to_string(r.computes_speculated),
-                                    std::to_string(r.computes_redispatched),
-                                    std::to_string(r.computes_recomputed)};
+                                    std::to_string(r.computes_redispatched)};
     if (any_faults) {
       row.insert(row.end(), {std::to_string(r.faults_injected),
                              std::to_string(r.rounds_degraded),

@@ -178,19 +178,18 @@ void PrintEpochCostSplit(std::ostream& os, const std::string& title,
                          const std::vector<NamedResult>& results);
 
 // Prints the execution-backend health table for `results`: backend,
-// frontier batches, and speculated / re-dispatched / inline-recomputed
-// compute halves. When any run reports fault activity (faults_injected,
-// rounds_degraded, peers_timed_out), three extra columns carry those
-// counters; fault-free batches suppress the all-zero columns so their
-// stderr table keeps the exact pre-fault shape. Likewise, when any run
-// compressed its gradients (bytes_saved != 0), three extra columns report
-// messages / bytes_sent / bytes_saved; uncompressed batches suppress them so
-// existing benches' stderr tables are unchanged. RunAlgorithms and
-// RunConfigs emit this to stderr after every batch of runs (so speculation
-// health is visible without a Debug rebuild) — stderr, because the counters
-// vary with the {threads, backend} execution point while the benches' stdout
-// must stay byte-identical across all of them (the CI determinism lane
-// diffs it).
+// frontier batches, and speculated / re-dispatched compute halves. When any
+// run reports fault activity (faults_injected, rounds_degraded,
+// peers_timed_out), three extra columns carry those counters; fault-free
+// batches suppress the all-zero columns so their stderr table keeps the
+// exact pre-fault shape. Likewise, when any run compressed its gradients
+// (bytes_saved != 0), three extra columns report messages / bytes_sent /
+// bytes_saved; uncompressed batches suppress them so existing benches'
+// stderr tables are unchanged. RunAlgorithms and RunConfigs emit this to
+// stderr after every batch of runs (so speculation health is visible without
+// a Debug rebuild) — stderr, because the counters vary with the {threads,
+// backend} execution point while the benches' stdout must stay
+// byte-identical across all of them (the CI determinism lane diffs it).
 void PrintExecutionDiagnostics(std::ostream& os,
                                const std::vector<NamedResult>& results);
 

@@ -25,7 +25,7 @@ class PsState {
   PsState(core::ExperimentHarness& harness, bool use_momentum)
       : harness_(&harness) {
     const core::ExperimentConfig& config = harness.config();
-    model_ = harness.worker(0).model->Clone();
+    model_ = std::make_unique<ml::Mlp>(*harness.worker(0).model);
     ml::SgdOptions options;
     options.learning_rate = config.learning_rate;
     options.momentum = use_momentum ? config.momentum : 0.0;
@@ -49,7 +49,7 @@ class PsState {
     return nic_free_;
   }
 
-  ml::Model& model() { return *model_; }
+  ml::Mlp& model() { return *model_; }
   ml::SgdOptimizer& optimizer() { return *optimizer_; }
 
   void SaveState(Serializer& out) const {
@@ -67,7 +67,7 @@ class PsState {
 
  private:
   core::ExperimentHarness* harness_ = nullptr;
-  std::unique_ptr<ml::Model> model_;
+  std::unique_ptr<ml::Mlp> model_;
   std::unique_ptr<ml::SgdOptimizer> optimizer_;
   double nic_free_ = 0.0;
 };

@@ -301,7 +301,7 @@ Status ExperimentHarness::Init() {
       worker.model = std::make_unique<ml::Mlp>(layers);
       worker.model->InitializeParameters(config_.seed);
     } else {
-      worker.model = workers_.front().model->Clone();
+      worker.model = std::make_unique<ml::Mlp>(*workers_.front().model);
     }
     ml::SgdOptions sgd;
     sgd.learning_rate = config_.learning_rate;
@@ -584,7 +584,6 @@ RunResult ExperimentHarness::Finalize() {
   result.parallel_batches = stats.parallel_batches;
   result.computes_speculated = stats.computes_speculated;
   result.computes_redispatched = stats.computes_redispatched;
-  result.computes_recomputed = stats.computes_recomputed;
   result.faults_injected = faults_injected_;
   result.rounds_degraded = rounds_degraded_;
   result.peers_timed_out = peers_timed_out_;

@@ -27,7 +27,7 @@
 #include "ml/compression.h"
 #include "ml/dataset.h"
 #include "ml/metrics.h"
-#include "ml/model.h"
+#include "ml/mlp.h"
 #include "ml/model_profile.h"
 #include "ml/optimizer.h"
 #include "net/cluster.h"
@@ -293,14 +293,12 @@ struct RunResult {
   // bit-identity contract, which covers simulation outputs only, though each
   // is deterministic per config): the dispatch that ran the simulation
   // ("speculative", or "serial" without a pool or under kSerial), frontiers
-  // dispatched, compute halves evaluated ahead of their turn, invalidated
-  // evaluations re-dispatched onto the pool, and the defensive inline
-  // recomputes (expected zero).
+  // dispatched, compute halves evaluated ahead of their turn, and
+  // invalidated evaluations re-dispatched onto the pool.
   std::string backend;
   int64_t parallel_batches = 0;
   int64_t computes_speculated = 0;
   int64_t computes_redispatched = 0;
-  int64_t computes_recomputed = 0;
   // Fault-injection diagnostics (all zero on fault-free runs; part of the
   // simulation output, so bit-identical across backends/threads/shards):
   // lifecycle events applied, rounds that degraded because a peer was dead
@@ -330,7 +328,7 @@ class TrainingAlgorithm {
 struct WorkerRuntime {
   int id = -1;
   ml::Dataset shard;
-  std::unique_ptr<ml::Model> model;
+  std::unique_ptr<ml::Mlp> model;  // by pointer: keeps the slab stride small
   std::unique_ptr<ml::SgdOptimizer> optimizer;
   std::unique_ptr<ml::BatchSampler> sampler;
   std::unique_ptr<ml::LrSchedule> lr_schedule;

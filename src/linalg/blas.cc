@@ -10,9 +10,9 @@
 // and add in the same order, and all clones produce bit-identical results.
 // (Without that flag the AVX-512 clone WOULD contract to FMA and change
 // low-order bits — verified empirically; do not drop the flag.) The
-// dot-product-shaped kernels (GemmTransB, Gemv) stay single-version: their
-// accumulator chains cannot widen without reassociating, and the wide codegen
-// for them degrades into gather loads.
+// dot-product-shaped Gemv stays single-version: its accumulator chains cannot
+// widen without reassociating, and the wide codegen for it degrades into
+// gather loads.
 // ThreadSanitizer cannot execute ifunc resolvers (they run during dynamic
 // relocation, before the TSan runtime initializes, and crash at startup), so
 // multiversioning is disabled under TSan builds. No result changes: the
@@ -37,107 +37,6 @@
 #endif
 
 namespace netmax::linalg {
-namespace {
-
-// Cache-block size along the contraction dimension. Within a block each
-// accumulator runs in registers; across blocks the partial sum round-trips
-// through C, which preserves the exact left-to-right addition order (the
-// running sum is reloaded, never split into reassociated partials).
-constexpr int kBlockK = 1024;
-
-}  // namespace
-
-void GemmTransB(int m, int n, int k, const double* a, int lda, const double* b,
-                int ldb, const double* bias, double* c, int ldc) {
-  for (int k0 = 0; k0 < k || k0 == 0; k0 += kBlockK) {
-    const int kc = (k - k0) < kBlockK ? (k - k0) : kBlockK;
-    const bool first = k0 == 0;
-    int i = 0;
-    // 2x4 register tile: 8 independent accumulators, each a single
-    // ascending-t chain, so every C element sums in textbook order.
-    for (; i + 2 <= m; i += 2) {
-      const double* a0 = a + static_cast<size_t>(i) * lda + k0;
-      const double* a1 = a0 + lda;
-      double* c0 = c + static_cast<size_t>(i) * ldc;
-      double* c1 = c0 + ldc;
-      int j = 0;
-      for (; j + 4 <= n; j += 4) {
-        const double* b0 = b + static_cast<size_t>(j) * ldb + k0;
-        const double* b1 = b0 + ldb;
-        const double* b2 = b1 + ldb;
-        const double* b3 = b2 + ldb;
-        double s00, s01, s02, s03, s10, s11, s12, s13;
-        if (first) {
-          const double z0 = bias ? bias[j] : 0.0;
-          const double z1 = bias ? bias[j + 1] : 0.0;
-          const double z2 = bias ? bias[j + 2] : 0.0;
-          const double z3 = bias ? bias[j + 3] : 0.0;
-          s00 = z0; s01 = z1; s02 = z2; s03 = z3;
-          s10 = z0; s11 = z1; s12 = z2; s13 = z3;
-        } else {
-          s00 = c0[j]; s01 = c0[j + 1]; s02 = c0[j + 2]; s03 = c0[j + 3];
-          s10 = c1[j]; s11 = c1[j + 1]; s12 = c1[j + 2]; s13 = c1[j + 3];
-        }
-        for (int t = 0; t < kc; ++t) {
-          const double x0 = a0[t];
-          const double x1 = a1[t];
-          s00 += x0 * b0[t]; s01 += x0 * b1[t];
-          s02 += x0 * b2[t]; s03 += x0 * b3[t];
-          s10 += x1 * b0[t]; s11 += x1 * b1[t];
-          s12 += x1 * b2[t]; s13 += x1 * b3[t];
-        }
-        c0[j] = s00; c0[j + 1] = s01; c0[j + 2] = s02; c0[j + 3] = s03;
-        c1[j] = s10; c1[j + 1] = s11; c1[j + 2] = s12; c1[j + 3] = s13;
-      }
-      for (; j < n; ++j) {
-        const double* bj = b + static_cast<size_t>(j) * ldb + k0;
-        double s0 = first ? (bias ? bias[j] : 0.0) : c0[j];
-        double s1 = first ? (bias ? bias[j] : 0.0) : c1[j];
-        for (int t = 0; t < kc; ++t) {
-          s0 += a0[t] * bj[t];
-          s1 += a1[t] * bj[t];
-        }
-        c0[j] = s0;
-        c1[j] = s1;
-      }
-    }
-    for (; i < m; ++i) {
-      const double* ai = a + static_cast<size_t>(i) * lda + k0;
-      double* ci = c + static_cast<size_t>(i) * ldc;
-      int j = 0;
-      for (; j + 4 <= n; j += 4) {
-        const double* b0 = b + static_cast<size_t>(j) * ldb + k0;
-        const double* b1 = b0 + ldb;
-        const double* b2 = b1 + ldb;
-        const double* b3 = b2 + ldb;
-        double s0, s1, s2, s3;
-        if (first) {
-          s0 = bias ? bias[j] : 0.0;
-          s1 = bias ? bias[j + 1] : 0.0;
-          s2 = bias ? bias[j + 2] : 0.0;
-          s3 = bias ? bias[j + 3] : 0.0;
-        } else {
-          s0 = ci[j]; s1 = ci[j + 1]; s2 = ci[j + 2]; s3 = ci[j + 3];
-        }
-        for (int t = 0; t < kc; ++t) {
-          const double x = ai[t];
-          s0 += x * b0[t];
-          s1 += x * b1[t];
-          s2 += x * b2[t];
-          s3 += x * b3[t];
-        }
-        ci[j] = s0; ci[j + 1] = s1; ci[j + 2] = s2; ci[j + 3] = s3;
-      }
-      for (; j < n; ++j) {
-        const double* bj = b + static_cast<size_t>(j) * ldb + k0;
-        double s = first ? (bias ? bias[j] : 0.0) : ci[j];
-        for (int t = 0; t < kc; ++t) s += ai[t] * bj[t];
-        ci[j] = s;
-      }
-    }
-    if (k == 0) break;
-  }
-}
 
 NETMAX_KERNEL_ISA
 void GemmAtBAccumulate(int r, int m, int n, const double* a, int lda,

@@ -6,9 +6,9 @@
 //
 // Every kernel is bit-exact with the naive textbook loop it replaces: each
 // output element is one left-to-right sum over the contraction index in
-// ascending order. Speed comes from register tiling across *independent*
-// output elements, cache blocking that keeps the streamed operands hot, and
-// branch-free inner loops — never from reassociating a sum. This is what lets
+// ascending order. Speed comes from unrolling across *independent* output
+// elements and contraction steps, contiguous vectorizable inner loops, and
+// branch-free code — never from reassociating a sum. This is what lets
 // the workspace/batched training path reproduce the per-sample seed results
 // to the last bit (see tests/golden_reference_test.cc).
 //
@@ -18,14 +18,6 @@
 #include <cstddef>
 
 namespace netmax::linalg {
-
-// C (m x n) = A (m x k) * B^T (+ bias), where B (n x k) is stored row-major:
-// C[i][j] = (bias ? bias[j] : 0) + sum_t A[i][t] * B[j][t], t ascending.
-// This is the inner-product ("transposed-B") GEMM: both operands are read
-// along contiguous rows, which is the layout of a batch of feature rows
-// against a row-major weight matrix W (out x in).
-void GemmTransB(int m, int n, int k, const double* a, int lda, const double* b,
-                int ldb, const double* bias, double* c, int ldc);
 
 // C (m x n) += A^T * B with A (r x m), B (r x n) row-major:
 // C[i][j] += sum_s A[s][i] * B[s][j], s ascending (a sequence of rank-1

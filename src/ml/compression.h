@@ -53,7 +53,7 @@ std::string CompressionSpecName(const CompressionSpec& spec);
 // Applies one compression variant to model-sized delta/gradient vectors and
 // describes the wire message each send produces. `layer_segments` are the
 // contiguous parameter segment sizes of the trained proxy model
-// (ml::Model::LayerSegments()); the layer-wise schedule masks those segments,
+// (ml::Mlp::LayerSegments()); the layer-wise schedule masks those segments,
 // and the simulated profile's bytes are scaled by the proxy's active
 // fraction (the profile models a network whose layer geometry we don't
 // simulate parameter-by-parameter).

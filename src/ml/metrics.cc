@@ -15,17 +15,17 @@ namespace {
 constexpr int kEvalChunk = 256;
 
 // Workspace int-slot used by AverageLoss for the all-examples index list.
-// Models must not touch int slots from LossAndGradient/PredictBatch (see
-// the PredictBatch contract in ml/model.h).
+// The model never touches int slots from LossAndGradient/PredictBatch (see
+// the PredictBatch contract in ml/mlp.h).
 constexpr int kSlotEvalIndices = 0;
 
 }  // namespace
 
-double AverageLoss(const Model& model, const Dataset& data) {
+double AverageLoss(const Mlp& model, const Dataset& data) {
   return AverageLoss(model, data, ThreadLocalWorkspace());
 }
 
-double AverageLoss(const Model& model, const Dataset& data,
+double AverageLoss(const Mlp& model, const Dataset& data,
                    TrainingWorkspace& workspace) {
   NETMAX_CHECK_GT(data.size(), 0);
   std::span<int> all =
@@ -34,11 +34,11 @@ double AverageLoss(const Model& model, const Dataset& data,
   return model.LossAndGradient(data, all, {}, workspace);
 }
 
-double Accuracy(const Model& model, const Dataset& data) {
+double Accuracy(const Mlp& model, const Dataset& data) {
   return Accuracy(model, data, ThreadLocalWorkspace());
 }
 
-double Accuracy(const Model& model, const Dataset& data,
+double Accuracy(const Mlp& model, const Dataset& data,
                 TrainingWorkspace& workspace) {
   NETMAX_CHECK_GT(data.size(), 0);
   // Index/prediction chunks live on the stack: spans into `workspace` could

@@ -8,7 +8,7 @@
 #include <vector>
 
 #include "ml/dataset.h"
-#include "ml/model.h"
+#include "ml/mlp.h"
 #include "ml/workspace.h"
 
 namespace netmax::ml {
@@ -19,16 +19,16 @@ namespace netmax::ml {
 // seed — so the workspace's activation buffers grow to
 // O(dataset_size x widest layer). Use a dedicated workspace (not a
 // per-worker training one) if that footprint matters.
-double AverageLoss(const Model& model, const Dataset& data);
-double AverageLoss(const Model& model, const Dataset& data,
+double AverageLoss(const Mlp& model, const Dataset& data);
+double AverageLoss(const Mlp& model, const Dataset& data,
                    TrainingWorkspace& workspace);
 
 // Fraction of examples of `data` that `model` classifies correctly. The
-// workspace overload evaluates through the model's batched forward pass in
+// workspace overload evaluates through the batched forward pass in
 // fixed-size chunks (the workspace-free one borrows the calling thread's
 // workspace); both give identical results.
-double Accuracy(const Model& model, const Dataset& data);
-double Accuracy(const Model& model, const Dataset& data,
+double Accuracy(const Mlp& model, const Dataset& data);
+double Accuracy(const Mlp& model, const Dataset& data,
                 TrainingWorkspace& workspace);
 
 struct SeriesPoint {

@@ -6,7 +6,6 @@
 #include "common/random.h"
 #include "linalg/blas.h"
 #include "linalg/vector_ops.h"
-#include "ml/linear_model.h"
 #include "ml/sharding.h"
 
 namespace netmax::ml {
@@ -17,7 +16,38 @@ namespace {
 constexpr int kSlotInput = 0;
 constexpr int kSlotActBase = 1;
 
+// Row-wise argmax of a row-major (rows x cols) logits matrix into `out`
+// (size rows); ties break toward the lowest class index.
+void ArgmaxRows(std::span<const double> logits, size_t rows, size_t cols,
+                std::span<int> out) {
+  for (size_t r = 0; r < rows; ++r) {
+    const double* row = logits.data() + r * cols;
+    size_t best = 0;
+    for (size_t c = 1; c < cols; ++c) {
+      if (row[c] > row[best]) best = c;
+    }
+    out[r] = static_cast<int>(best);
+  }
+}
+
 }  // namespace
+
+void SoftmaxInPlace(std::span<double> logits) {
+  double max_logit = logits[0];
+  for (double v : logits) max_logit = std::max(max_logit, v);
+  double total = 0.0;
+  for (double& v : logits) {
+    v = std::exp(v - max_logit);
+    total += v;
+  }
+  for (double& v : logits) v /= total;
+}
+
+double CrossEntropyFromProbabilities(std::span<const double> probabilities,
+                                     int label) {
+  constexpr double kFloor = 1e-12;
+  return -std::log(std::max(probabilities[static_cast<size_t>(label)], kFloor));
+}
 
 Mlp::Mlp(std::vector<int> layer_sizes) : layer_sizes_(std::move(layer_sizes)) {
   NETMAX_CHECK_GE(layer_sizes_.size(), 2u) << "need at least input and output";
@@ -129,6 +159,26 @@ double Mlp::LossAndGradient(const Dataset& data,
                                 workspace, /*pool=*/nullptr, /*shards=*/1);
 }
 
+void Mlp::EvalGradientLeaves(const Dataset& data,
+                             std::span<const int> batch_indices,
+                             int leaf_begin, int leaf_end,
+                             std::span<double> loss_sums,
+                             std::span<double> gradient_sums,
+                             TrainingWorkspace& workspace) const {
+  const size_t width = static_cast<size_t>(num_parameters());
+  for (int l = leaf_begin; l < leaf_end; ++l) {
+    const LeafRange range = GradientLeafRange(batch_indices.size(), l);
+    const std::span<const int> leaf =
+        batch_indices.subspan(range.begin, range.size());
+    const size_t k = static_cast<size_t>(l - leaf_begin);
+    loss_sums[k] = LeafLossAndGradientSums(
+        data, leaf,
+        gradient_sums.empty() ? std::span<double>{}
+                              : gradient_sums.subspan(k * width, width),
+        workspace);
+  }
+}
+
 double Mlp::LeafLossAndGradientSums(const Dataset& data,
                                     std::span<const int> leaf,
                                     std::span<double> gradient,
@@ -217,10 +267,6 @@ void Mlp::PredictBatch(const Dataset& data, std::span<const int> indices,
       ForwardBatch(data, indices, workspace);
   ArgmaxRows(logits, indices.size(), static_cast<size_t>(layer_sizes_.back()),
              out);
-}
-
-std::unique_ptr<Model> Mlp::Clone() const {
-  return std::make_unique<Mlp>(*this);
 }
 
 }  // namespace netmax::ml

@@ -6,7 +6,7 @@
 // step decay at fixed epochs, and decay-on-plateau ("decays by a factor of 10
 // once the loss does not decrease any more").
 
-#include <memory>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -57,27 +57,11 @@ class LrSchedule {
   virtual ~LrSchedule() = default;
   virtual double OnEpochEnd(int64_t epoch, double epoch_loss) = 0;
   virtual double initial_learning_rate() const = 0;
-  virtual std::unique_ptr<LrSchedule> Clone() const = 0;
 
-  // Checkpoint support. Stateless schedules inherit the no-op defaults;
-  // stateful ones serialize their mutable fields (not their construction
-  // parameters, which the harness rebuilds from the config).
-  virtual void SaveState(Serializer&) const {}
-  virtual Status RestoreState(Deserializer&) { return Status::Ok(); }
-};
-
-// Constant learning rate.
-class ConstantLr : public LrSchedule {
- public:
-  explicit ConstantLr(double lr) : lr_(lr) {}
-  double OnEpochEnd(int64_t, double) override { return lr_; }
-  double initial_learning_rate() const override { return lr_; }
-  std::unique_ptr<LrSchedule> Clone() const override {
-    return std::make_unique<ConstantLr>(*this);
-  }
-
- private:
-  double lr_;
+  // Checkpoint support: a schedule serializes its mutable fields (not its
+  // construction parameters, which the harness rebuilds from the config).
+  virtual void SaveState(Serializer& out) const = 0;
+  virtual Status RestoreState(Deserializer& in) = 0;
 };
 
 // Multiplies the rate by `factor` at each listed epoch (paper Section V-F:
@@ -88,9 +72,6 @@ class StepDecayLr : public LrSchedule {
               std::vector<int64_t> milestones);
   double OnEpochEnd(int64_t epoch, double epoch_loss) override;
   double initial_learning_rate() const override { return initial_lr_; }
-  std::unique_ptr<LrSchedule> Clone() const override {
-    return std::make_unique<StepDecayLr>(*this);
-  }
   void SaveState(Serializer& out) const override;
   Status RestoreState(Deserializer& in) override;
 
@@ -110,9 +91,6 @@ class PlateauDecayLr : public LrSchedule {
                  double min_delta = 1e-3);
   double OnEpochEnd(int64_t epoch, double epoch_loss) override;
   double initial_learning_rate() const override { return initial_lr_; }
-  std::unique_ptr<LrSchedule> Clone() const override {
-    return std::make_unique<PlateauDecayLr>(*this);
-  }
   void SaveState(Serializer& out) const override;
   Status RestoreState(Deserializer& in) override;
 

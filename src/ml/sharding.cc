@@ -4,7 +4,7 @@
 
 #include "common/logging.h"
 #include "common/thread_pool.h"
-#include "ml/model.h"
+#include "ml/mlp.h"
 #include "ml/workspace.h"
 
 namespace netmax::ml {
@@ -85,7 +85,7 @@ LeafRange GradientLeafRange(size_t batch, int leaf) {
   return range;
 }
 
-double ShardedLossAndGradient(const Model& model, const Dataset& data,
+double ShardedLossAndGradient(const Mlp& model, const Dataset& data,
                               std::span<const int> batch_indices,
                               std::span<double> gradient,
                               TrainingWorkspace& workspace, ThreadPool* pool,

@@ -4,7 +4,7 @@
 // Intra-worker gradient sharding: one worker's minibatch evaluated as
 // several deterministic shards, combinable across any number of threads.
 //
-// The batched LossAndGradient of every model is defined over a FIXED leaf
+// The batched Mlp::LossAndGradient is defined over a FIXED leaf
 // decomposition of the batch: contiguous chunks of kGradientLeafSamples
 // samples (the last leaf takes the remainder). Each leaf produces an
 // unscaled partial — the loss sum and, when requested, the gradient sum over
@@ -18,7 +18,7 @@
 // a single leaf, i.e. exactly the pre-sharding whole-batch arithmetic.
 //
 // ShardedLossAndGradient below is the one driver of that contract: the
-// serial model overloads call it without a pool, and the experiment
+// serial Mlp overloads call it without a pool, and the experiment
 // harness's EvalBatchGradient calls it with the simulation pool and the
 // config's `shards` knob, nested inside the distinct-worker compute
 // frontier (common/thread_pool.h ParallelFor nests safely).
@@ -33,7 +33,7 @@ class ThreadPool;
 namespace netmax::ml {
 
 class Dataset;
-class Model;
+class Mlp;
 class TrainingWorkspace;
 
 // Samples per gradient leaf. A compile-time constant by design: the leaf
@@ -87,7 +87,7 @@ void TreeReducePartials(std::span<double> partials, int count, size_t width,
 // running the full fixed-shape tree over its contiguous column chunk.
 // Returns the mean loss; results are bit-identical for every (pool, shards)
 // combination, including the serial call and the pooled combine.
-double ShardedLossAndGradient(const Model& model, const Dataset& data,
+double ShardedLossAndGradient(const Mlp& model, const Dataset& data,
                               std::span<const int> batch_indices,
                               std::span<double> gradient,
                               TrainingWorkspace& workspace, ThreadPool* pool,

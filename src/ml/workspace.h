@@ -46,8 +46,8 @@ class TrainingWorkspace {
 
   // Same, for the sharding driver's per-leaf partial sums. A separate slot
   // family from Scratch so the driver can hold loss/gradient partials in the
-  // workspace while a model eval running through the same workspace uses its
-  // own Scratch layout; models must never touch these slots.
+  // workspace while an Mlp eval running through the same workspace uses its
+  // own Scratch layout; the model never touches these slots.
   std::span<double> ReduceScratch(int slot, size_t size);
 
   // The child workspace backing concurrent shard task `shard` (>= 0).
@@ -74,7 +74,7 @@ class TrainingWorkspace {
 
 // A lazily constructed workspace owned by the calling thread, sized to the
 // largest batch any model on this thread has seen. The harness's compute
-// halves run on it, and the workspace-free Model API overloads use it so
+// halves run on it, and the workspace-free Mlp overloads use it so
 // one-off callers (tests, evaluations) get the batched path without
 // threading a workspace through.
 TrainingWorkspace& ThreadLocalWorkspace();

@@ -292,15 +292,15 @@ double EventSimulator::ComputeValue(SimEvent& event) {
   // Invalidated speculation: its second-pass re-dispatch carries the value
   // an inline recompute would produce (the key has not been written since
   // the re-dispatch, or NotifyStateWrite would have invalidated and replaced
-  // it). The inline fallback only covers the defensive no-re-dispatch case
-  // and is expected to stay cold.
+  // it). FlushRedispatches runs after every handler, so by the event's turn
+  // a dirty speculation always holds a live re-dispatch.
   std::future<void> redispatch = std::move(speculation->redispatch);
-  if (redispatch.valid() && !speculation->redispatch_invalidated) {
-    redispatch.wait();
-    return speculation->redispatch_value;
-  }
-  ++stats_.computes_recomputed;
-  return event.compute();
+  NETMAX_CHECK(redispatch.valid() && !speculation->redispatch_invalidated)
+      << "invalidated speculation without a live re-dispatch: event time "
+      << event.time << " sequence " << event.sequence << " worker key "
+      << event.worker_key;
+  redispatch.wait();
+  return speculation->redispatch_value;
 }
 
 void EventSimulator::NotifyStateWrite(int worker_key) {

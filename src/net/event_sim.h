@@ -107,11 +107,6 @@ struct ExecutionStats {
   // Invalidated speculations re-dispatched onto the pool after the
   // invalidating handler returned (double invalidations re-count).
   int64_t computes_redispatched = 0;
-  // Inline recomputes of an invalidated speculation on the simulator thread —
-  // a defensive fallback that is unreachable today (every invalidated
-  // speculation gets a re-dispatch), asserted to stay zero by the
-  // determinism tests.
-  int64_t computes_recomputed = 0;
 };
 
 class EventSimulator {

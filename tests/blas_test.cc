@@ -22,46 +22,6 @@ std::vector<double> RandomBuffer(size_t n, uint64_t seed) {
   return out;
 }
 
-TEST(BlasTest, GemmTransBMatchesNaive) {
-  for (const auto& [m, n, k] : {std::array{1, 1, 1}, std::array{3, 5, 7},
-                                std::array{32, 10, 32}, std::array{33, 9, 65},
-                                std::array{2, 4, 2000}}) {
-    const std::vector<double> a = RandomBuffer(static_cast<size_t>(m) * k, 1);
-    const std::vector<double> b = RandomBuffer(static_cast<size_t>(n) * k, 2);
-    const std::vector<double> bias = RandomBuffer(static_cast<size_t>(n), 3);
-    std::vector<double> c(static_cast<size_t>(m) * n, -1.0);
-    GemmTransB(m, n, k, a.data(), k, b.data(), k, bias.data(), c.data(), n);
-    for (int i = 0; i < m; ++i) {
-      for (int j = 0; j < n; ++j) {
-        double want = bias[static_cast<size_t>(j)];
-        for (int t = 0; t < k; ++t) {
-          want += a[static_cast<size_t>(i) * k + t] *
-                  b[static_cast<size_t>(j) * k + t];
-        }
-        EXPECT_EQ(c[static_cast<size_t>(i) * n + j], want)
-            << m << "x" << n << "x" << k << " at (" << i << "," << j << ")";
-      }
-    }
-  }
-}
-
-TEST(BlasTest, GemmTransBNullBiasStartsAtZero) {
-  const std::vector<double> a = RandomBuffer(6, 4);
-  const std::vector<double> b = RandomBuffer(9, 5);
-  std::vector<double> c(6, 99.0);
-  GemmTransB(2, 3, 3, a.data(), 3, b.data(), 3, nullptr, c.data(), 3);
-  for (int i = 0; i < 2; ++i) {
-    for (int j = 0; j < 3; ++j) {
-      double want = 0.0;
-      for (int t = 0; t < 3; ++t) {
-        want += a[static_cast<size_t>(i) * 3 + t] *
-                b[static_cast<size_t>(j) * 3 + t];
-      }
-      EXPECT_EQ(c[static_cast<size_t>(i) * 3 + j], want);
-    }
-  }
-}
-
 TEST(BlasTest, GemmAtBAccumulateMatchesNaive) {
   for (const auto& [r, m, n] : {std::array{1, 1, 1}, std::array{7, 3, 5},
                                 std::array{32, 10, 32},

@@ -428,6 +428,49 @@ TEST_P(CheckpointSweep, EveryPointRestoresBitIdentically) {
 INSTANTIATE_TEST_SUITE_P(AllAlgorithms, CheckpointSweep,
                          ::testing::ValuesIn(algos::AlgorithmNames()));
 
+// lr_milestones (ml::StepDecayLr) through the harness and a checkpoint. The
+// decayed rate is schedule state: a run checkpointed after the milestone
+// epoch reaches later epoch ends only after the restore, so it finishes on
+// the uninterrupted run's bits only if the checkpoint carried that rate.
+TEST(CheckpointLrMilestones, DecayedRateSurvivesRestore) {
+  ExperimentConfig base = BaseConfig();
+  base.lr_milestones = {1};
+  base.max_epochs = 3;
+
+  // The milestone itself: each worker's optimizer runs at the configured
+  // rate through epoch 1 and at a tenth of it once epoch 1 has ended.
+  {
+    core::ExperimentHarness harness(base, "netmax");
+    ASSERT_TRUE(harness.Init().ok());
+    for (int w = 0; w < base.num_workers; ++w) {
+      while (harness.worker(w).epochs_completed < 1) {
+        ASSERT_EQ(harness.worker(w).optimizer->learning_rate(),
+                  base.learning_rate);
+        harness.LocalGradientStep(w);
+      }
+      EXPECT_EQ(harness.worker(w).optimizer->learning_rate(),
+                0.1 * base.learning_rate)
+          << "worker " << w;
+    }
+  }
+
+  // Checkpoint between the first and second global-epoch points: past the
+  // milestone, with later epoch ends left to run after the restore.
+  const RunResult reference = MustRun("netmax", base);
+  ASSERT_EQ(reference.loss_vs_time.size(), 3u);
+  std::vector<uint8_t> checkpoint;
+  ExperimentConfig with_checkpoint = base;
+  with_checkpoint.checkpoint_at_seconds =
+      0.5 * (reference.loss_vs_time[0].x + reference.loss_vs_time[1].x);
+  with_checkpoint.checkpoint_sink = &checkpoint;
+  ExpectBitIdentical(reference, MustRun("netmax", with_checkpoint));
+  ASSERT_FALSE(checkpoint.empty());
+
+  ExperimentConfig resumed = base;
+  resumed.restore_source = &checkpoint;
+  ExpectBitIdentical(reference, MustRun("netmax", resumed));
+}
+
 // --- wire-format and plumbing error paths (one algorithm suffices) ---
 
 std::vector<uint8_t> MakeCheckpoint(const ExperimentConfig& base,

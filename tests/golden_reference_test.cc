@@ -6,15 +6,12 @@
 
 #include <cmath>
 #include <numeric>
-#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/random.h"
-#include "ml/conv_net.h"
 #include "ml/dataset.h"
-#include "ml/linear_model.h"
 #include "ml/metrics.h"
 #include "ml/mlp.h"
 #include "ml/workspace.h"
@@ -46,13 +43,13 @@ std::vector<int> RandomBatch(int batch, int dataset_size, uint64_t seed) {
 }
 
 // Runs both paths on `model` and compares loss + gradient coordinates.
-template <typename ModelT, typename ReferenceFn>
-void CompareAgainstReference(const ModelT& model, const Dataset& data,
-                             std::span<const int> batch, ReferenceFn reference,
+void CompareAgainstReference(const Mlp& model, const Dataset& data,
+                             std::span<const int> batch,
                              TrainingWorkspace& workspace) {
   std::vector<double> want_gradient(
       static_cast<size_t>(model.num_parameters()));
-  const double want_loss = reference(model, data, batch, want_gradient);
+  const double want_loss =
+      reference::MlpLossAndGradient(model, data, batch, want_gradient);
 
   std::vector<double> got_gradient(
       static_cast<size_t>(model.num_parameters()));
@@ -88,46 +85,7 @@ TEST(GoldenReferenceTest, MlpMatchesNaiveOnRandomInstances) {
       Mlp model(arch);
       model.InitializeParameters(++seed);
       const std::vector<int> batch = RandomBatch(batch_size, 64, ++seed);
-      CompareAgainstReference(model, data, batch,
-                              reference::MlpLossAndGradient, workspace);
-    }
-  }
-}
-
-TEST(GoldenReferenceTest, ConvNetMatchesNaiveOnRandomInstances) {
-  TrainingWorkspace workspace;
-  struct Shape {
-    int input_dim, filters, kernel, classes;
-  };
-  const std::vector<Shape> shapes = {
-      {10, 4, 3, 3}, {32, 8, 5, 10}, {17, 3, 7, 5}};
-  uint64_t seed = 200;
-  for (const Shape& shape : shapes) {
-    for (int batch_size : {1, 5, 32}) {
-      Dataset data = RandomDataset(shape.input_dim, shape.classes, 64, ++seed);
-      ConvNet model(shape.input_dim, shape.filters, shape.kernel,
-                    shape.classes);
-      model.InitializeParameters(++seed);
-      const std::vector<int> batch = RandomBatch(batch_size, 64, ++seed);
-      CompareAgainstReference(model, data, batch,
-                              reference::ConvNetLossAndGradient, workspace);
-    }
-  }
-}
-
-TEST(GoldenReferenceTest, LinearModelMatchesNaiveOnRandomInstances) {
-  TrainingWorkspace workspace;
-  uint64_t seed = 300;
-  for (const auto& [dim, classes] : {std::pair{6, 3}, std::pair{32, 10},
-                                     std::pair{15, 7}}) {
-    for (int batch_size : {1, 4, 32}) {
-      Dataset data = RandomDataset(dim, classes, 64, ++seed);
-      LinearModel model(dim, classes);
-      model.InitializeParameters(++seed);
-      const std::vector<int> batch = RandomBatch(batch_size, 64, ++seed);
-      CompareAgainstReference(model, data, batch,
-                              reference::LinearModelLossAndGradient,
-                              workspace);
+      CompareAgainstReference(model, data, batch, workspace);
     }
   }
 }
@@ -152,22 +110,18 @@ TEST(GoldenReferenceTest, WorkspaceAndLegacyOverloadsAgreeExactly) {
 TEST(GoldenReferenceTest, PredictBatchMatchesSingleExamplePredict) {
   TrainingWorkspace workspace;
   Dataset data = RandomDataset(12, 5, 128, 13);
-  Mlp mlp({12, 9, 5});
-  mlp.InitializeParameters(17);
-  ConvNet conv(12, 4, 3, 5);
-  conv.InitializeParameters(19);
-  LinearModel linear(12, 5);
-  linear.InitializeParameters(23);
-
   std::vector<int> indices(static_cast<size_t>(data.size()));
   std::iota(indices.begin(), indices.end(), 0);
   std::vector<int> predictions(indices.size());
-  for (const Model* model :
-       std::initializer_list<const Model*>{&mlp, &conv, &linear}) {
-    model->PredictBatch(data, indices, predictions, workspace);
+  uint64_t seed = 17;
+  for (const std::vector<int>& arch :
+       {std::vector<int>{12, 9, 5}, std::vector<int>{12, 5}}) {
+    Mlp model(arch);
+    model.InitializeParameters(seed++);
+    model.PredictBatch(data, indices, predictions, workspace);
     for (int i = 0; i < data.size(); ++i) {
-      EXPECT_EQ(predictions[static_cast<size_t>(i)], model->Predict(data, i))
-          << model->name() << " example " << i;
+      EXPECT_EQ(predictions[static_cast<size_t>(i)], model.Predict(data, i))
+          << arch.size() - 1 << " layers, example " << i;
     }
   }
 }

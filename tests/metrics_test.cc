@@ -4,7 +4,7 @@
 
 #include <gtest/gtest.h>
 
-#include "ml/linear_model.h"
+#include "ml/mlp.h"
 #include "ml/model_profile.h"
 
 namespace netmax::ml {
@@ -18,7 +18,7 @@ TEST(MetricsTest, AccuracyOfPerfectAndBrokenModel) {
   data.Add(std::vector<double>{2.0}, 1);
   data.Add(std::vector<double>{-2.0}, 0);
 
-  LinearModel model(1, 2);
+  Mlp model({1, 2});
   // W = [[-1],[1]], b = 0 classifies by sign correctly.
   model.parameters()[0] = -1.0;
   model.parameters()[1] = 1.0;
@@ -34,7 +34,7 @@ TEST(MetricsTest, AverageLossOfUniformModelIsLogC) {
   Dataset data(2, 4);
   data.Add(std::vector<double>{0.5, -0.5}, 2);
   data.Add(std::vector<double>{1.0, 1.0}, 0);
-  LinearModel model(2, 4);  // zero weights -> uniform softmax
+  Mlp model({2, 4});  // zero weights -> uniform softmax
   EXPECT_NEAR(AverageLoss(model, data), std::log(4.0), 1e-12);
 }
 

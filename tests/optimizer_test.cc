@@ -86,13 +86,6 @@ TEST(SgdOptimizerTest, RejectsInvalidOptions) {
   EXPECT_DEATH({ SgdOptimizer o(1, bad_momentum); }, "Check failed");
 }
 
-TEST(ConstantLrTest, NeverChanges) {
-  ConstantLr schedule(0.05);
-  EXPECT_DOUBLE_EQ(schedule.initial_learning_rate(), 0.05);
-  EXPECT_DOUBLE_EQ(schedule.OnEpochEnd(10, 1.0), 0.05);
-  EXPECT_DOUBLE_EQ(schedule.OnEpochEnd(100, 0.0), 0.05);
-}
-
 TEST(StepDecayLrTest, DecaysAtMilestones) {
   StepDecayLr schedule(0.1, 0.1, {3, 6});
   EXPECT_DOUBLE_EQ(schedule.OnEpochEnd(1, 1.0), 0.1);
@@ -120,14 +113,6 @@ TEST(PlateauDecayLrTest, MinDeltaGuardsAgainstNoise) {
   EXPECT_DOUBLE_EQ(schedule.OnEpochEnd(0, 1.0), 0.1);
   // An improvement smaller than min_delta counts as stale.
   EXPECT_NEAR(schedule.OnEpochEnd(1, 0.95), 0.01, 1e-12);
-}
-
-TEST(LrScheduleCloneTest, CloneIsIndependent) {
-  StepDecayLr schedule(0.1, 0.5, {1});
-  auto clone = schedule.Clone();
-  EXPECT_NEAR(schedule.OnEpochEnd(1, 1.0), 0.05, 1e-12);
-  // The clone has not seen epoch 1 yet.
-  EXPECT_NEAR(clone->OnEpochEnd(0, 1.0), 0.1, 1e-12);
 }
 
 }  // namespace

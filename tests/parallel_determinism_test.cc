@@ -110,7 +110,6 @@ RunResult ExpectGridBitIdentical(const std::string& name,
                      " threads=" + std::to_string(threads) +
                      " shards=" + std::to_string(shards));
         ExpectBitIdentical(reference, run);
-        EXPECT_EQ(run.computes_recomputed, 0);
       }
     }
   }
@@ -283,10 +282,6 @@ TEST(ParallelDeterminismTest, ParallelRunsActuallySpeculate) {
     EXPECT_EQ(serial.computes_speculated, 0) << name;
     EXPECT_GT(parallel.parallel_batches, 0) << name;
     EXPECT_GT(parallel.computes_speculated, 0) << name;
-    // Invalidations are expected (consensus commits dirty their peers), but
-    // every one must resolve through the second-pass re-dispatch — the
-    // inline fallback is defensive only.
-    EXPECT_EQ(parallel.computes_recomputed, 0) << name;
   }
   // --backend=serial dispatches inline even with a pool.
   const RunResult serial =
@@ -301,7 +296,6 @@ TEST(ParallelDeterminismTest, ConsensusInvalidationsAreRedispatched) {
   const ExperimentConfig config = BaseConfig();
   const RunResult parallel = RunWithThreads("netmax", config, 8);
   EXPECT_GT(parallel.computes_redispatched, 0);
-  EXPECT_EQ(parallel.computes_recomputed, 0);
 }
 
 TEST(ParallelDeterminismTest, ThreadCountsAgreeAmongThemselves) {

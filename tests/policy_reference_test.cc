@@ -19,6 +19,7 @@
 #include <sstream>
 #include <string>
 #include <tuple>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -38,25 +39,45 @@ using Mode = PolicyGeneratorOptions::Mode;
 
 uint64_t Bits(double x) { return std::bit_cast<uint64_t>(x); }
 
-// One topology of the sweep: "complete", "ring" or "hier" (clusters of
-// `cluster` workers).
+// One topology of the sweep: complete, ring or hierarchical (clusters of
+// `cluster` workers). gtest prints a parameter type without a PrintTo as its
+// raw bytes, and ctest folds that dump into each test's name. Every byte of
+// a Shape is a value (the 8-byte enum leaves no padding, and no member is a
+// pointer), so the names are the same in every process and every build.
 struct Shape {
-  const char* kind;
+  enum class Kind : int64_t { kComplete, kRing, kHier };
+  Kind kind;
   int n;
   int cluster;
   net::Topology Make() const {
-    const std::string k = kind;
-    if (k == "ring") return net::Topology::Ring(n);
-    if (k == "hier") return net::Topology::Hierarchical(n, cluster);
+    switch (kind) {
+      case Kind::kRing:
+        return net::Topology::Ring(n);
+      case Kind::kHier:
+        return net::Topology::Hierarchical(n, cluster);
+      case Kind::kComplete:
+        break;
+    }
     return net::Topology::Complete(n);
   }
   std::string Name() const {
     std::ostringstream out;
-    out << kind << n;
-    if (std::string(kind) == "hier") out << "c" << cluster;
+    switch (kind) {
+      case Kind::kRing:
+        out << "ring" << n;
+        break;
+      case Kind::kHier:
+        out << "hier" << n << "c" << cluster;
+        break;
+      case Kind::kComplete:
+        out << "complete" << n;
+        break;
+    }
     return out.str();
   }
 };
+static_assert(std::has_unique_object_representations_v<Shape>,
+              "a padding byte would put garbage into the test names");
 
 using Param = std::tuple<Shape, Mode>;
 
@@ -137,11 +158,12 @@ void ExpectSameResult(const StatusOr<GeneratedPolicy>& got,
 // bind), rings, and hierarchical clusters with a short last cluster.
 std::vector<Shape> SweptShapes() {
   std::vector<Shape> shapes;
-  for (int n : {2, 3, 5, 8, 16, 32}) shapes.push_back({"complete", n, 0});
-  for (int n : {3, 8, 16}) shapes.push_back({"ring", n, 0});
-  shapes.push_back({"hier", 10, 3});
-  shapes.push_back({"hier", 16, 4});
-  shapes.push_back({"hier", 32, 8});
+  using Kind = Shape::Kind;
+  for (int n : {2, 3, 5, 8, 16, 32}) shapes.push_back({Kind::kComplete, n, 0});
+  for (int n : {3, 8, 16}) shapes.push_back({Kind::kRing, n, 0});
+  shapes.push_back({Kind::kHier, 10, 3});
+  shapes.push_back({Kind::kHier, 16, 4});
+  shapes.push_back({Kind::kHier, 32, 8});
   return shapes;
 }
 
@@ -265,9 +287,10 @@ TEST(PolicyLpBlocks, WholeMatrixLpSplitsIntoPerWorkerBlocks) {
   // may reach its Bland switch (so neither the switch nor the far larger
   // iteration cap, both sized differently per worker, is ever in play).
   std::vector<Shape> shapes;
-  for (int n : {2, 5, 32}) shapes.push_back({"complete", n, 0});
-  shapes.push_back({"ring", 8, 0});
-  shapes.push_back({"hier", 16, 4});
+  using Kind = Shape::Kind;
+  for (int n : {2, 5, 32}) shapes.push_back({Kind::kComplete, n, 0});
+  shapes.push_back({Kind::kRing, 8, 0});
+  shapes.push_back({Kind::kHier, 16, 4});
   int feasible_points = 0;
   int infeasible_points = 0;
   int binding_points = 0;  // optima with an edge probability at its bound 1

@@ -29,9 +29,7 @@
 #include "linalg/eigen.h"
 #include "linalg/matrix.h"
 #include "linalg/simplex.h"
-#include "ml/conv_net.h"
 #include "ml/dataset.h"
-#include "ml/linear_model.h"
 #include "ml/mlp.h"
 #include "net/event_queue.h"
 
@@ -113,141 +111,6 @@ inline double MlpLossAndGradient(const Mlp& model, const Dataset& data,
           if (prev_act[j] <= 0.0) prev_delta[j] = 0.0;
         }
         delta = std::move(prev_delta);
-      }
-    }
-  }
-  const double inv_batch = 1.0 / static_cast<double>(batch_indices.size());
-  if (want_gradient) {
-    for (double& g : gradient) g *= inv_batch;
-  }
-  return total_loss * inv_batch;
-}
-
-// Seed ConvNet::LossAndGradient.
-inline double ConvNetLossAndGradient(const ConvNet& model, const Dataset& data,
-                                     std::span<const int> batch_indices,
-                                     std::span<double> gradient) {
-  const int num_filters = model.num_filters();
-  const int kernel_size = model.kernel_size();
-  const int conv_len = model.conv_output_length();
-  const int num_classes = model.num_classes();
-  const int fc_in = num_filters * conv_len;
-  std::span<const double> params = model.parameters();
-  const bool want_gradient = !gradient.empty();
-  if (want_gradient) std::fill(gradient.begin(), gradient.end(), 0.0);
-
-  std::vector<double> conv_out;
-  std::vector<double> probs;
-  double total_loss = 0.0;
-  for (int index : batch_indices) {
-    const std::span<const double> x = data.features(index);
-    const int label = data.label(index);
-
-    const double* conv_w = params.data() + model.ConvWeightOffset();
-    const double* conv_b = params.data() + model.ConvBiasOffset();
-    conv_out.assign(static_cast<size_t>(fc_in), 0.0);
-    for (int f = 0; f < num_filters; ++f) {
-      const double* kernel = conv_w + static_cast<size_t>(f) * kernel_size;
-      double* out = conv_out.data() + static_cast<size_t>(f) * conv_len;
-      for (int p = 0; p < conv_len; ++p) {
-        double acc = conv_b[f];
-        for (int k = 0; k < kernel_size; ++k) {
-          acc += kernel[k] * x[static_cast<size_t>(p + k)];
-        }
-        out[p] = std::max(0.0, acc);  // ReLU
-      }
-    }
-    const double* fc_w = params.data() + model.FcWeightOffset();
-    const double* fc_b = params.data() + model.FcBiasOffset();
-    probs.assign(static_cast<size_t>(num_classes), 0.0);
-    for (int c = 0; c < num_classes; ++c) {
-      const double* row = fc_w + static_cast<size_t>(c) * fc_in;
-      double acc = fc_b[c];
-      for (int j = 0; j < fc_in; ++j) {
-        acc += row[j] * conv_out[static_cast<size_t>(j)];
-      }
-      probs[static_cast<size_t>(c)] = acc;
-    }
-    SoftmaxInPlace(probs);
-    total_loss += CrossEntropyFromProbabilities(probs, label);
-    if (!want_gradient) continue;
-
-    std::vector<double> dlogits = probs;
-    dlogits[static_cast<size_t>(label)] -= 1.0;
-
-    double* g_fc_w = gradient.data() + model.FcWeightOffset();
-    double* g_fc_b = gradient.data() + model.FcBiasOffset();
-    std::vector<double> dconv(static_cast<size_t>(fc_in), 0.0);
-    for (int c = 0; c < num_classes; ++c) {
-      const double d = dlogits[static_cast<size_t>(c)];
-      g_fc_b[c] += d;
-      if (d == 0.0) continue;
-      double* grow = g_fc_w + static_cast<size_t>(c) * fc_in;
-      const double* row = fc_w + static_cast<size_t>(c) * fc_in;
-      for (int j = 0; j < fc_in; ++j) {
-        grow[j] += d * conv_out[static_cast<size_t>(j)];
-        dconv[static_cast<size_t>(j)] += d * row[j];
-      }
-    }
-    for (int j = 0; j < fc_in; ++j) {
-      if (conv_out[static_cast<size_t>(j)] <= 0.0) {
-        dconv[static_cast<size_t>(j)] = 0.0;
-      }
-    }
-    double* g_conv_w = gradient.data() + model.ConvWeightOffset();
-    double* g_conv_b = gradient.data() + model.ConvBiasOffset();
-    for (int f = 0; f < num_filters; ++f) {
-      double* gk = g_conv_w + static_cast<size_t>(f) * kernel_size;
-      const double* dout = dconv.data() + static_cast<size_t>(f) * conv_len;
-      for (int p = 0; p < conv_len; ++p) {
-        const double d = dout[p];
-        if (d == 0.0) continue;
-        for (int k = 0; k < kernel_size; ++k) {
-          gk[k] += d * x[static_cast<size_t>(p + k)];
-        }
-        g_conv_b[f] += d;
-      }
-    }
-  }
-  const double inv_batch = 1.0 / static_cast<double>(batch_indices.size());
-  if (want_gradient) {
-    for (double& g : gradient) g *= inv_batch;
-  }
-  return total_loss * inv_batch;
-}
-
-// Seed LinearModel::LossAndGradient.
-inline double LinearModelLossAndGradient(const LinearModel& model,
-                                         const Dataset& data,
-                                         std::span<const int> batch_indices,
-                                         std::span<double> gradient) {
-  const size_t d = static_cast<size_t>(model.feature_dim());
-  const int num_classes = model.num_classes();
-  const size_t bias_offset = static_cast<size_t>(num_classes) * d;
-  std::span<const double> params = model.parameters();
-  const bool want_gradient = !gradient.empty();
-  if (want_gradient) std::fill(gradient.begin(), gradient.end(), 0.0);
-
-  std::vector<double> probs(static_cast<size_t>(num_classes));
-  double total_loss = 0.0;
-  for (int index : batch_indices) {
-    const std::span<const double> x = data.features(index);
-    const int label = data.label(index);
-    for (int c = 0; c < num_classes; ++c) {
-      const double* w = params.data() + static_cast<size_t>(c) * d;
-      double acc = params[bias_offset + static_cast<size_t>(c)];
-      for (size_t j = 0; j < d; ++j) acc += w[j] * x[j];
-      probs[static_cast<size_t>(c)] = acc;
-    }
-    SoftmaxInPlace(probs);
-    total_loss += CrossEntropyFromProbabilities(probs, label);
-    if (want_gradient) {
-      for (int c = 0; c < num_classes; ++c) {
-        const double dlogit =
-            probs[static_cast<size_t>(c)] - (c == label ? 1.0 : 0.0);
-        double* gw = gradient.data() + static_cast<size_t>(c) * d;
-        for (size_t j = 0; j < d; ++j) gw[j] += dlogit * x[j];
-        gradient[bias_offset + static_cast<size_t>(c)] += dlogit;
       }
     }
   }

@@ -6,18 +6,14 @@
 
 #include "ml/sharding.h"
 
-#include <memory>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/random.h"
 #include "common/thread_pool.h"
-#include "ml/conv_net.h"
 #include "ml/dataset.h"
-#include "ml/linear_model.h"
 #include "ml/mlp.h"
-#include "ml/model.h"
 #include "ml/workspace.h"
 
 namespace netmax::ml {
@@ -65,7 +61,7 @@ TEST(ShardingGeometryTest, LeafCountAndRangesAreFixedChunks) {
 
 // Runs the serial reference and every (pool_threads, shards) variant on the
 // same model/batch and demands exact equality.
-void ExpectShardingInvariant(const Model& model, const Dataset& data,
+void ExpectShardingInvariant(const Mlp& model, const Dataset& data,
                              std::span<const int> batch) {
   const size_t width = static_cast<size_t>(model.num_parameters());
   TrainingWorkspace reference_workspace;
@@ -82,12 +78,11 @@ void ExpectShardingInvariant(const Model& model, const Dataset& data,
       const double loss = ShardedLossAndGradient(
           model, data, batch, gradient, workspace, &pool, shards);
       EXPECT_EQ(loss, reference_loss)
-          << model.name() << " pool=" << pool_threads
-          << " shards=" << shards;
+          << "pool=" << pool_threads << " shards=" << shards;
       for (size_t i = 0; i < width; ++i) {
         ASSERT_EQ(gradient[i], reference_gradient[i])
-            << model.name() << " pool=" << pool_threads
-            << " shards=" << shards << " coordinate " << i;
+            << "pool=" << pool_threads << " shards=" << shards
+            << " coordinate " << i;
       }
       // Loss-only mode reproduces the same loss bits too.
       const double loss_only = ShardedLossAndGradient(
@@ -108,32 +103,15 @@ TEST(ShardedLossAndGradientTest, MlpBitIdenticalAcrossPoolAndShardCounts) {
   }
 }
 
-TEST(ShardedLossAndGradientTest, ConvNetBitIdenticalAcrossPoolAndShardCounts) {
-  Dataset data = RandomDataset(20, 4, 96, 19);
-  ConvNet model(20, 6, 5, 4);
-  model.InitializeParameters(23);
-  for (const int batch_size : {8, 33}) {
-    ExpectShardingInvariant(model, data,
-                            RandomBatch(batch_size, 96, 29 + batch_size));
-  }
-}
-
-TEST(ShardedLossAndGradientTest, LinearBitIdenticalAcrossPoolAndShardCounts) {
-  Dataset data = RandomDataset(10, 3, 96, 31);
-  LinearModel model(10, 3);
-  model.InitializeParameters(37);
-  ExpectShardingInvariant(model, data, RandomBatch(40, 96, 41));
-}
-
 TEST(ShardedLossAndGradientTest, WideModelPooledTreeReductionBitIdentical) {
-  // A model wide enough to cross kPooledReduceMinWidth (2048*8 + 8 = 16392
-  // parameters), so the pairwise tree reduction of the gradient partials
-  // itself fans out onto the pool. The combine is element-wise across the
-  // parameter axis with a fixed tree shape, so the pooled column chunks must
-  // reproduce the serial combine bit for bit — this is the test that pins
-  // the "leaf-tree reduction on the pool" path.
+  // A model wide enough to cross kPooledReduceMinWidth (one softmax layer,
+  // 2048*8 + 8 = 16392 parameters), so the pairwise tree reduction of the
+  // gradient partials itself fans out onto the pool. The combine is
+  // element-wise across the parameter axis with a fixed tree shape, so the
+  // pooled column chunks must reproduce the serial combine bit for bit —
+  // this is the test that pins the "leaf-tree reduction on the pool" path.
   Dataset data = RandomDataset(2048, 8, 48, 83);
-  LinearModel model(2048, 8);
+  Mlp model({2048, 8});
   model.InitializeParameters(89);
   ASSERT_GE(static_cast<size_t>(model.num_parameters()),
             kPooledReduceMinWidth);
@@ -163,63 +141,6 @@ TEST(ShardedLossAndGradientTest, SingleLeafBatchMatchesWholeBatchPath) {
   EXPECT_EQ(loss, loss_sum[0] * inv);
   for (size_t i = 0; i < sums.size(); ++i) {
     EXPECT_EQ(gradient[i], sums[i] * inv);
-  }
-}
-
-// A model implementing only the workspace-free LossAndGradient: exercises
-// the default EvalGradientLeaves (per-leaf mean rescaled to sums), which
-// must still be deterministic across every shard/pool combination.
-class NaiveOnlyModel : public Model {
- public:
-  NaiveOnlyModel() : inner_(6, 3) {}
-  std::string name() const override { return "naive-only"; }
-  int num_parameters() const override { return inner_.num_parameters(); }
-  std::span<double> parameters() override { return inner_.parameters(); }
-  std::span<const double> parameters() const override {
-    return inner_.parameters();
-  }
-  void InitializeParameters(uint64_t seed) override {
-    inner_.InitializeParameters(seed);
-  }
-  double LossAndGradient(const Dataset& data,
-                         std::span<const int> batch_indices,
-                         std::span<double> gradient) const override {
-    return inner_.LossAndGradient(data, batch_indices, gradient);
-  }
-  int Predict(const Dataset& data, int index) const override {
-    return inner_.Predict(data, index);
-  }
-  std::unique_ptr<Model> Clone() const override {
-    return std::make_unique<NaiveOnlyModel>(*this);
-  }
-
- private:
-  LinearModel inner_;
-};
-
-TEST(ShardedLossAndGradientTest, DefaultLeafFallbackIsDeterministic) {
-  Dataset data = RandomDataset(6, 3, 64, 59);
-  NaiveOnlyModel model;
-  model.InitializeParameters(61);
-  const std::vector<int> batch = RandomBatch(20, 64, 67);
-  const size_t width = static_cast<size_t>(model.num_parameters());
-
-  TrainingWorkspace serial_workspace;
-  std::vector<double> serial_gradient(width);
-  const double serial_loss = ShardedLossAndGradient(
-      model, data, batch, serial_gradient, serial_workspace,
-      /*pool=*/nullptr, /*shards=*/1);
-
-  ThreadPool pool(2);
-  for (const int shards : {2, 3}) {
-    TrainingWorkspace workspace;
-    std::vector<double> gradient(width);
-    const double loss = ShardedLossAndGradient(model, data, batch, gradient,
-                                               workspace, &pool, shards);
-    EXPECT_EQ(loss, serial_loss);
-    for (size_t i = 0; i < width; ++i) {
-      EXPECT_EQ(gradient[i], serial_gradient[i]) << i;
-    }
   }
 }
 
