@@ -32,6 +32,11 @@
 // compressed mix or reduce (per-send pulls, push-gossip snapshots, ring and
 // group chunks, and both parameter-server exchanges); plain traces stay
 // byte-identical to their pre-compression pins.
+//
+// Network variant: "<algorithm>+homogeneous" runs the pinned experiment on
+// the homogeneous network (one uniform link class, the setting of the
+// paper's Figs. 6, 9 and 11 and Table 3) and prints no extra lines. --list
+// advertises Fig. 9's pair, NetMax and AD-PSGD.
 
 #include <cinttypes>
 #include <cstdio>
@@ -94,6 +99,9 @@ constexpr char kTopKSpec[] = "topk:0.1";
 constexpr char kInt8Spec[] = "int8";
 constexpr char kLayerwiseSpec[] = "layerwise:2";
 
+// Pinned network variant: the golden config on the homogeneous network.
+constexpr char kHomogeneousSuffix[] = "+homogeneous";
+
 bool StripSuffix(std::string& name, const char* suffix) {
   const std::string tail(suffix);
   if (name.size() <= tail.size() ||
@@ -114,6 +122,7 @@ Status DumpTrace(const std::string& request) {
   bool fault_mode = false;
   core::PeerPolicy policy = core::PeerPolicy::kWait;
   const char* compress_spec = nullptr;
+  bool homogeneous = false;
   if (StripSuffix(name, kWaitSuffix)) {
     fault_mode = true;
   } else if (StripSuffix(name, kTimeoutSuffix)) {
@@ -125,8 +134,11 @@ Status DumpTrace(const std::string& request) {
     compress_spec = kInt8Spec;
   } else if (StripSuffix(name, kLayerwiseSuffix)) {
     compress_spec = kLayerwiseSpec;
+  } else if (StripSuffix(name, kHomogeneousSuffix)) {
+    homogeneous = true;
   }
   core::ExperimentConfig config = GoldenConfig();
+  if (homogeneous) config.network = core::NetworkScenario::kHomogeneous;
   // NETMAX_THREADS and NETMAX_BACKEND select the execution point without
   // perturbing the pinned config: every thread count and backend must
   // reproduce the same trace bytes, which is exactly what CI's golden-trace
@@ -212,8 +224,8 @@ int main(int argc, char** argv) {
     // every engine's compressed mix or reduce, spread across the encoding
     // families and the wire-accounting shapes (directed consensus sends,
     // push-gossip snapshots, ring and group chunks, PS uploads and
-    // downloads). Every other "<algorithm>+<variant>" spelling also runs,
-    // unpinned.
+    // downloads). Last, Fig. 9's homogeneous pair. Every other
+    // "<algorithm>+<variant>" spelling also runs, unpinned.
     const char* const pinned_variants[][2] = {
         {"netmax", netmax::kWaitSuffix},
         {"netmax", netmax::kTimeoutSuffix},
@@ -232,6 +244,8 @@ int main(int argc, char** argv) {
         {"prague", netmax::kLayerwiseSuffix},
         {"ps-sync", netmax::kTopKSuffix},
         {"ps-async", netmax::kInt8Suffix},
+        {"netmax", netmax::kHomogeneousSuffix},
+        {"adpsgd", netmax::kHomogeneousSuffix},
     };
     for (const auto& variant : pinned_variants) {
       std::printf("%s%s\n", variant[0], variant[1]);
