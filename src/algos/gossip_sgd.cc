@@ -33,15 +33,14 @@ class GossipEngine : public core::Engine {
     Emit(compute, w, {kIterate, {compute}});
   }
 
-  StatusOr<net::RebuiltEvent> BuildEvent(
-      const net::SavedEvent& event) override {
+  Status BuildEvent(net::SimEvent& event) override {
     const std::vector<double>& args = event.payload.args;
     switch (event.payload.tag) {
       case kIterate: {
         if (!IsComputeEvent(event, 1)) break;
         const int w = event.worker_key;
         const double compute = args[0];
-        return GradientEvent(w, [this, w, compute](double loss) {
+        return GradientEvent(event, [this, w, compute](double loss) {
           harness_.CommitBatchStats(w, loss);
           harness_.ApplyStoredGradient(w);
           MaybePush(w);
@@ -57,9 +56,9 @@ class GossipEngine : public core::Engine {
         const int m = static_cast<int>(args[0]);
         const int64_t round = static_cast<int64_t>(args[1]);
         if (!IsWorker(m)) break;
-        return PlainEvent([this, m, round,
-                           snapshot = std::vector<double>(args.begin() + 2,
-                                                          args.end())] {
+        return PlainEvent(event, [this, m, round,
+                                  snapshot = std::vector<double>(
+                                      args.begin() + 2, args.end())] {
           Arrive(m, round, snapshot);
         });
       }

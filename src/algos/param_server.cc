@@ -174,8 +174,7 @@ class PsAsyncEngine : public core::Engine {
     Emit(compute, w, {kCompute, {harness_.sim().Now(), compute}});
   }
 
-  StatusOr<net::RebuiltEvent> BuildEvent(
-      const net::SavedEvent& event) override {
+  Status BuildEvent(net::SimEvent& event) override {
     const std::vector<double>& args = event.payload.args;
     switch (event.payload.tag) {
       case kCompute: {
@@ -183,7 +182,7 @@ class PsAsyncEngine : public core::Engine {
         const int w = event.worker_key;
         const double t0 = args[0];
         const double compute = args[1];
-        return GradientEvent(w, [this, w, t0, compute](double loss) {
+        return GradientEvent(event, [this, w, t0, compute](double loss) {
           harness_.CommitBatchStats(w, loss);
           SendRoundTrip(w, t0, compute);
         });
@@ -193,7 +192,7 @@ class PsAsyncEngine : public core::Engine {
         const int w = static_cast<int>(args[0]);
         const int64_t round = static_cast<int64_t>(args[1]);
         if (!IsWorker(w)) break;
-        return PlainEvent([this, w, round] {
+        return PlainEvent(event, [this, w, round] {
           // Async SGD: apply this worker's gradient immediately. The PS
           // received C(g_w); the decode happens in place (the buffer is
           // rewritten by w's next compute anyway).
@@ -213,7 +212,7 @@ class PsAsyncEngine : public core::Engine {
         const double t0 = args[1];
         const double compute = args[2];
         const int64_t round = static_cast<int64_t>(args[3]);
-        return PlainEvent([this, w, t0, compute, round] {
+        return PlainEvent(event, [this, w, t0, compute, round] {
           // The download overwrites w's replica. OTHER workers' in-flight
           // evaluations never read w's parameters, so notifying w alone (in
           // AdoptModel) satisfies the write contract under every backend.

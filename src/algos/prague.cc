@@ -63,14 +63,13 @@ class PragueEngine : public core::Engine {
     MaybeFormGroup(/*flush=*/false);
   }
 
-  StatusOr<net::RebuiltEvent> BuildEvent(
-      const net::SavedEvent& event) override {
+  Status BuildEvent(net::SimEvent& event) override {
     const std::vector<double>& args = event.payload.args;
     switch (event.payload.tag) {
       case kCompute: {
         if (!IsComputeEvent(event, 0)) break;
         const int w = event.worker_key;
-        return GradientEvent(w, [this, w](double loss) {
+        return GradientEvent(event, [this, w](double loss) {
           // Local SGD step, then wait for a partial-allreduce group.
           harness_.CommitBatchStats(w, loss);
           harness_.ApplyStoredGradient(w);
@@ -92,7 +91,7 @@ class PragueEngine : public core::Engine {
                          [this](int w) { return IsWorker(w); })) {
           break;
         }
-        return PlainEvent([this, group = std::move(group)] {
+        return PlainEvent(event, [this, group = std::move(group)] {
           --active_groups_;
           for (int w : group) FinishGroupMember(w);
         });
@@ -102,7 +101,7 @@ class PragueEngine : public core::Engine {
         const int w = static_cast<int>(args[0]);
         if (!IsWorker(w)) break;
         const double since = args[1];
-        return PlainEvent([this, w, since] { ReadyTimeout(w, since); });
+        return PlainEvent(event, [this, w, since] { ReadyTimeout(w, since); });
       }
       default:
         break;

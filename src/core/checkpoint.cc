@@ -1,5 +1,6 @@
 #include "core/checkpoint.h"
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <cstdio>
@@ -159,7 +160,7 @@ void ExperimentHarness::ArmCheckpoint(EngineStateSaver save_engine) {
     net::EventPayload payload;
     payload.tag = kHarnessCheckpointTag;
     payload.args = {at};
-    ScheduleHarnessEvent(at, std::move(payload));
+    sim_.Schedule(at, kPlainEvent, std::move(payload));
   }
   // Periodic cadence: arm the next tick — unless this is a restored run
   // whose queue already carries one (a one-shot checkpoint saved while a
@@ -172,7 +173,7 @@ void ExperimentHarness::ArmCheckpoint(EngineStateSaver save_engine) {
     net::EventPayload payload;
     payload.tag = kHarnessCadenceTag;
     payload.args = {static_cast<double>(cadence_next_index_)};
-    ScheduleHarnessEvent(sim_.Now() + every, std::move(payload));
+    sim_.Schedule(sim_.Now() + every, kPlainEvent, std::move(payload));
   }
 }
 
@@ -208,15 +209,13 @@ void ExperimentHarness::CadenceTick(int64_t tick_index) {
   net::EventPayload payload;
   payload.tag = kHarnessCadenceTag;
   payload.args = {static_cast<double>(cadence_next_index_)};
-  ScheduleHarnessEvent(sim_.Now() + config_.checkpoint_every_seconds,
-                       std::move(payload));
+  sim_.Schedule(sim_.Now() + config_.checkpoint_every_seconds, kPlainEvent,
+                std::move(payload));
 }
 
-StatusOr<net::RebuiltEvent> ExperimentHarness::BuildHarnessEvent(
-    const net::SavedEvent& saved) {
-  const std::vector<double>& args = saved.payload.args;
-  net::RebuiltEvent rebuilt;
-  switch (saved.payload.tag) {
+Status ExperimentHarness::BuildHarnessEvent(net::SimEvent& event) {
+  const std::vector<double>& args = event.payload.args;
+  switch (event.payload.tag) {
     case kHarnessFaultTag: {
       if (args.size() != 4) {
         return InvalidArgumentError("harness fault event needs 4 args");
@@ -227,7 +226,7 @@ StatusOr<net::RebuiltEvent> ExperimentHarness::BuildHarnessEvent(
         return InvalidArgumentError("harness fault event has an unknown kind");
       }
       net::FaultEvent fault;
-      fault.time = saved.time;
+      fault.time = event.time;
       fault.kind = static_cast<net::FaultKind>(static_cast<int>(args[0]));
       // A crash names no worker (-1); every other kind indexes per-worker
       // state when it fires.
@@ -247,8 +246,8 @@ StatusOr<net::RebuiltEvent> ExperimentHarness::BuildHarnessEvent(
                                       "non-finite or negative duration");
         }
       }
-      rebuilt.plain = [this, fault] { ApplyFault(fault); };
-      return rebuilt;
+      event.plain = [this, fault] { ApplyFault(fault); };
+      return Status::Ok();
     }
     case kHarnessSlowdownEndTag: {
       if (args.size() != 2) {
@@ -261,37 +260,29 @@ StatusOr<net::RebuiltEvent> ExperimentHarness::BuildHarnessEvent(
       const double factor = args[1];
       NETMAX_RETURN_IF_ERROR(
           CheckFactor(factor, "harness slowdown-end event"));
-      rebuilt.plain = [this, worker, factor] { EndSlowdown(worker, factor); };
-      return rebuilt;
+      event.plain = [this, worker, factor] { EndSlowdown(worker, factor); };
+      return Status::Ok();
     }
     case kHarnessCadenceTag: {
       if (args.size() != 1) {
         return InvalidArgumentError("harness cadence event needs 1 arg");
       }
       const int64_t tick_index = static_cast<int64_t>(args[0]);
-      rebuilt.plain = [this, tick_index] { CadenceTick(tick_index); };
-      return rebuilt;
+      event.plain = [this, tick_index] { CadenceTick(tick_index); };
+      return Status::Ok();
     }
     case kHarnessCheckpointTag: {
       if (args.size() != 1) {
         return InvalidArgumentError("harness checkpoint event needs 1 arg");
       }
       const double at = args[0];
-      rebuilt.plain = [this, at] { OneShotCheckpoint(at); };
-      return rebuilt;
+      event.plain = [this, at] { OneShotCheckpoint(at); };
+      return Status::Ok();
     }
     default:
       return InvalidArgumentError("unknown harness event tag " +
-                                  std::to_string(saved.payload.tag));
+                                  std::to_string(event.payload.tag));
   }
-}
-
-void ExperimentHarness::ScheduleHarnessEvent(double time,
-                                             net::EventPayload payload) {
-  ScheduleReified(sim_, time, kPlainEvent, std::move(payload),
-                  [this](const net::SavedEvent& saved) {
-                    return BuildHarnessEvent(saved);
-                  });
 }
 
 StatusOr<std::vector<uint8_t>> ExperimentHarness::SerializeCheckpoint(
@@ -327,7 +318,7 @@ StatusOr<std::vector<uint8_t>> ExperimentHarness::SerializeCheckpoint(
   out.WriteDouble(sim_.Now());
   out.WriteI64(sim_.next_sequence());
   out.WriteI64(sim_.num_events_processed());
-  NETMAX_ASSIGN_OR_RETURN(std::vector<net::SavedEvent> events,
+  NETMAX_ASSIGN_OR_RETURN(std::vector<net::SimEvent> events,
                           sim_.SaveQueue());
   // Pending crash faults are dropped from the snapshot: the entire point of
   // restoring is to finish the run the crash cut short, so the restored run
@@ -335,14 +326,14 @@ StatusOr<std::vector<uint8_t>> ExperimentHarness::SerializeCheckpoint(
   // run, because (a) before the crash time the two runs are bit-identical
   // (a pending crash event influences nothing until it fires) and (b)
   // RestoreQueue tolerates the sequence-number gap the dropped event leaves.
-  std::erase_if(events, [](const net::SavedEvent& event) {
+  std::erase_if(events, [](const net::SimEvent& event) {
     return event.payload.tag == kHarnessFaultTag &&
            !event.payload.args.empty() &&
            static_cast<int>(event.payload.args[0]) ==
                static_cast<int>(net::FaultKind::kCrash);
   });
   out.WriteU64(events.size());
-  for (const net::SavedEvent& event : events) {
+  for (const net::SimEvent& event : events) {
     out.WriteDouble(event.time);
     out.WriteI64(event.sequence);
     out.WriteInt(event.worker_key);
@@ -418,8 +409,7 @@ Status ExperimentHarness::SavePeriodicCheckpoint(int64_t tick_index) {
   return Status::Ok();
 }
 
-Status ExperimentHarness::Restore(const EngineStateRestorer& restore_engine,
-                                  const net::EventRebuilder& rebuilder) {
+Status ExperimentHarness::Restore(const EngineStateRestorer& restore_engine) {
   NETMAX_CHECK(initialized_) << "Restore before Init";
   NETMAX_CHECK(sim_.empty()) << "Restore after events were scheduled";
   std::vector<uint8_t> file_bytes;
@@ -494,35 +484,24 @@ Status ExperimentHarness::Restore(const EngineStateRestorer& restore_engine,
   if (event_count > in.remaining()) {  // every event takes > 1 byte
     return OutOfRangeError("checkpointed event queue is truncated");
   }
-  std::vector<net::SavedEvent> events;
-  events.reserve(event_count);
+  // Grown as read, not reserved: a corrupted count must not allocate ahead
+  // of the bytes that back it.
+  std::vector<net::SimEvent> events;
   for (uint64_t i = 0; i < event_count; ++i) {
-    net::SavedEvent event;
+    net::SimEvent& event = events.emplace_back();
     NETMAX_ASSIGN_OR_RETURN(event.time, in.ReadDouble());
     NETMAX_ASSIGN_OR_RETURN(event.sequence, in.ReadI64());
     NETMAX_ASSIGN_OR_RETURN(event.worker_key, in.ReadInt());
     NETMAX_ASSIGN_OR_RETURN(event.payload.tag, in.ReadI64());
     NETMAX_RETURN_IF_ERROR(in.ReadDoubleVec(&event.payload.args));
-    events.push_back(std::move(event));
   }
-  sim_.RestoreClock(now, next_sequence, processed);
-  // Harness-tagged events (pending faults, cadence ticks, the one-shot
-  // checkpoint event) are rebuilt by the harness itself; everything else is
-  // the engine's. Restoring a pending cadence tick also tells ArmCheckpoint
-  // not to arm a duplicate.
-  cadence_tick_restored_ = false;
-  const net::EventRebuilder wrapped_rebuilder =
-      [this, &rebuilder](
-          const net::SavedEvent& saved) -> StatusOr<net::RebuiltEvent> {
-    if (saved.payload.tag >= kHarnessFaultTag) {
-      if (saved.payload.tag == kHarnessCadenceTag) {
-        cadence_tick_restored_ = true;
-      }
-      return BuildHarnessEvent(saved);
-    }
-    return rebuilder(saved);
-  };
-  NETMAX_RETURN_IF_ERROR(sim_.RestoreQueue(events, wrapped_rebuilder));
+  // A restored cadence tick tells ArmCheckpoint not to arm a duplicate.
+  cadence_tick_restored_ =
+      std::any_of(events.begin(), events.end(), [](const net::SimEvent& event) {
+        return event.payload.tag == kHarnessCadenceTag;
+      });
+  NETMAX_RETURN_IF_ERROR(
+      sim_.RestoreQueue(now, next_sequence, processed, std::move(events)));
 
   for (auto& worker : workers_) {
     NETMAX_RETURN_IF_ERROR(RestoreWorker(in, worker));

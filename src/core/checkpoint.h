@@ -5,7 +5,8 @@
 //
 // A checkpoint captures everything a run's future depends on: per-worker
 // model parameters, optimizer velocity, RNG and sampler streams, the pending
-// event queue (as tagged, reified descriptions — see net::EventPayload), the
+// event queue (as descriptions — worker key plus net::EventPayload — that the
+// simulator's one builder turns back into closures, net/event_sim.h), the
 // simulator clock and sequence counter, the harness's recorded series, and an
 // engine-specific state blob. Restoring the checkpoint and finishing the run
 // produces a RunResult bit-identical to the uninterrupted run, under serial
@@ -28,14 +29,12 @@
 // The harness-side entry points (ArmCheckpoint / Restore / restore_requested)
 // are declared on ExperimentHarness in core/experiment.h and implemented in
 // core/checkpoint.cc; this header has the wire-format constants, the file
-// helpers, and the scheduling/serialization helpers engines use.
+// helpers, and the serialization helpers engines use.
 
 #include <cstdint>
 #include <string>
-#include <utility>
 #include <vector>
 
-#include "common/logging.h"
 #include "common/serialize.h"
 #include "common/stats.h"
 #include "common/status.h"
@@ -44,8 +43,8 @@
 
 namespace netmax::core {
 
-// worker_key value marking a plain (callback) event in reified scheduling.
-inline constexpr int kPlainEvent = -1;
+// worker_key value marking a plain (callback) event description.
+inline constexpr int kPlainEvent = net::kNoWorkerKey;
 
 // "NMCP" / "NMCE": header magic and end marker of the checkpoint format.
 inline constexpr uint32_t kCheckpointMagic = 0x4E4D4350;
@@ -79,33 +78,6 @@ void SaveEmaGrid(Serializer& out,
                  const std::vector<std::vector<ExponentialMovingAverage>>& grid);
 Status RestoreEmaGrid(Deserializer& in,
                       std::vector<std::vector<ExponentialMovingAverage>>* grid);
-
-// Schedules the event described by (worker_key, payload) at virtual time
-// `time` (>= Now()) by running the description through `builder` — the same
-// mapping Restore uses — so each engine defines every event closure exactly
-// once and live scheduling cannot drift from the restore path. The payload
-// is moved into the description, built, and moved on into the queue, never
-// copied; builders' closures capture by value, so they outlive that move.
-// Relative scheduling passes sim.Now() + delay, the same double the
-// simulator's own *After overloads compute. `builder` rejecting an engine's
-// own payload is a programmer error and aborts.
-inline void ScheduleReified(net::EventSimulator& sim, double time,
-                            int worker_key, net::EventPayload payload,
-                            const net::EventRebuilder& builder) {
-  net::SavedEvent saved;
-  saved.time = time;
-  saved.worker_key = worker_key;
-  saved.payload = std::move(payload);
-  StatusOr<net::RebuiltEvent> rebuilt = builder(saved);
-  NETMAX_CHECK_OK(rebuilt.status());
-  if (worker_key < 0) {
-    sim.ScheduleAt(time, std::move(saved.payload), std::move(rebuilt->plain));
-  } else {
-    sim.ScheduleCompute(time, worker_key, std::move(saved.payload),
-                        std::move(rebuilt->compute),
-                        std::move(rebuilt->commit));
-  }
-}
 
 }  // namespace netmax::core
 

@@ -11,17 +11,16 @@ StatusOr<RunResult> Engine::Run() {
   NETMAX_RETURN_IF_ERROR(harness_.Init());
   parked_.assign(static_cast<size_t>(harness_.num_workers()), 0);
   NETMAX_RETURN_IF_ERROR(Setup());
-  builder_ = [this](const net::SavedEvent& event) { return BuildEvent(event); };
+  harness_.set_engine_builder(
+      [this](net::SimEvent& event) { return BuildEvent(event); });
   if (harness_.restore_requested()) {
-    NETMAX_RETURN_IF_ERROR(harness_.Restore(
-        [this](Deserializer& in) {
-          for (uint8_t& parked : parked_) {
-            NETMAX_ASSIGN_OR_RETURN(const bool flag, in.ReadBool());
-            parked = flag ? 1 : 0;
-          }
-          return RestoreState(in);
-        },
-        builder_));
+    NETMAX_RETURN_IF_ERROR(harness_.Restore([this](Deserializer& in) {
+      for (uint8_t& parked : parked_) {
+        NETMAX_ASSIGN_OR_RETURN(const bool flag, in.ReadBool());
+        parked = flag ? 1 : 0;
+      }
+      return RestoreState(in);
+    }));
   } else {
     Start();
   }
@@ -47,8 +46,7 @@ void Engine::Start() {
 }
 
 void Engine::EmitAt(double time, int worker_key, net::EventPayload payload) {
-  ScheduleReified(harness_.sim(), time, worker_key, std::move(payload),
-                  builder_);
+  harness_.sim().Schedule(time, worker_key, std::move(payload));
 }
 
 bool Engine::ParkIfDone(int w) {
@@ -57,20 +55,21 @@ bool Engine::ParkIfDone(int w) {
   return done;
 }
 
-net::RebuiltEvent Engine::GradientEvent(int w, net::SimEvent::CommitFn commit) {
-  net::RebuiltEvent rebuilt;
-  rebuilt.compute = [this, w] { return harness_.EvalBatchGradient(w); };
-  rebuilt.commit = std::move(commit);
-  return rebuilt;
+Status Engine::GradientEvent(net::SimEvent& event,
+                             net::SimEvent::CommitFn commit) {
+  const int w = event.worker_key;
+  event.compute = [this, w] { return harness_.EvalBatchGradient(w); };
+  event.commit = std::move(commit);
+  return Status::Ok();
 }
 
-net::RebuiltEvent Engine::PlainEvent(net::SimEvent::Callback callback) {
-  net::RebuiltEvent rebuilt;
-  rebuilt.plain = std::move(callback);
-  return rebuilt;
+Status Engine::PlainEvent(net::SimEvent& event,
+                          net::SimEvent::Callback callback) {
+  event.plain = std::move(callback);
+  return Status::Ok();
 }
 
-Status Engine::Malformed(const net::SavedEvent& event) const {
+Status Engine::Malformed(const net::SimEvent& event) const {
   return InvalidArgumentError("malformed " + harness_.algorithm_name() +
                               " event (tag " +
                               std::to_string(event.payload.tag) + ")");
@@ -78,13 +77,12 @@ Status Engine::Malformed(const net::SavedEvent& event) const {
 
 void RoundEngine::Start() { Emit(0.0, kPlainEvent, {kRunRound, {}}); }
 
-StatusOr<net::RebuiltEvent> RoundEngine::BuildEvent(
-    const net::SavedEvent& event) {
+Status RoundEngine::BuildEvent(net::SimEvent& event) {
   switch (event.payload.tag) {
     case kRoundCompute: {
       if (!IsComputeEvent(event, 0)) break;
       const int w = event.worker_key;
-      return GradientEvent(w, [this, w](double loss) {
+      return GradientEvent(event, [this, w](double loss) {
         harness_.CommitBatchStats(w, loss);
         // Commits run in membership order; the last one reduces. On full
         // membership that is worker n-1's commit.
@@ -93,7 +91,7 @@ StatusOr<net::RebuiltEvent> RoundEngine::BuildEvent(
     }
     case kRunRound:
       if (!IsPlainEvent(event, 0)) break;
-      return PlainEvent([this] { RunRound(); });
+      return PlainEvent(event, [this] { RunRound(); });
     default:
       break;
   }

@@ -5,15 +5,19 @@
 // synchronous ones.
 //
 // An engine supplies three things: its event kinds (small non-negative tags
-// with double args, core/checkpoint.h), one BuildEvent that maps a tag and
-// its args to closures, and a checkpoint blob for whatever state the harness
-// does not own. Engine::Run does the rest, the same way for every algorithm:
+// with double args, core/checkpoint.h), one BuildEvent that fills an event's
+// closures from its tag and args, and a checkpoint blob for whatever state
+// the harness does not own. Engine::Run does the rest, the same way for
+// every algorithm:
 //
-//   harness Init -> Setup -> restore-or-Start -> ArmCheckpoint ->
-//   fault listener -> RunUntilIdle -> checkpoint_status -> Finalize
+//   harness Init -> Setup -> hand BuildEvent to the harness ->
+//   restore-or-Start -> ArmCheckpoint -> fault listener -> RunUntilIdle ->
+//   checkpoint_status -> Finalize
 //
-// Every event is scheduled through BuildEvent (Emit / EmitAt), the mapping
-// Restore uses too, so a live event and its restored twin cannot drift.
+// Every event is a description (worker key, tag, args) that the simulator's
+// one builder turns into closures through BuildEvent, when it is scheduled
+// (Emit / EmitAt) and when a checkpoint restores it, so a live event and its
+// restored twin cannot drift.
 //
 // Engines whose workers run iteration chains follow the parked-chain
 // protocol: StartIteration parks the chain when its worker is done
@@ -56,9 +60,9 @@ class Engine {
   // Schedules a fresh run's initial events: by default every worker's
   // first iteration.
   virtual void Start();
-  // Maps one event description to its closures; rejects malformed ones.
-  virtual StatusOr<net::RebuiltEvent> BuildEvent(
-      const net::SavedEvent& event) = 0;
+  // Fills the closures of one event description (see GradientEvent and
+  // PlainEvent); rejects an unknown tag or malformed args with Malformed.
+  virtual Status BuildEvent(net::SimEvent& event) = 0;
   // The engine blob of a checkpoint, after the skeleton's parked flags.
   virtual void SaveState(Serializer& /*out*/) const {}
   virtual Status RestoreState(Deserializer& /*in*/) { return Status::Ok(); }
@@ -72,7 +76,7 @@ class Engine {
   const ExperimentConfig& config() const { return harness_.config(); }
 
   // Schedules the event (worker_key, payload) `delay` seconds from now, or
-  // at absolute virtual time `time`, through BuildEvent.
+  // at absolute virtual time `time`; BuildEvent fills its closures.
   void Emit(double delay, int worker_key, net::EventPayload payload) {
     EmitAt(harness_.sim().Now() + delay, worker_key, std::move(payload));
   }
@@ -85,24 +89,24 @@ class Engine {
 
   // BuildEvent helpers: shape checks (a compute event keyed by a worker, or
   // a plain event, with exactly `arity` args), the closures of a gradient
-  // event (the batch gradient as the pure half, then `commit`) and of a
-  // plain event, and the error for anything else.
+  // event (the batch gradient of its worker as the pure half, then `commit`)
+  // and of a plain event, and the error for anything else.
   bool IsWorker(int w) const { return w >= 0 && w < harness_.num_workers(); }
-  bool IsComputeEvent(const net::SavedEvent& event, size_t arity) const {
+  bool IsComputeEvent(const net::SimEvent& event, size_t arity) const {
     return IsWorker(event.worker_key) && event.payload.args.size() == arity;
   }
-  static bool IsPlainEvent(const net::SavedEvent& event, size_t arity) {
+  static bool IsPlainEvent(const net::SimEvent& event, size_t arity) {
     return event.worker_key < 0 && event.payload.args.size() == arity;
   }
-  net::RebuiltEvent GradientEvent(int w, net::SimEvent::CommitFn commit);
-  static net::RebuiltEvent PlainEvent(net::SimEvent::Callback callback);
-  Status Malformed(const net::SavedEvent& event) const;
+  Status GradientEvent(net::SimEvent& event, net::SimEvent::CommitFn commit);
+  static Status PlainEvent(net::SimEvent& event,
+                           net::SimEvent::Callback callback);
+  Status Malformed(const net::SimEvent& event) const;
 
   ExperimentHarness harness_;
 
  private:
   std::vector<uint8_t> parked_;
-  net::EventRebuilder builder_;
 };
 
 // The synchronous round loop of Allreduce and PS-sync. A round picks its
@@ -136,7 +140,7 @@ class RoundEngine : public Engine {
   std::vector<double> MeanGradient(bool decode, int64_t round);
 
   void Start() override;
-  StatusOr<net::RebuiltEvent> BuildEvent(const net::SavedEvent& event) override;
+  Status BuildEvent(net::SimEvent& event) override;
   void SaveState(Serializer& out) const override;
   Status RestoreState(Deserializer& in) override;
 

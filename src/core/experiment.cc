@@ -4,6 +4,7 @@
 #include <cmath>
 #include <thread>
 
+#include "core/checkpoint.h"
 #include "linalg/vector_ops.h"
 #include "ml/mlp.h"
 #include "ml/sharding.h"
@@ -170,7 +171,18 @@ Status ExperimentConfig::Validate() const {
 
 ExperimentHarness::ExperimentHarness(const ExperimentConfig& config,
                                      std::string algorithm_name)
-    : config_(config), algorithm_name_(std::move(algorithm_name)) {}
+    : config_(config), algorithm_name_(std::move(algorithm_name)) {
+  // The simulator's one event builder, for live and restored events alike.
+  // Harness and engine tags are told apart here and nowhere else.
+  sim_.set_builder([this](net::SimEvent& event) {
+    if (event.payload.tag >= kHarnessFaultTag) return BuildHarnessEvent(event);
+    if (engine_builder_ == nullptr) {
+      return FailedPreconditionError("no engine builder for event tag " +
+                                     std::to_string(event.payload.tag));
+    }
+    return engine_builder_(event);
+  });
+}
 
 Status ExperimentHarness::Init() {
   NETMAX_CHECK(!initialized_) << "Init called twice";
@@ -355,7 +367,7 @@ void ExperimentHarness::ScheduleFaults() {
     payload.args = {static_cast<double>(static_cast<int>(fault.kind)),
                     static_cast<double>(fault.worker), fault.factor,
                     fault.duration};
-    ScheduleHarnessEvent(fault.time, std::move(payload));
+    sim_.Schedule(fault.time, kPlainEvent, std::move(payload));
   }
 }
 
@@ -379,7 +391,8 @@ void ExperimentHarness::ApplyFault(const net::FaultEvent& fault) {
       net::EventPayload payload;
       payload.tag = kHarnessSlowdownEndTag;
       payload.args = {static_cast<double>(fault.worker), fault.factor};
-      ScheduleHarnessEvent(sim_.Now() + fault.duration, std::move(payload));
+      sim_.Schedule(sim_.Now() + fault.duration, kPlainEvent,
+                    std::move(payload));
       break;
     }
   }

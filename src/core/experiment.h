@@ -81,7 +81,8 @@ std::string_view ExecutionBackendKindName(ExecutionBackendKind kind);
 // Engines tag their events with small non-negative ints; the harness claims
 // a far-away range for the events it schedules itself (fault injections,
 // checkpoint cadence), so the two namespaces can never collide and the
-// harness can route restore-time rebuilding without consulting the engine.
+// simulator's one builder (installed by ExperimentHarness's constructor)
+// tells them apart by tag alone.
 inline constexpr int64_t kHarnessFaultTag = int64_t{1} << 40;
 // args: [worker, factor] — reverts a slowdown at its end time.
 inline constexpr int64_t kHarnessSlowdownEndTag = kHarnessFaultTag + 1;
@@ -564,13 +565,20 @@ class ExperimentHarness {
     return !config_.restore_path.empty() || config_.restore_source != nullptr;
   }
 
+  // The engine's half of the simulator's one event builder: it fills the
+  // closures of every event tag below kHarnessFaultTag (the harness builds
+  // its own tags). The engine hands it over once, after its setup and before
+  // its first event or Restore.
+  void set_engine_builder(net::EventBuilder builder) {
+    engine_builder_ = std::move(builder);
+  }
+
   // Restores harness + simulator + engine state from the configured source.
   // The engine calls this after Init() and after rebuilding its deterministic
   // setup (policies, monitors, topologies), INSTEAD of scheduling its initial
-  // events: the restored queue already holds them. `restore_engine` reads the
-  // engine state blob; `rebuilder` maps saved events back to closures.
-  Status Restore(const EngineStateRestorer& restore_engine,
-                 const net::EventRebuilder& rebuilder);
+  // events: the restored queue already holds them, rebuilt through the
+  // simulator's builder. `restore_engine` reads the engine state blob.
+  Status Restore(const EngineStateRestorer& restore_engine);
 
   // Arms the configured checkpoints (no-op when none are):
   //  * one-shot — a tagged plain event at config.checkpoint_at_seconds that
@@ -611,13 +619,10 @@ class ExperimentHarness {
   void EndSlowdown(int worker, double factor);
 
   // core/checkpoint.cc.
-  // Maps a harness-tagged SavedEvent (faults, cadence ticks, the one-shot
-  // checkpoint event) back to its closure; Restore wraps the engine's
-  // rebuilder with this so engines never see harness tags.
-  StatusOr<net::RebuiltEvent> BuildHarnessEvent(const net::SavedEvent& saved);
-  // Schedules a harness event through BuildHarnessEvent, so live scheduling
-  // and restore-time rebuilding share one closure definition per tag.
-  void ScheduleHarnessEvent(double time, net::EventPayload payload);
+  // Fills the closure of a harness-tagged event (faults, slowdown ends,
+  // cadence ticks, the one-shot checkpoint event); the simulator's builder
+  // routes these tags here, so engines never see them.
+  Status BuildHarnessEvent(net::SimEvent& event);
   void OneShotCheckpoint(double at);
   void CadenceTick(int64_t tick_index);
   StatusOr<std::vector<uint8_t>> SerializeCheckpoint(
@@ -669,6 +674,7 @@ class ExperimentHarness {
   ml::GradientCompressor compressor_;
   std::vector<double> compression_scratch_;
   FaultListener fault_listener_;  // not checkpointed; re-registered per run
+  net::EventBuilder engine_builder_;  // set_engine_builder
 
   // Outcome of the armed checkpoint(s), if any.
   Status checkpoint_status_;

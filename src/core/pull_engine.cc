@@ -138,8 +138,7 @@ void PullEngine::MonitorTick() {
   ScheduleMonitorTick();
 }
 
-StatusOr<net::RebuiltEvent> PullEngine::BuildEvent(
-    const net::SavedEvent& event) {
+Status PullEngine::BuildEvent(net::SimEvent& event) {
   const std::vector<double>& args = event.payload.args;
   const int w = event.worker_key;
   switch (event.payload.tag) {
@@ -147,7 +146,7 @@ StatusOr<net::RebuiltEvent> PullEngine::BuildEvent(
       if (!IsComputeEvent(event, 2)) break;
       const double compute = args[0];
       const double wall = args[1];
-      return GradientEvent(w, [this, w, compute, wall](double loss) {
+      return GradientEvent(event, [this, w, compute, wall](double loss) {
         harness_.CommitBatchStats(w, loss);
         harness_.ApplyStoredGradient(w);
         harness_.AccountIteration(w, compute, wall);
@@ -161,13 +160,14 @@ StatusOr<net::RebuiltEvent> PullEngine::BuildEvent(
       const double compute = args[1];
       const double wall = args[2];
       const int64_t round = static_cast<int64_t>(args[3]);
-      return GradientEvent(w, [this, w, m, compute, wall, round](double loss) {
-        CompletePull(w, m, compute, wall, round, loss);
-      });
+      return GradientEvent(event,
+                           [this, w, m, compute, wall, round](double loss) {
+                             CompletePull(w, m, compute, wall, round, loss);
+                           });
     }
     case kMonitorTick:
       if (!IsPlainEvent(event, 0) || monitor_ == nullptr) break;
-      return PlainEvent([this] { MonitorTick(); });
+      return PlainEvent(event, [this] { MonitorTick(); });
     case kPeerWait:
     case kPeerTimeout: {
       const bool wait = event.payload.tag == kPeerWait;
@@ -176,11 +176,13 @@ StatusOr<net::RebuiltEvent> PullEngine::BuildEvent(
       const int m = static_cast<int>(args[1]);
       if (!IsWorker(worker) || !IsWorker(m) || m == worker) break;
       if (!wait) {
-        return PlainEvent([this, worker, m] { PeerTimeoutExpired(worker, m); });
+        return PlainEvent(
+            event, [this, worker, m] { PeerTimeoutExpired(worker, m); });
       }
       const double waited = args[2];
-      return PlainEvent(
-          [this, worker, m, waited] { PeerWaitTick(worker, m, waited); });
+      return PlainEvent(event, [this, worker, m, waited] {
+        PeerWaitTick(worker, m, waited);
+      });
     }
     default:
       break;

@@ -82,7 +82,7 @@ class PullEngine : public Engine {
   void ScheduleMonitorTick();
 
   void StartIteration(int w) override;
-  StatusOr<net::RebuiltEvent> BuildEvent(const net::SavedEvent& event) override;
+  Status BuildEvent(net::SimEvent& event) override;
   void SaveState(Serializer& out) const override;
   Status RestoreState(Deserializer& in) override;
 

@@ -40,9 +40,9 @@ namespace netmax::net {
 
 // --- checkpointable event description ---------------------------------------
 // Closures cannot be serialized, so checkpointing the queue relies on each
-// engine tagging every event it schedules with a reified description: a
-// small engine-defined `tag` naming the event kind plus the doubles its
-// closure captured (see event_sim.h's SavedEvent/EventRebuilder).
+// engine tagging every event it schedules with a description: a small
+// engine-defined `tag` naming the event kind plus the doubles its closure
+// captures (see event_sim.h's EventBuilder).
 
 struct EventPayload {
   // Engine-defined event kind; -1 marks an untagged event, which cannot be

@@ -55,30 +55,33 @@ void EventSimulator::ScheduleCompute(double time, int worker_key,
   Insert(std::move(event));
 }
 
-void EventSimulator::ScheduleAt(double time, EventPayload payload,
-                                Callback callback) {
-  NETMAX_CHECK(callback != nullptr);
-  NETMAX_CHECK_GE(payload.tag, 0) << "tagged overload requires a tag";
-  SimEvent event;
-  event.time = time;
-  event.plain = std::move(callback);
-  event.payload = std::move(payload);
-  Insert(std::move(event));
+Status EventSimulator::Build(SimEvent& event) {
+  NETMAX_CHECK(builder_ != nullptr) << "no event builder set";
+  NETMAX_RETURN_IF_ERROR(builder_(event));
+  const bool plain = event.worker_key == kNoKey;
+  const bool shaped =
+      plain ? event.plain != nullptr && event.compute == nullptr &&
+                  event.commit == nullptr
+            : event.plain == nullptr && event.compute != nullptr &&
+                  event.commit != nullptr;
+  if (shaped) return Status::Ok();
+  return InternalError(std::string("builder returned ") +
+                       (plain ? "a non-plain closure set for plain"
+                              : "an incomplete closure set for compute") +
+                       " event tag " + std::to_string(event.payload.tag));
 }
 
-void EventSimulator::ScheduleCompute(double time, int worker_key,
-                                     EventPayload payload, ComputeFn compute,
-                                     CommitFn commit) {
-  NETMAX_CHECK_GE(worker_key, 0) << "worker_key must be non-negative";
-  NETMAX_CHECK(compute != nullptr);
-  NETMAX_CHECK(commit != nullptr);
-  NETMAX_CHECK_GE(payload.tag, 0) << "tagged overload requires a tag";
+void EventSimulator::Schedule(double time, int worker_key,
+                              EventPayload payload) {
+  NETMAX_CHECK_GE(payload.tag, 0) << "Schedule requires a tag";
   SimEvent event;
   event.time = time;
-  event.worker_key = worker_key;
-  event.compute = std::move(compute);
-  event.commit = std::move(commit);
+  event.worker_key = worker_key < 0 ? kNoKey : worker_key;
   event.payload = std::move(payload);
+  const Status status = Build(event);
+  NETMAX_CHECK(status.ok()) << "event tag " << event.payload.tag
+                            << " rejected by its own builder: "
+                            << status.ToString();
   Insert(std::move(event));
 }
 
@@ -96,8 +99,8 @@ bool EventSimulator::Step() {
   return true;
 }
 
-StatusOr<std::vector<SavedEvent>> EventSimulator::SaveQueue() const {
-  std::vector<SavedEvent> events;
+StatusOr<std::vector<SimEvent>> EventSimulator::SaveQueue() const {
+  std::vector<SimEvent> events;
   events.reserve(static_cast<size_t>(queue_.size()));
   Status status = Status::Ok();
   queue_.VisitInOrder(
@@ -110,38 +113,44 @@ StatusOr<std::vector<SavedEvent>> EventSimulator::SaveQueue() const {
               ") was scheduled without a payload tag");
           return EventQueue::VisitAction::kStop;
         }
-        events.push_back(SavedEvent{event.time, event.sequence,
-                                    event.worker_key, event.payload});
+        SimEvent& saved = events.emplace_back();
+        saved.time = event.time;
+        saved.sequence = event.sequence;
+        saved.worker_key = event.worker_key;
+        saved.payload = event.payload;
         return EventQueue::VisitAction::kContinue;
       });
   NETMAX_RETURN_IF_ERROR(status);
   return events;
 }
 
-Status EventSimulator::RestoreQueue(const std::vector<SavedEvent>& events,
-                                    const EventRebuilder& rebuilder) {
+Status EventSimulator::RestoreQueue(double now, int64_t next_sequence,
+                                    int64_t processed,
+                                    std::vector<SimEvent> events) {
   if (!queue_.empty()) {
     return FailedPreconditionError(
         "RestoreQueue requires an empty event queue");
   }
-  NETMAX_CHECK(rebuilder != nullptr);
+  now_ = now;
+  next_sequence_ = next_sequence;
+  processed_ = processed;
   // Validate before touching the queue, so a failed restore leaves it empty.
   std::vector<int64_t> sequences;
   sequences.reserve(events.size());
-  for (const SavedEvent& saved : events) {
-    const std::string where = "event tag " + std::to_string(saved.payload.tag) +
-                              " (sequence " + std::to_string(saved.sequence) +
+  for (const SimEvent& event : events) {
+    const std::string where = "event tag " + std::to_string(event.payload.tag) +
+                              " (sequence " + std::to_string(event.sequence) +
                               ")";
-    if (saved.time < now_) {
+    if (event.time < now_) {
       return InvalidArgumentError("checkpointed " + where +
                                   " is scheduled before the restored clock");
     }
-    if (saved.sequence < 0 || saved.sequence >= next_sequence_) {
+    if (event.sequence < 0 || event.sequence >= next_sequence_) {
       return InvalidArgumentError("checkpointed " + where +
                                   " has a sequence outside the restored "
                                   "counter range");
     }
-    sequences.push_back(saved.sequence);
+    sequences.push_back(event.sequence);
   }
   std::sort(sequences.begin(), sequences.end());
   for (size_t i = 1; i < sequences.size(); ++i) {
@@ -151,51 +160,15 @@ Status EventSimulator::RestoreQueue(const std::vector<SavedEvent>& events,
           std::to_string(sequences[i]));
     }
   }
-  std::vector<SimEvent> rebuilt_events;
-  rebuilt_events.reserve(events.size());
-  for (const SavedEvent& saved : events) {
-    const std::string where = "event tag " + std::to_string(saved.payload.tag) +
-                              " (sequence " + std::to_string(saved.sequence) +
-                              ")";
-    NETMAX_ASSIGN_OR_RETURN(RebuiltEvent rebuilt, rebuilder(saved));
-    SimEvent event;
-    event.time = saved.time;
-    event.sequence = saved.sequence;
-    event.worker_key = saved.worker_key < 0 ? kNoKey : saved.worker_key;
-    event.payload = saved.payload;
-    if (event.worker_key == kNoKey) {
-      if (rebuilt.plain == nullptr || rebuilt.compute != nullptr ||
-          rebuilt.commit != nullptr) {
-        return InternalError("rebuilder returned a non-plain closure set for "
-                             "plain " +
-                             where);
-      }
-      event.plain = std::move(rebuilt.plain);
-    } else {
-      if (rebuilt.compute == nullptr || rebuilt.commit == nullptr ||
-          rebuilt.plain != nullptr) {
-        return InternalError(
-            "rebuilder returned an incomplete closure set for compute " +
-            where);
-      }
-      event.compute = std::move(rebuilt.compute);
-      event.commit = std::move(rebuilt.commit);
-    }
-    rebuilt_events.push_back(std::move(event));
+  for (SimEvent& event : events) {
+    if (event.worker_key < 0) event.worker_key = kNoKey;
+    NETMAX_RETURN_IF_ERROR(Build(event));
   }
   // Sequence numbers are restored exactly as saved (Insert is bypassed), so
   // relative (time, sequence) ordering — and with it every tie-break —
   // replays bit-identically.
-  for (SimEvent& event : rebuilt_events) queue_.Push(std::move(event));
+  for (SimEvent& event : events) queue_.Push(std::move(event));
   return Status::Ok();
-}
-
-void EventSimulator::RestoreClock(double now, int64_t next_sequence,
-                                  int64_t processed) {
-  NETMAX_CHECK(queue_.empty()) << "restore the clock before the queue";
-  now_ = now;
-  next_sequence_ = next_sequence;
-  processed_ = processed;
 }
 
 int64_t EventSimulator::RunUntilIdle() {

@@ -13,17 +13,18 @@
 //
 // Events come in two kinds:
 //
-//  * Plain events (ScheduleAt/ScheduleAfter): an opaque callback, always run
-//    on the simulator thread in (time, sequence) order.
-//  * Compute events (ScheduleCompute): a pure `compute` half paired with a
-//    `commit` half. The compute half may touch ONLY the state owned by its
-//    `worker_key` (model parameters read-only, gradient/workspace scratch
-//    read-write) plus immutable shared state; it must not query Now(), draw
-//    random numbers, or write anything another worker's compute reads. The
-//    commit half runs on the simulator thread, strictly in (time, sequence)
-//    order, and receives the compute half's result; all bookkeeping, RNG
-//    draws, parameter updates, and scheduling of follow-up events belong
-//    there.
+//  * Plain events (ScheduleAt/ScheduleAfter, or Schedule without a worker
+//    key): an opaque callback, always run on the simulator thread in
+//    (time, sequence) order.
+//  * Compute events (ScheduleCompute, or Schedule with a worker key): a pure
+//    `compute` half paired with a `commit` half. The compute half may touch
+//    ONLY the state owned by its `worker_key` (model parameters read-only,
+//    gradient/workspace scratch read-write) plus immutable shared state; it
+//    must not query Now(), draw random numbers, or write anything another
+//    worker's compute reads. The commit half runs on the simulator thread,
+//    strictly in (time, sequence) order, and receives the compute half's
+//    result; all bookkeeping, RNG draws, parameter updates, and scheduling
+//    of follow-up events belong there.
 //
 // The simulator owns the queue (one calendar queue that never moves a pending
 // closure, net/event_queue.h), the ordering contract, and the dispatch of
@@ -53,6 +54,7 @@
 #include <cstdint>
 #include <functional>
 #include <future>
+#include <utility>
 #include <vector>
 
 #include "common/logging.h"
@@ -67,34 +69,19 @@ namespace netmax::net {
 
 // --- Checkpointable event descriptions --------------------------------------
 //
-// Closures cannot be serialized, so checkpointing the queue relies on each
-// engine tagging every event it schedules with a reified description (an
-// EventPayload, defined beside SimEvent in event_queue.h): a small
-// engine-defined `tag` naming the event kind plus the doubles its closure
-// captured. At restore time the engine's rebuilder maps the saved
-// description back to closures identical to the ones it schedules live.
+// Closures cannot be serialized, so a checkpointable event is scheduled as a
+// description: its worker key plus an EventPayload (event_queue.h), a small
+// engine-defined `tag` naming the event kind and the doubles its closure
+// captures. A SimEvent with empty closures is the description. The
+// simulator's one EventBuilder fills in the closures, for a live event
+// (Schedule) and for a restored one (RestoreQueue) alike, so the two cannot
+// drift.
 
-// One pending event as captured by SaveQueue: full (time, sequence) identity
-// plus the engine payload. Restoring with the exact saved sequence numbers is
-// what keeps post-restore tie-breaking bit-identical to the original run.
-struct SavedEvent {
-  double time = 0.0;
-  int64_t sequence = 0;
-  int worker_key = -1;  // -1: plain callback event
-  EventPayload payload;
-};
-
-// Closures rebuilt from one SavedEvent. Plain events (worker_key < 0) set
-// only `plain`; compute events set `compute` and `commit`.
-struct RebuiltEvent {
-  SimEvent::Callback plain;
-  SimEvent::ComputeFn compute;
-  SimEvent::CommitFn commit;
-};
-
-// Maps a SavedEvent back to live closures; returns an error for unknown tags
-// or malformed args (a corrupted or version-skewed checkpoint).
-using EventRebuilder = std::function<StatusOr<RebuiltEvent>(const SavedEvent&)>;
+// Fills `event`'s closures from its worker key and payload: a plain event
+// (worker_key < 0) gets only `plain`, a compute event `compute` and
+// `commit`. Returns an error for an unknown tag or malformed args (a
+// corrupted or version-skewed checkpoint).
+using EventBuilder = std::function<Status(SimEvent&)>;
 
 // Pooled-dispatch diagnostics (all zero on the serial path). Excluded from
 // the bit-identity contract, which covers simulation outputs only; every
@@ -140,12 +127,16 @@ class EventSimulator {
   void ScheduleCompute(double time, int worker_key, ComputeFn compute,
                        CommitFn commit);
 
-  // Tagged variants: identical scheduling semantics, but the event also
-  // carries a checkpointable description (see EventPayload above). Engines
-  // that support checkpoint/restore schedule exclusively through these.
-  void ScheduleAt(double time, EventPayload payload, Callback callback);
-  void ScheduleCompute(double time, int worker_key, EventPayload payload,
-                       ComputeFn compute, CommitFn commit);
+  // The builder that Schedule and RestoreQueue run every description
+  // through. Set it once, before either is called.
+  void set_builder(EventBuilder builder) { builder_ = std::move(builder); }
+
+  // Schedules the checkpointable event (worker_key, payload) at absolute
+  // virtual time `time` (>= Now()): the builder fills in its closures, with
+  // the semantics of ScheduleAt (worker_key < 0) or ScheduleCompute. The
+  // builder rejecting a payload here means an engine rejected its own event,
+  // a programmer error: it aborts, naming the tag.
+  void Schedule(double time, int worker_key, EventPayload payload);
 
   // Declares that the caller (an event callback or commit half) is ABOUT to
   // write state owned by `worker_key` that a compute half may read — model
@@ -188,23 +179,21 @@ class EventSimulator {
 
   // --- checkpoint support --------------------------------------------------
 
-  // Snapshots the pending queue in dispatch order. Fails with
-  // kFailedPrecondition if any pending event is untagged — the caller (an
-  // engine that opted into checkpointing) scheduled an event outside the
-  // tagged overloads.
-  StatusOr<std::vector<SavedEvent>> SaveQueue() const;
+  // Snapshots the pending queue in dispatch order, as descriptions: time,
+  // sequence, worker key and payload, with empty closures. Fails with
+  // kFailedPrecondition if any pending event is untagged, i.e. was scheduled
+  // through the lambda API rather than Schedule.
+  StatusOr<std::vector<SimEvent>> SaveQueue() const;
 
-  // Repopulates an EMPTY queue from `events`, mapping each through
-  // `rebuilder`. Times and sequence numbers are restored exactly as saved
-  // (bypassing Insert), so relative (time, sequence) ordering — and with it
-  // every tie-break — replays bit-identically. Call RestoreClock first:
-  // events are validated against the restored clock (time >= Now(),
-  // sequence < next_sequence(), no duplicate sequences).
-  Status RestoreQueue(const std::vector<SavedEvent>& events,
-                      const EventRebuilder& rebuilder);
-
-  // Restores the clock and counters saved alongside the queue.
-  void RestoreClock(double now, int64_t next_sequence, int64_t processed);
+  // Restores the clock and counters saved alongside the queue, then
+  // repopulates the EMPTY queue from `events` through the builder. Every
+  // description is validated against the restored clock first (time >= now,
+  // sequence < next_sequence, no duplicate sequences), and a failed restore
+  // leaves the queue empty. Times and sequence numbers are restored exactly
+  // as saved (bypassing Insert), so relative (time, sequence) ordering — and
+  // with it every tie-break — replays bit-identically.
+  Status RestoreQueue(double now, int64_t next_sequence, int64_t processed,
+                      std::vector<SimEvent> events);
 
   // Pooled-dispatch diagnostics (all zero without a pool).
   const ExecutionStats& execution_stats() const { return stats_; }
@@ -234,6 +223,9 @@ class EventSimulator {
   };
 
   void Insert(SimEvent&& event);
+  // Fills `event`'s closures through the builder and checks their shape
+  // against its worker key.
+  Status Build(SimEvent& event);
   // Builds the frontier from the queue head and evaluates it on the pool.
   void Dispatch();
   // The uncommitted frontier member for `worker_key`, or nullptr.
@@ -252,6 +244,7 @@ class EventSimulator {
   int64_t processed_ = 0;
   bool halt_requested_ = false;
   EventQueue queue_;  // pending events (net/event_queue.h)
+  EventBuilder builder_;
 
   ThreadPool* pool_ = nullptr;
   ExecutionStats stats_;

@@ -309,7 +309,7 @@ void ExpectSameRun(const RunResult& a, const RunResult& b) {
 // clock (the layout SerializeCheckpoint writes). `args_at`, when given,
 // receives each event's byte offset of args[0]; `workers_at`, the offset at
 // which the worker states begin.
-std::vector<net::SavedEvent> PendingEvents(
+std::vector<net::SimEvent> PendingEvents(
     const std::vector<uint8_t>& bytes, std::vector<size_t>* args_at = nullptr,
     size_t* workers_at = nullptr) {
   Deserializer in(bytes);
@@ -327,8 +327,8 @@ std::vector<net::SavedEvent> PendingEvents(
   in.ReadDouble().value();  // now
   in.ReadI64().value();     // next sequence
   in.ReadI64().value();     // events processed
-  std::vector<net::SavedEvent> events(in.ReadU64().value());
-  for (net::SavedEvent& event : events) {
+  std::vector<net::SimEvent> events(in.ReadU64().value());
+  for (net::SimEvent& event : events) {
     event.time = in.ReadDouble().value();
     event.sequence = in.ReadI64().value();
     event.worker_key = in.ReadInt().value();
@@ -411,7 +411,7 @@ TEST_P(CheckpointSweep, EveryPointRestoresBitIdentically) {
       resumed.restore_source = &checkpoint;
       ExpectSameRun(reference, MustRun(name, resumed));
       if (HasFailure()) return;
-      for (const net::SavedEvent& event : PendingEvents(checkpoint)) {
+      for (const net::SimEvent& event : PendingEvents(checkpoint)) {
         if (event.payload.tag >= core::kHarnessFaultTag) continue;
         covered.insert(event.payload.tag);
         // Only the pull loop numbers a tag this high.
@@ -557,7 +557,7 @@ Status RestorePatchedHarnessEvent(int64_t tag, double first_arg, size_t arg,
                                   double value) {
   std::vector<uint8_t> checkpoint = FaultedCheckpoint();
   std::vector<size_t> args_at;
-  const std::vector<net::SavedEvent> events =
+  const std::vector<net::SimEvent> events =
       PendingEvents(checkpoint, &args_at);
   bool patched = false;
   for (size_t i = 0; i < events.size() && !patched; ++i) {

@@ -243,18 +243,26 @@ void GrowAndDrain(EventSimulator& sim) {
 // order of the original, tie-breaks included, because times AND sequence
 // numbers round-trip bit-exactly.
 TEST(EventQueueTest, SaveRestoreRoundTripsAcrossQueueKinds) {
+  // A builder that makes each tagged plain event append its tag to `order`.
+  const auto recording_builder = [](std::vector<int64_t>& order) {
+    return [&order](SimEvent& event) {
+      const int64_t tag = event.payload.tag;
+      event.plain = [&order, tag] { order.push_back(tag); };
+      return Status::Ok();
+    };
+  };
   for (const bool save_grown : {false, true}) {
     // Source run: tagged plain events with deliberate time ties.
     EventSimulator source;
     if (save_grown) GrowAndDrain(source);
     const double start = source.Now();
     std::vector<int64_t> source_order;
+    source.set_builder(recording_builder(source_order));
     for (int64_t tag = 0; tag < 24; ++tag) {
       EventPayload payload;
       payload.tag = tag;
       const double time = start + static_cast<double>((tag * 7) % 5);
-      source.ScheduleAt(time, std::move(payload),
-                        [&source_order, tag] { source_order.push_back(tag); });
+      source.Schedule(time, kNoWorkerKey, std::move(payload));
     }
     const auto saved = source.SaveQueue();
     ASSERT_TRUE(saved.ok()) << save_grown;
@@ -269,18 +277,10 @@ TEST(EventQueueTest, SaveRestoreRoundTripsAcrossQueueKinds) {
                                         << restore_grown);
       EventSimulator restored;
       if (restore_grown) GrowAndDrain(restored);
-      restored.RestoreClock(start, next_sequence, /*processed=*/0);
       std::vector<int64_t> restored_order;
-      const Status status = restored.RestoreQueue(
-          *saved, [&restored_order](const SavedEvent& event)
-                      -> StatusOr<RebuiltEvent> {
-            RebuiltEvent rebuilt;
-            const int64_t tag = event.payload.tag;
-            rebuilt.plain = [&restored_order, tag] {
-              restored_order.push_back(tag);
-            };
-            return rebuilt;
-          });
+      restored.set_builder(recording_builder(restored_order));
+      const Status status = restored.RestoreQueue(start, next_sequence,
+                                                  /*processed=*/0, *saved);
       ASSERT_TRUE(status.ok()) << status.ToString();
       restored.RunUntilIdle();
       EXPECT_EQ(restored_order, source_order);
