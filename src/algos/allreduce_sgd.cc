@@ -29,15 +29,12 @@ class AllreduceEngine : public core::RoundEngine {
     if (ring) {
       // One communication round per allreduce; the first member's counter
       // indexes the layer-wise schedule for the whole ring.
-      if (harness_.compression_enabled()) {
-        round = harness_.NextCommRound(group.front());
-      }
+      round = harness_.NextCommRound(group.front());
       allreduce_seconds = harness_.RingAllreduceSeconds(group, round);
     }
     // Each member contributes C(g_w): its gradient as the ring's encoding
     // reconstructs it.
-    const std::vector<double> mean =
-        MeanGradient(ring && harness_.compression_enabled(), round);
+    const std::vector<double> mean = MeanGradient(ring, round);
     // This round's computes all committed and the next round is not
     // scheduled yet, so no backend holds an evaluation these writes could
     // race; ApplyStoredGradient still notifies each worker per the contract.

@@ -15,7 +15,7 @@ class GossipEngine : public core::Engine {
       : Engine(config, "GoSGD") {}
 
  private:
-  // Checkpoint reification tags (core/checkpoint.h).
+  // Event tags: each tag and its args describe one event (core/engine.h).
   enum Tag : int64_t {
     kIterate = 0,  // compute event: args [compute_seconds]
     kArrival = 1,  // plain event: args [receiver, round, sender snapshot...]

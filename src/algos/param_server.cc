@@ -92,9 +92,7 @@ class PsSyncEngine : public core::RoundEngine {
     // One communication round per PS exchange: every member's upload and
     // download leg carries the same encoding. With compression off the
     // payload equals the dense baseline and bytes_saved stays zero.
-    const int64_t round = harness_.compression_enabled()
-                              ? harness_.NextCommRound(group.front())
-                              : 0;
+    const int64_t round = harness_.NextCommRound(group.front());
     const int64_t payload_bytes = harness_.MessagePayloadBytes(round);
     harness_.AccountWire(2 * g, 2 * g * payload_bytes,
                          2 * g * config().profile.message_bytes());
@@ -108,8 +106,7 @@ class PsSyncEngine : public core::RoundEngine {
     }
 
     // The PS applies the averaged gradient once; each member uploaded C(g_w).
-    const std::vector<double> mean =
-        MeanGradient(harness_.compression_enabled(), round);
+    const std::vector<double> mean = MeanGradient(true, round);
     ps_->optimizer().set_learning_rate(
         harness_.worker(0).optimizer->learning_rate());
     ps_->optimizer().Step(ps_->model().parameters(), mean);
@@ -146,11 +143,12 @@ class PsAsyncEngine : public core::Engine {
       : Engine(config, "PS-asyn") {}
 
  private:
-  // Checkpoint reification tags (core/checkpoint.h). An in-flight PS round
-  // trip checkpoints as its pending upload/download events: the NIC
-  // reservations already happened at commit time and live in PsState's
-  // nic_free_, and the worker's gradient rides in the worker snapshot, so the
-  // pending events only need (w, t0, compute, round) to replay exactly.
+  // Event tags: each tag and its args describe one event (core/engine.h).
+  // An in-flight PS round trip checkpoints as its pending upload/download
+  // events: the NIC reservations already happened at commit time and live in
+  // PsState's nic_free_, and the worker's gradient rides in the worker
+  // snapshot, so the pending events only need (w, t0, compute, round) to
+  // replay exactly.
   enum Tag : int64_t {
     kCompute = 0,   // compute event: args [t0, compute_seconds]
     kUpload = 1,    // plain event: args [worker, round]
@@ -196,9 +194,7 @@ class PsAsyncEngine : public core::Engine {
           // Async SGD: apply this worker's gradient immediately. The PS
           // received C(g_w); the decode happens in place (the buffer is
           // rewritten by w's next compute anyway).
-          if (harness_.compression_enabled()) {
-            harness_.ApplyCompression(w, round, harness_.worker(w).gradient);
-          }
+          harness_.ApplyCompression(w, round, harness_.worker(w).gradient);
           ps_->optimizer().set_learning_rate(
               harness_.worker(w).optimizer->learning_rate());
           ps_->optimizer().Step(ps_->model().parameters(),
@@ -232,8 +228,7 @@ class PsAsyncEngine : public core::Engine {
   // per round trip, claimed here so the reservations price its payload.
   void SendRoundTrip(int w, double t0, double compute) {
     const double now = harness_.sim().Now();
-    const int64_t round =
-        harness_.compression_enabled() ? harness_.NextCommRound(w) : 0;
+    const int64_t round = harness_.NextCommRound(w);
     const int64_t payload_bytes = harness_.MessagePayloadBytes(round);
     harness_.AccountWire(2, 2 * payload_bytes,
                          2 * config().profile.message_bytes());

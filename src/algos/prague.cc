@@ -16,10 +16,11 @@ class PragueEngine : public core::Engine {
       : Engine(config, "Prague"), group_size_(group_size) {}
 
  private:
-  // Checkpoint reification tags (core/checkpoint.h). An in-flight group
-  // reduce checkpoints as its kGroupFinish event (the member models were
-  // already averaged at launch); the waiting room (`ready_`), per-worker
-  // iteration starts, and the in-flight group count ride in the engine blob.
+  // Event tags: each tag and its args describe one event (core/engine.h).
+  // An in-flight group reduce checkpoints as its kGroupFinish event (the
+  // member models were already averaged at launch); the waiting room
+  // (`ready_`), per-worker iteration starts, and the in-flight group count
+  // ride in the engine blob.
   enum Tag : int64_t {
     kCompute = 0,       // compute event: args []
     kGroupFinish = 1,   // plain event: args [members...]
@@ -196,9 +197,7 @@ class PragueEngine : public core::Engine {
     // the reduce is stretched by the number of in-flight groups. One
     // communication round per group reduce, indexed by the first member's
     // counter (groups always have >= 2 members here).
-    const int64_t round = harness_.compression_enabled()
-                              ? harness_.NextCommRound(group.front())
-                              : 0;
+    const int64_t round = harness_.NextCommRound(group.front());
     const double ring_seconds = harness_.RingAllreduceSeconds(group, round);
     ++active_groups_;
     const double reduce_seconds =

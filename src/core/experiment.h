@@ -352,9 +352,10 @@ struct WorkerRuntime {
   int64_t iterations = 0;
   // Communication rounds this worker has initiated (the compressor's
   // schedule index: layer-wise sync masks are a function of it). Claimed via
-  // ExperimentHarness::NextCommRound in commit contexts, carried in reified
-  // event args, and checkpointed — the compression subsystem's only evolving
-  // state.
+  // ExperimentHarness::NextCommRound in commit contexts, carried in event
+  // args, and checkpointed — the compression subsystem's only evolving
+  // state. Every engine claims a round per exchange, compressed or not; only
+  // the compressor reads it.
   int64_t comm_rounds = 0;
   bool finished = false;
 
@@ -391,14 +392,16 @@ class ExperimentHarness {
   double PullSeconds(int src, int dst) const;
 
   // --- communication compression (ml/compression.h) --------------------------
-  // True when config.compress names an active (non-none) variant. Engines
-  // branch on this so the compression-off path keeps its exact historical
-  // arithmetic (byte-identical traces).
+  // True when config.compress names an active (non-none) variant. Code
+  // branches on this only where the uncompressed arithmetic differs (the
+  // pairwise averages, AdoptModel's copy, NetMax's one-pass mix), so the
+  // compression-off path keeps its exact historical arithmetic
+  // (byte-identical traces); everything else runs the no-op encoding.
   bool compression_enabled() const { return config_.compress.enabled(); }
 
   // Claims worker w's next communication-round index (post-increments
-  // worker.comm_rounds). Commit contexts only; the index rides in reified
-  // event args so a restored run replays the same compression schedule.
+  // worker.comm_rounds). Commit contexts only; the index rides in event args
+  // so a restored run replays the same compression schedule.
   int64_t NextCommRound(int w) {
     return workers_[static_cast<size_t>(w)].comm_rounds++;
   }

@@ -11,8 +11,7 @@
 //
 // The compressor is stateless; the only evolving state is the per-worker
 // communication-round counter (core::WorkerRuntime::comm_rounds), which rides
-// in reified event args and checkpoints so restores replay the same layer
-// schedule.
+// in event args and checkpoints so restores replay the same layer schedule.
 
 #include <cstdint>
 #include <span>
