@@ -43,11 +43,6 @@ std::future<void> ThreadPool::Submit(std::packaged_task<void()> task) {
   return future;
 }
 
-void ThreadPool::Wait() {
-  std::unique_lock<std::mutex> lock(mu_);
-  work_done_.wait(lock, [this] { return queue_.empty() && active_ == 0; });
-}
-
 void ThreadPool::WorkerLoop() {
   while (true) {
     std::function<void()> task;
@@ -61,22 +56,9 @@ void ThreadPool::WorkerLoop() {
       }
       task = std::move(queue_.front());
       queue_.pop_front();
-      ++active_;
     }
     task();
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      --active_;
-      if (queue_.empty() && active_ == 0) work_done_.notify_all();
-    }
   }
-}
-
-void ParallelFor(int num_threads,
-                 const std::vector<std::function<void()>>& tasks) {
-  ThreadPool pool(num_threads);
-  for (const auto& task : tasks) pool.Submit(task);
-  pool.Wait();
 }
 
 namespace {

@@ -35,11 +35,8 @@ class ThreadPool {
 
   // Waitable overload: enqueues `task` and returns the future of its
   // completion, so one submission can be awaited without draining the whole
-  // pool (Wait() below blocks on everything in flight).
+  // pool.
   std::future<void> Submit(std::packaged_task<void()> task);
-
-  // Blocks until every submitted task has finished.
-  void Wait();
 
   int num_threads() const { return static_cast<int>(threads_.size()); }
 
@@ -48,25 +45,17 @@ class ThreadPool {
 
   std::mutex mu_;
   std::condition_variable work_available_;
-  std::condition_variable work_done_;
   std::deque<std::function<void()>> queue_;
-  int active_ = 0;
   bool shutting_down_ = false;
   std::vector<std::thread> threads_;
 };
 
-// Runs `tasks[i]()` for all i using `num_threads` workers and returns when all
-// have completed. Convenience wrapper for one-shot parallel sections that owns
-// a throwaway pool.
-void ParallelFor(int num_threads,
-                 const std::vector<std::function<void()>>& tasks);
-
-// Index-range overload on an existing pool: runs fn(0) .. fn(n-1) and
-// returns once all n calls have finished, without materializing one
-// std::function per index. The calling thread participates in the work (a
-// pool of T threads executes with T+1 workers), so the call makes progress
-// even when the pool is busy. Only this call's indices are awaited —
-// concurrent unrelated Submits on the same pool are untouched.
+// Runs fn(0) .. fn(n-1) on `pool` and returns once all n calls have
+// finished, without materializing one std::function per index. The calling
+// thread participates in the work (a pool of T threads executes with T+1
+// workers), so the call makes progress even when the pool is busy. Only this
+// call's indices are awaited — concurrent unrelated Submits on the same pool
+// are untouched.
 //
 // Nesting on the same pool is safe — a pool task may itself call ParallelFor
 // (the event simulator's sharded gradient evaluation does exactly that,

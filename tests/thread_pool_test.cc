@@ -1,6 +1,7 @@
 #include "common/thread_pool.h"
 
 #include <atomic>
+#include <future>
 #include <stdexcept>
 #include <vector>
 
@@ -9,25 +10,21 @@
 namespace netmax {
 namespace {
 
+// Submits `count` tasks that each bump `counter`, and waits for all of them.
+void RunCountingTasks(ThreadPool& pool, int count, std::atomic<int>& counter) {
+  std::vector<std::future<void>> done;
+  for (int i = 0; i < count; ++i) {
+    done.push_back(pool.Submit(
+        std::packaged_task<void()>([&counter] { counter.fetch_add(1); })));
+  }
+  for (std::future<void>& future : done) future.wait();
+}
+
 TEST(ThreadPoolTest, RunsAllTasks) {
   ThreadPool pool(4);
   std::atomic<int> counter{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.Submit([&counter] { counter.fetch_add(1); });
-  }
-  pool.Wait();
+  RunCountingTasks(pool, 100, counter);
   EXPECT_EQ(counter.load(), 100);
-}
-
-TEST(ThreadPoolTest, WaitIsReusable) {
-  ThreadPool pool(2);
-  std::atomic<int> counter{0};
-  pool.Submit([&counter] { counter.fetch_add(1); });
-  pool.Wait();
-  EXPECT_EQ(counter.load(), 1);
-  pool.Submit([&counter] { counter.fetch_add(1); });
-  pool.Wait();
-  EXPECT_EQ(counter.load(), 2);
 }
 
 TEST(ThreadPoolTest, DestructorDrainsQueue) {
@@ -44,10 +41,7 @@ TEST(ThreadPoolTest, DestructorDrainsQueue) {
 TEST(ThreadPoolTest, SingleThreadPreservesLiveness) {
   ThreadPool pool(1);
   std::atomic<int> counter{0};
-  for (int i = 0; i < 10; ++i) {
-    pool.Submit([&counter] { counter.fetch_add(1); });
-  }
-  pool.Wait();
+  RunCountingTasks(pool, 10, counter);
   EXPECT_EQ(counter.load(), 10);
   EXPECT_EQ(pool.num_threads(), 1);
 }
@@ -57,26 +51,17 @@ TEST(ThreadPoolTest, TasksRunConcurrently) {
   // they run concurrently.
   ThreadPool pool(4);
   std::atomic<int> arrived{0};
+  std::vector<std::future<void>> done;
   for (int i = 0; i < 4; ++i) {
-    pool.Submit([&arrived] {
+    done.push_back(pool.Submit(std::packaged_task<void()>([&arrived] {
       arrived.fetch_add(1);
       while (arrived.load() < 4) {
         // spin
       }
-    });
+    })));
   }
-  pool.Wait();
+  for (std::future<void>& future : done) future.wait();
   EXPECT_EQ(arrived.load(), 4);
-}
-
-TEST(ParallelForTest, ExecutesEveryTaskExactlyOnce) {
-  std::vector<std::atomic<int>> hits(32);
-  std::vector<std::function<void()>> tasks;
-  for (int i = 0; i < 32; ++i) {
-    tasks.push_back([&hits, i] { hits[static_cast<size_t>(i)].fetch_add(1); });
-  }
-  ParallelFor(8, tasks);
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
 TEST(ParallelForTest, IndexOverloadRunsEveryIndexExactlyOnce) {
@@ -163,19 +148,19 @@ TEST(SubmitWaitableTest, FutureResolvesAfterTaskRuns) {
 
 TEST(SubmitWaitableTest, IndividualHandlesDoNotDrainTheWholePool) {
   // A waitable submission can be awaited while an unrelated slow task is
-  // still running — unlike Wait(), which blocks on everything.
+  // still running.
   ThreadPool pool(2);
   std::atomic<bool> release{false};
-  pool.Submit([&release] {
+  std::future<void> slow = pool.Submit(std::packaged_task<void()>([&release] {
     while (!release.load()) {
       // spin until the end of the test
     }
-  });
+  }));
   std::future<void> fast =
       pool.Submit(std::packaged_task<void()>([] {}));
   fast.wait();  // must not deadlock on the spinning task
   release.store(true);
-  pool.Wait();
+  slow.wait();
 }
 
 TEST(SubmitWaitableTest, PropagatesExceptionsThroughTheFuture) {
