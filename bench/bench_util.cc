@@ -4,7 +4,6 @@
 #include <cctype>
 #include <cmath>
 #include <cstdlib>
-#include <cstring>
 #include <iostream>
 #include <string_view>
 
@@ -95,22 +94,11 @@ void PrintUsage(std::ostream& os, const char* binary) {
         "hier:<cluster_size> (clusters-of-clusters)\n"
      << "  --compress=SPEC      gradient compression: none | topk:<frac> | "
         "int8 | layerwise:<period> (results are bit-identical across "
-        "backends)\n"
-     << "environment overrides (a flag beats its variable):\n"
-     << "  NETMAX_SMOKE=1            same as --smoke\n"
-     << "  NETMAX_THREADS=N          same as --threads=N\n"
-     << "  NETMAX_SHARDS=N           same as --shards=N\n"
-     << "  NETMAX_BACKEND=K          same as --backend=K\n"
-     << "  NETMAX_FAULTS=SPEC        same as --faults=SPEC\n"
-     << "  NETMAX_PEER_POLICY=P      same as --peer-policy=P\n"
-     << "  NETMAX_CHECKPOINT_EVERY=S same as --checkpoint-every=S\n"
-     << "  NETMAX_WORKERS=N          same as --workers=N\n"
-     << "  NETMAX_TOPOLOGY=SPEC      same as --topology=SPEC\n"
-     << "  NETMAX_COMPRESS=SPEC      same as --compress=SPEC\n";
+        "backends)\n";
 }
 
-// Strict value parse for "--flag=N" style flags and their environment
-// fallbacks: anything but an exact non-negative integer is a usage error.
+// Strict value parse for "--flag=N" style flags: anything but an exact
+// non-negative integer is a usage error.
 StatusOr<int> ParseFlagValue(const std::string& flag_text,
                              std::string_view value) {
   StatusOr<int> parsed = ParseNonNegativeInt(value);
@@ -121,8 +109,8 @@ StatusOr<int> ParseFlagValue(const std::string& flag_text,
   return parsed;
 }
 
-// Strict value parse for "--backend=K" and NETMAX_BACKEND: anything but a
-// known backend name is a usage error.
+// Strict value parse for "--backend=K": anything but a known backend name
+// is a usage error.
 StatusOr<core::ExecutionBackendKind> ParseBackend(const std::string& flag_text,
                                                   std::string_view value) {
   core::ExecutionBackendKind kind;
@@ -147,10 +135,10 @@ StatusOr<double> ParseSeconds(const std::string& flag_text,
                               " (expected a non-negative number of seconds)");
 }
 
-// Strict value parse for "--faults=SPEC" and NETMAX_FAULTS. A "seed:K" spec
-// is recorded for per-run resolution (FromSeed needs the run's worker
-// count); anything else must parse under the scripted grammar now so a typo
-// fails before any experiment runs.
+// Strict value parse for "--faults=SPEC". A "seed:K" spec is recorded for
+// per-run resolution (FromSeed needs the run's worker count); anything else
+// must parse under the scripted grammar now so a typo fails before any
+// experiment runs.
 Status ParseFaults(const std::string& flag_text, std::string_view value) {
   faults_from_seed = false;
   if (value.rfind("seed:", 0) == 0) {
@@ -175,7 +163,7 @@ Status ParseFaults(const std::string& flag_text, std::string_view value) {
   return Status::Ok();
 }
 
-// Strict value parse for "--peer-policy=P" and NETMAX_PEER_POLICY.
+// Strict value parse for "--peer-policy=P".
 Status ParsePeerPolicyFlag(const std::string& flag_text,
                            std::string_view value) {
   core::PeerPolicy policy;
@@ -188,8 +176,8 @@ Status ParsePeerPolicyFlag(const std::string& flag_text,
   return Status::Ok();
 }
 
-// Strict value parse for "--workers=N" and NETMAX_WORKERS: a decentralized
-// run needs at least two workers, so 0 and 1 are usage errors, not configs.
+// Strict value parse for "--workers=N": a decentralized run needs at least
+// two workers, so 0 and 1 are usage errors, not configs.
 Status ParseWorkersFlag(const std::string& flag_text, std::string_view value) {
   StatusOr<int> parsed = ParseNonNegativeInt(value);
   if (!parsed.ok() || *parsed < 2) {
@@ -200,7 +188,7 @@ Status ParseWorkersFlag(const std::string& flag_text, std::string_view value) {
   return Status::Ok();
 }
 
-// Strict value parse for "--topology=SPEC" and NETMAX_TOPOLOGY.
+// Strict value parse for "--topology=SPEC".
 Status ParseTopologyFlag(const std::string& flag_text,
                          std::string_view value) {
   StatusOr<net::TopologySpec> spec = net::ParseTopologySpec(value);
@@ -213,7 +201,7 @@ Status ParseTopologyFlag(const std::string& flag_text,
   return Status::Ok();
 }
 
-// Strict value parse for "--compress=SPEC" and NETMAX_COMPRESS.
+// Strict value parse for "--compress=SPEC".
 Status ParseCompressFlag(const std::string& flag_text,
                          std::string_view value) {
   StatusOr<ml::CompressionSpec> spec = ml::ParseCompressionSpec(value);
@@ -322,62 +310,6 @@ StatusOr<bool> InitBench(int argc, char** argv) {
   compress_override_set = false;
   compress_override = ml::CompressionSpec();
   run_batch_counter = 0;
-  const char* env = std::getenv("NETMAX_SMOKE");
-  if (env != nullptr && std::strcmp(env, "1") == 0) smoke_mode = true;
-  const char* env_threads = std::getenv("NETMAX_THREADS");
-  if (env_threads != nullptr) {
-    NETMAX_ASSIGN_OR_RETURN(
-        threads_override,
-        ParseFlagValue(std::string("NETMAX_THREADS=") + env_threads,
-                       env_threads));
-  }
-  const char* env_shards = std::getenv("NETMAX_SHARDS");
-  if (env_shards != nullptr) {
-    NETMAX_ASSIGN_OR_RETURN(
-        shards_override,
-        ParseFlagValue(std::string("NETMAX_SHARDS=") + env_shards,
-                       env_shards));
-  }
-  const char* env_backend = std::getenv("NETMAX_BACKEND");
-  if (env_backend != nullptr) {
-    NETMAX_ASSIGN_OR_RETURN(
-        backend_override,
-        ParseBackend(std::string("NETMAX_BACKEND=") + env_backend,
-                     env_backend));
-    backend_override_set = true;
-  }
-  const char* env_faults = std::getenv("NETMAX_FAULTS");
-  if (env_faults != nullptr) {
-    NETMAX_RETURN_IF_ERROR(ParseFaults(
-        std::string("NETMAX_FAULTS=") + env_faults, env_faults));
-  }
-  const char* env_policy = std::getenv("NETMAX_PEER_POLICY");
-  if (env_policy != nullptr) {
-    NETMAX_RETURN_IF_ERROR(ParsePeerPolicyFlag(
-        std::string("NETMAX_PEER_POLICY=") + env_policy, env_policy));
-  }
-  const char* env_workers = std::getenv("NETMAX_WORKERS");
-  if (env_workers != nullptr) {
-    NETMAX_RETURN_IF_ERROR(ParseWorkersFlag(
-        std::string("NETMAX_WORKERS=") + env_workers, env_workers));
-  }
-  const char* env_topology = std::getenv("NETMAX_TOPOLOGY");
-  if (env_topology != nullptr) {
-    NETMAX_RETURN_IF_ERROR(ParseTopologyFlag(
-        std::string("NETMAX_TOPOLOGY=") + env_topology, env_topology));
-  }
-  const char* env_compress = std::getenv("NETMAX_COMPRESS");
-  if (env_compress != nullptr) {
-    NETMAX_RETURN_IF_ERROR(ParseCompressFlag(
-        std::string("NETMAX_COMPRESS=") + env_compress, env_compress));
-  }
-  const char* env_every = std::getenv("NETMAX_CHECKPOINT_EVERY");
-  if (env_every != nullptr) {
-    NETMAX_ASSIGN_OR_RETURN(
-        checkpoint_every_override,
-        ParseSeconds(std::string("NETMAX_CHECKPOINT_EVERY=") + env_every,
-                     env_every));
-  }
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--smoke") {

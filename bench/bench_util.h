@@ -83,9 +83,6 @@ namespace netmax::bench {
 //                        ExperimentConfig::compress; see ml/compression.h).
 //                        Results for a given spec are bit-identical across
 //                        backends, threads, and shards.
-// Every flag has a NETMAX_* environment fallback (see PrintUsage in
-// bench_util.cc for the single authoritative list); an explicit flag wins
-// over its environment variable.
 //
 // Returns true to proceed, false when --help was printed (the caller should
 // exit 0), and kInvalidArgument — naming the offending flag — on an unknown
@@ -104,22 +101,22 @@ StatusOr<bool> InitBench(int argc, char** argv);
 //   }
 int BenchMain(int argc, char** argv, const std::function<Status()>& body);
 
-// The --threads/NETMAX_THREADS override, or -1 when unset.
+// The --threads override, or -1 when unset.
 int ThreadsOverride();
 
-// The --shards/NETMAX_SHARDS override, or -1 when unset.
+// The --shards override, or -1 when unset.
 // (The --backend override has no accessor: benches that run experiments by
 // hand pin their backends per leg — bench_scale32 compares both — and
 // RunAlgorithms/RunConfigs apply the override internally.)
 int ShardsOverride();
 
-// The --workers/NETMAX_WORKERS override, or -1 when unset.
+// The --workers override, or -1 when unset.
 int WorkersOverride();
 
-// True once InitBench has seen --smoke (or NETMAX_SMOKE=1 in the
-// environment). RunAlgorithms/RunConfigs apply the shrink to their configs
-// at execution time — after any per-bench overrides — so benches only need
-// this (and MaybeApplySmoke) when they run experiments by hand.
+// True once InitBench has seen --smoke. RunAlgorithms/RunConfigs apply the
+// shrink to their configs at execution time — after any per-bench
+// overrides — so benches only need this (and MaybeApplySmoke) when they run
+// experiments by hand.
 bool SmokeMode();
 
 // Applies the smoke-mode shrink to `config` in place (no-op unless
