@@ -366,8 +366,11 @@ struct WorkerRuntime {
 // Builds and owns everything an engine needs for one run.
 class ExperimentHarness {
  public:
-  // `algorithm_name` labels the RunResult.
+  // `algorithm_name` labels the RunResult. The simulator's event builder
+  // holds `this`, so a harness is neither copied nor moved.
   ExperimentHarness(const ExperimentConfig& config, std::string algorithm_name);
+  ExperimentHarness(const ExperimentHarness&) = delete;
+  ExperimentHarness& operator=(const ExperimentHarness&) = delete;
 
   // Materializes datasets, workers, link model, topology. Must be called
   // exactly once before anything else; fails on inconsistent configs.

@@ -2,12 +2,14 @@
 
 #include <chrono>
 #include <functional>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/status.h"
 #include "common/thread_pool.h"
 
 namespace netmax::net {
@@ -392,6 +394,91 @@ TEST(ExecutionBackendDeterminismTest, AllBackendsProduceTheSerialTrace) {
     }
     EXPECT_GT(run.stats.computes_speculated, 0) << threads;
   }
+}
+
+// --- described events (Schedule / SaveQueue / RestoreQueue) ----------------
+
+// A builder that gives tag 0 a plain callback recording its time, tag 1 a
+// compute/commit pair, and tag 2 the wrong closure shape; any other tag is
+// rejected.
+EventBuilder TestBuilder(std::vector<double>& fired_at, EventSimulator& sim) {
+  return [&fired_at, &sim](SimEvent& event) {
+    switch (event.payload.tag) {
+      case 0:
+        event.plain = [&fired_at, &sim] { fired_at.push_back(sim.Now()); };
+        return Status::Ok();
+      case 1:
+        event.compute = [] { return 1.0; };
+        event.commit = [&fired_at, &sim](double) {
+          fired_at.push_back(sim.Now());
+        };
+        return Status::Ok();
+      case 2:
+        event.compute = [] { return 1.0; };  // no commit
+        return Status::Ok();
+      default:
+        return InvalidArgumentError("unknown tag " +
+                                    std::to_string(event.payload.tag));
+    }
+  };
+}
+
+TEST(DescribedEventTest, ScheduleSaveAndRestoreReplayTheSameEvents) {
+  std::vector<double> fired_at;
+  EventSimulator source;
+  source.set_builder(TestBuilder(fired_at, source));
+  source.Schedule(2.0, kNoWorkerKey, {0, {}});
+  source.Schedule(1.0, /*worker_key=*/3, {1, {}});
+  StatusOr<std::vector<SimEvent>> saved = source.SaveQueue();
+  ASSERT_TRUE(saved.ok()) << saved.status().ToString();
+  ASSERT_EQ(saved->size(), 2u);
+  EXPECT_EQ((*saved)[0].worker_key, 3);  // dispatch order
+  EXPECT_TRUE((*saved)[0].compute == nullptr);  // descriptions: no closures
+  source.RunUntilIdle();
+  EXPECT_EQ(fired_at, (std::vector<double>{1.0, 2.0}));
+
+  std::vector<double> restored_at;
+  EventSimulator restored;
+  restored.set_builder(TestBuilder(restored_at, restored));
+  NETMAX_EXPECT_OK(restored.RestoreQueue(0.5, source.next_sequence(),
+                                         /*processed=*/0, *saved));
+  EXPECT_EQ(restored.Now(), 0.5);
+  restored.RunUntilIdle();
+  EXPECT_EQ(restored_at, fired_at);
+}
+
+TEST(DescribedEventTest, RestoreQueueRejectsBadDescriptionsAndStaysEmpty) {
+  std::vector<double> fired_at;
+  EventSimulator sim;
+  sim.set_builder(TestBuilder(fired_at, sim));
+  const auto restore = [&sim](int64_t tag, int worker_key, double time) {
+    SimEvent event;
+    event.time = time;
+    event.sequence = 0;
+    event.worker_key = worker_key;
+    event.payload.tag = tag;
+    std::vector<SimEvent> events;
+    events.push_back(std::move(event));
+    return sim.RestoreQueue(1.0, /*next_sequence=*/1, /*processed=*/0,
+                            std::move(events));
+  };
+  // The builder's own rejection, a closure set that does not match the
+  // worker key (either way), and a description the clock has passed.
+  EXPECT_EQ(restore(9, kNoWorkerKey, 1.0).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(restore(2, 0, 1.0).code(), StatusCode::kInternal);
+  EXPECT_EQ(restore(0, 0, 1.0).code(), StatusCode::kInternal);
+  EXPECT_EQ(restore(0, kNoWorkerKey, 0.5).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_TRUE(sim.empty());
+  NETMAX_EXPECT_OK(restore(0, kNoWorkerKey, 1.0));
+  EXPECT_FALSE(sim.empty());
+}
+
+TEST(DescribedEventTest, ScheduleDiesWhenTheBuilderRejectsThePayload) {
+  std::vector<double> fired_at;
+  EventSimulator sim;
+  sim.set_builder(TestBuilder(fired_at, sim));
+  EXPECT_DEATH({ sim.Schedule(1.0, kNoWorkerKey, {9, {}}); }, "event tag 9");
 }
 
 TEST(ComputeEventTest, NegativeWorkerKeyDies) {
