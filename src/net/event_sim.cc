@@ -57,6 +57,7 @@ void EventSimulator::ScheduleCompute(double time, int worker_key,
 
 Status EventSimulator::Build(SimEvent& event) {
   NETMAX_CHECK(builder_ != nullptr) << "no event builder set";
+  if (event.worker_key < 0) event.worker_key = kNoKey;
   NETMAX_RETURN_IF_ERROR(builder_(event));
   const bool plain = event.worker_key == kNoKey;
   const bool shaped =
@@ -76,7 +77,7 @@ void EventSimulator::Schedule(double time, int worker_key,
   NETMAX_CHECK_GE(payload.tag, 0) << "Schedule requires a tag";
   SimEvent event;
   event.time = time;
-  event.worker_key = worker_key < 0 ? kNoKey : worker_key;
+  event.worker_key = worker_key;
   event.payload = std::move(payload);
   const Status status = Build(event);
   NETMAX_CHECK(status.ok()) << "event tag " << event.payload.tag
@@ -160,10 +161,7 @@ Status EventSimulator::RestoreQueue(double now, int64_t next_sequence,
           std::to_string(sequences[i]));
     }
   }
-  for (SimEvent& event : events) {
-    if (event.worker_key < 0) event.worker_key = kNoKey;
-    NETMAX_RETURN_IF_ERROR(Build(event));
-  }
+  for (SimEvent& event : events) NETMAX_RETURN_IF_ERROR(Build(event));
   // Sequence numbers are restored exactly as saved (Insert is bypassed), so
   // relative (time, sequence) ordering — and with it every tie-break —
   // replays bit-identically.

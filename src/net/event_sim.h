@@ -224,7 +224,7 @@ class EventSimulator {
 
   void Insert(SimEvent&& event);
   // Fills `event`'s closures through the builder and checks their shape
-  // against its worker key.
+  // against its worker key (any negative key marks a plain event).
   Status Build(SimEvent& event);
   // Builds the frontier from the queue head and evaluates it on the pool.
   void Dispatch();
