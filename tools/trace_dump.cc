@@ -37,6 +37,10 @@
 // the homogeneous network (one uniform link class, the setting of the
 // paper's Figs. 6, 9 and 11 and Table 3) and prints no extra lines. --list
 // advertises Fig. 9's pair, NetMax and AD-PSGD.
+//
+// Mix variant: "netmax+literal" runs NetMax with the paper's literal
+// one-sided pull of Algorithm 2 instead of the default symmetric exchange,
+// and prints no extra lines. It is accepted for netmax only.
 
 #include <cinttypes>
 #include <cstdio>
@@ -102,6 +106,9 @@ constexpr char kLayerwiseSpec[] = "layerwise:2";
 // Pinned network variant: the golden config on the homogeneous network.
 constexpr char kHomogeneousSuffix[] = "+homogeneous";
 
+// Pinned mix variant: NetMax's literal one-sided pull.
+constexpr char kLiteralSuffix[] = "+literal";
+
 bool StripSuffix(std::string& name, const char* suffix) {
   const std::string tail(suffix);
   if (name.size() <= tail.size() ||
@@ -123,6 +130,7 @@ Status DumpTrace(const std::string& request) {
   core::PeerPolicy policy = core::PeerPolicy::kWait;
   const char* compress_spec = nullptr;
   bool homogeneous = false;
+  bool literal = false;
   if (StripSuffix(name, kWaitSuffix)) {
     fault_mode = true;
   } else if (StripSuffix(name, kTimeoutSuffix)) {
@@ -136,9 +144,16 @@ Status DumpTrace(const std::string& request) {
     compress_spec = kLayerwiseSpec;
   } else if (StripSuffix(name, kHomogeneousSuffix)) {
     homogeneous = true;
+  } else if (StripSuffix(name, kLiteralSuffix)) {
+    literal = true;
+    if (name != "netmax") {
+      return InvalidArgumentError(std::string(kLiteralSuffix) +
+                                  " applies to netmax only, not " + name);
+    }
   }
   core::ExperimentConfig config = GoldenConfig();
   if (homogeneous) config.network = core::NetworkScenario::kHomogeneous;
+  if (literal) config.symmetric_consensus = false;
   // NETMAX_THREADS and NETMAX_BACKEND select the execution point without
   // perturbing the pinned config: every thread count and backend must
   // reproduce the same trace bytes, which is exactly what CI's golden-trace
@@ -224,8 +239,9 @@ int main(int argc, char** argv) {
     // every engine's compressed mix or reduce, spread across the encoding
     // families and the wire-accounting shapes (directed consensus sends,
     // push-gossip snapshots, ring and group chunks, PS uploads and
-    // downloads). Last, Fig. 9's homogeneous pair. Every other
-    // "<algorithm>+<variant>" spelling also runs, unpinned.
+    // downloads). Then Fig. 9's homogeneous pair, and last NetMax's literal
+    // pull. Every other "<algorithm>+<variant>" spelling also runs, unpinned
+    // (+literal on netmax only).
     const char* const pinned_variants[][2] = {
         {"netmax", netmax::kWaitSuffix},
         {"netmax", netmax::kTimeoutSuffix},
@@ -246,6 +262,7 @@ int main(int argc, char** argv) {
         {"ps-async", netmax::kInt8Suffix},
         {"netmax", netmax::kHomogeneousSuffix},
         {"adpsgd", netmax::kHomogeneousSuffix},
+        {"netmax", netmax::kLiteralSuffix},
     };
     for (const auto& variant : pinned_variants) {
       std::printf("%s%s\n", variant[0], variant[1]);
