@@ -29,7 +29,6 @@ namespace {
 
 using core::CommunicationPolicy;
 
-constexpr double kEpsilon = 0.01;
 constexpr double kAlpha = 0.1;
 
 linalg::Matrix HeterogeneousTimes(int n, uint64_t seed) {
@@ -68,7 +67,8 @@ double ScorePolicy(const CommunicationPolicy& policy,
     t_bar = std::max(t_bar, AverageIterationTime(times, policy, topo, i) / n);
   }
   if (lambda2.value() <= 0.0) return t_bar;
-  return t_bar * std::log(kEpsilon) / std::log(lambda2.value());
+  return t_bar * std::log(core::kConvergenceEpsilon) /
+         std::log(lambda2.value());
 }
 
 void CompareStrategies(int n, uint64_t seed) {
@@ -119,7 +119,6 @@ void CompareStrategies(int n, uint64_t seed) {
   for (int grid : grids) {
     core::PolicyGeneratorOptions options;
     options.alpha = kAlpha;
-    options.epsilon = kEpsilon;
     options.outer_rounds = grid;
     options.inner_rounds = grid;
     core::PolicyGenerator generator(topo, options);

@@ -1,7 +1,8 @@
 // Figure 10: scalability speedup vs number of workers (4, 8, 16) on the
 // heterogeneous network, ResNet18 (a) and VGG19 (b). As in the paper, the
 // reference is Allreduce-SGD with 4 workers: speedup(algo, M) =
-// T_ref / T(algo, M) where T is the time to finish the fixed epoch budget.
+// T_ref / T(algo, M) where T is the time to finish the fixed epoch budget
+// (core::EqualWorkTime).
 //
 // Paper shape: NetMax scales best and its margin grows with the worker count;
 // Prague scales worst.
@@ -35,7 +36,7 @@ Status Run() {
         NETMAX_ASSIGN_OR_RETURN(const auto results, bench::RunAlgorithms(algos::PaperComparisonAlgorithms(), config));
         for (const auto& entry : results) {
           times[{entry.name, workers}] +=
-              entry.result.total_virtual_seconds / seeds.size();
+              core::EqualWorkTime(entry.result) / seeds.size();
         }
       }
     }

@@ -1,6 +1,7 @@
 // Figure 11: scalability speedup vs number of workers (4, 6, 8) on the
 // homogeneous network (single server), ResNet18 (a) and VGG19 (b); reference
-// is Allreduce-SGD with 4 workers.
+// is Allreduce-SGD with 4 workers, on the time to finish the fixed epoch
+// budget (core::EqualWorkTime).
 //
 // Paper shape: all algorithms scale; NetMax and AD-PSGD nearly coincide and
 // lead; the gap to Allreduce/Prague is smaller than on the heterogeneous
@@ -36,7 +37,7 @@ Status Run() {
         NETMAX_ASSIGN_OR_RETURN(const auto results, bench::RunAlgorithms(algos::PaperComparisonAlgorithms(), config));
         for (const auto& entry : results) {
           times[{entry.name, workers}] +=
-              entry.result.total_virtual_seconds / seeds.size();
+              core::EqualWorkTime(entry.result) / seeds.size();
         }
       }
     }

@@ -24,13 +24,13 @@ Status Run() {
     config.dataset = ml::MnistSimSpec();
     config.dataset.num_train = 3072;
     config.profile = profile;
+    config.profile.compute_seconds *= 8.0;  // c5.4xlarge CPUs, not GPUs
     config.num_workers = 6;  // one worker per region
     config.network = core::NetworkScenario::kWan;
     config.partition = core::PartitionScheme::kLostLabels;
     config.lost_labels = ml::CloudRegionLostLabels();  // Table VII
     config.batch_size = 32;
     config.learning_rate = 0.05;
-    config.compute_multiplier = 8.0;  // c5.4xlarge CPUs, not GPUs
     config.max_epochs = 16;
     config.eval_every_epochs = 2;
     const std::vector<std::string> algorithms = {"ps-sync", "ps-async",

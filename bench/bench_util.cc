@@ -550,26 +550,25 @@ void PrintSpeedups(std::ostream& os, const std::string& title,
                    const std::vector<NamedResult>& results) {
   NETMAX_CHECK(!results.empty());
   // Two speedup readings: time to a common (late-descent) loss level, and —
-  // the headline number — total time to finish the fixed epoch budget. The
-  // paper trains every algorithm for a fixed epoch count and reads speedups
-  // off the loss-vs-time curves; with near-parity per-epoch convergence the
+  // the headline number — equal-work time, when the fleet finished the
+  // fixed epoch budget (core::EqualWorkTime, which stops at the last epoch
+  // point where the clock runs on to the next monitor tick). The paper
+  // trains every algorithm for a fixed epoch count and reads speedups off
+  // the loss-vs-time curves; with near-parity per-epoch convergence the
   // equal-work ratio is the stable equivalent on these shortened runs, where
   // a single curve crossing can swing threshold-based readings.
   const double threshold = CommonLossThreshold(results);
-  const double ref_total = results.back().result.total_virtual_seconds;
-  TablePrinter table({"algorithm", "time_to_loss_s", "total_time_s",
+  const double ref_time = core::EqualWorkTime(results.back().result);
+  TablePrinter table({"algorithm", "time_to_loss_s", "equal_work_s",
                       "netmax_speedup"});
   for (const NamedResult& entry : results) {
     const double seconds = ConvergenceSeconds(entry.result, threshold);
-    table.AddRow({entry.name, Fmt(seconds, 1),
-                  Fmt(entry.result.total_virtual_seconds, 1),
-                  Fmt(ref_total > 0.0
-                          ? entry.result.total_virtual_seconds / ref_total
-                          : 0.0,
-                      2)});
+    const double equal_work = core::EqualWorkTime(entry.result);
+    table.AddRow({entry.name, Fmt(seconds, 1), Fmt(equal_work, 1),
+                  Fmt(ref_time > 0.0 ? equal_work / ref_time : 0.0, 2)});
   }
   os << "\n== " << title << " (loss threshold " << Fmt(threshold, 3)
-     << "; speedup = equal-work total time vs NetMax) ==\n";
+     << "; speedup = equal-work time vs NetMax) ==\n";
   table.Print(os);
   table.PrintCsv(os, title);
 }

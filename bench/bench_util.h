@@ -165,8 +165,9 @@ double CommonLossThreshold(const std::vector<NamedResult>& results);
 double ConvergenceSeconds(const core::RunResult& result,
                           double loss_threshold);
 
-// Prints time-to-threshold and the speedup of the *last* entry (NetMax by
-// convention) over every other entry — the paper's "3.7x over Prague" rows.
+// Prints time-to-threshold, equal-work time (core::EqualWorkTime) and the
+// equal-work speedup of the *last* entry (NetMax by convention) over every
+// other entry — the paper's "3.7x over Prague" rows.
 void PrintSpeedups(std::ostream& os, const std::string& title,
                    const std::vector<NamedResult>& results);
 

@@ -22,13 +22,13 @@ int main() {
   config.dataset = netmax::ml::MnistSimSpec();
   config.dataset.num_train = 3072;
   config.profile = netmax::ml::MobileNetProfile();
+  config.profile.compute_seconds *= 8.0;  // CPUs, not GPUs
   config.num_workers = 6;  // one per region
   config.network = core::NetworkScenario::kWan;
   config.partition = core::PartitionScheme::kLostLabels;
   config.lost_labels = netmax::ml::CloudRegionLostLabels();
   config.batch_size = 32;
   config.learning_rate = 0.05;
-  config.compute_multiplier = 8.0;  // CPUs, not GPUs
   config.max_epochs = 10;
   config.monitor_period_seconds = 60.0;
   config.seed = 7;

@@ -23,11 +23,10 @@ int main() {
   const int num_workers = 5;
   const net::Topology topology = net::Topology::Complete(num_workers);
 
-  core::MonitorOptions options;
-  options.schedule_period_seconds = 120.0;
-  options.generator.alpha = 0.1;
-  options.generator.outer_rounds = 8;
-  options.generator.inner_rounds = 8;
+  core::PolicyGeneratorOptions options;
+  options.alpha = 0.1;
+  options.outer_rounds = 8;
+  options.inner_rounds = 8;
   core::NetworkMonitor monitor(topology, options);
 
   // Synthetic iteration-time matrices for two points in time, mirroring

@@ -20,7 +20,6 @@ class AdPsgdEngine : public core::PullEngine {
     // averaging-mode Y matrix and the relaxed Eq. (11) bound.
     core::PolicyGeneratorOptions generator = config().generator;
     generator.mode = core::PolicyGeneratorOptions::Mode::kAveraging;
-    generator.averaging_weight = 0.5;
     UsePolicy(with_monitor_ ? &generator : nullptr);
     return Status::Ok();
   }

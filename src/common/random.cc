@@ -112,14 +112,4 @@ void Rng::RestoreState(const std::array<uint64_t, 5>& state) {
   for (int i = 0; i < 4; ++i) state_[i] = state[static_cast<size_t>(i) + 1];
 }
 
-std::vector<int> Rng::SampleWithoutReplacement(int population, int count) {
-  NETMAX_CHECK_GE(population, count);
-  NETMAX_CHECK_GE(count, 0);
-  std::vector<int> all(population);
-  for (int i = 0; i < population; ++i) all[i] = i;
-  Shuffle(all);
-  all.resize(count);
-  return all;
-}
-
 }  // namespace netmax

@@ -63,9 +63,6 @@ class Rng {
     }
   }
 
-  // Returns `count` distinct indices drawn uniformly from [0, population).
-  std::vector<int> SampleWithoutReplacement(int population, int count);
-
   // Raw 64 random bits.
   uint64_t Next64();
 

@@ -35,7 +35,6 @@ class Serializer {
   void WriteIntVec(std::span<const int> values);
 
   const std::vector<uint8_t>& bytes() const { return bytes_; }
-  std::vector<uint8_t> TakeBytes() { return std::move(bytes_); }
 
  private:
   std::vector<uint8_t> bytes_;

@@ -10,6 +10,18 @@
 #include "ml/sharding.h"
 
 namespace netmax::core {
+namespace {
+
+// Without lr_milestones, the learning rate drops by 10x once the epoch loss
+// has not improved for this many epochs.
+constexpr int kPlateauPatience = 3;
+
+}  // namespace
+
+double EqualWorkTime(const RunResult& result) {
+  return result.loss_vs_time.empty() ? result.total_virtual_seconds
+                                     : result.loss_vs_time.back().x;
+}
 
 StatusOr<std::vector<ml::Dataset>> BuildShards(const ExperimentConfig& config,
                                                const ml::Dataset& train) {
@@ -227,7 +239,10 @@ Status ExperimentHarness::Init() {
     }
   }
 
-  // Network.
+  // Network. The dynamic scenario re-draws its slow link on either shape.
+  net::DynamicSlowdownLinkModel::Options slow;
+  slow.change_period_seconds = config_.slowdown_period_seconds;
+  slow.seed = config_.seed * 31 + 7;
   if (config_.topology.shape == net::TopologyShape::kHierarchical) {
     // Clusters-of-clusters: complete intra-cluster, hub ring inter-cluster,
     // over the two-class O(1)-memory link model (the flat presets below
@@ -243,11 +258,6 @@ Status ExperimentHarness::Init() {
     auto base = std::make_unique<net::HierarchicalLinkModel>(
         config_.num_workers, config_.topology.cluster_size, intra, inter);
     if (config_.network == NetworkScenario::kHeterogeneousDynamic) {
-      net::DynamicSlowdownLinkModel::Options slow;
-      slow.change_period_seconds = config_.slowdown_period_seconds;
-      slow.min_factor = config_.slowdown_min_factor;
-      slow.max_factor = config_.slowdown_max_factor;
-      slow.seed = config_.seed * 31 + 7;
       links_ = std::make_unique<net::DynamicSlowdownLinkModel>(
           std::move(base), slow);
     } else {
@@ -258,11 +268,6 @@ Status ExperimentHarness::Init() {
   } else {
     switch (config_.network) {
       case NetworkScenario::kHeterogeneousDynamic: {
-        net::DynamicSlowdownLinkModel::Options slow;
-        slow.change_period_seconds = config_.slowdown_period_seconds;
-        slow.min_factor = config_.slowdown_min_factor;
-        slow.max_factor = config_.slowdown_max_factor;
-        slow.seed = config_.seed * 31 + 7;
         const net::ClusterConfig cluster =
             config_.two_server_placement
                 ? net::HeterogeneousClusterTwoServers(config_.num_workers)
@@ -331,7 +336,7 @@ Status ExperimentHarness::Init() {
           config_.learning_rate, 0.1, config_.lr_milestones);
     } else {
       worker.lr_schedule = std::make_unique<ml::PlateauDecayLr>(
-          config_.learning_rate, 0.1, config_.plateau_patience);
+          config_.learning_rate, 0.1, kPlateauPatience);
     }
     worker.gradient.assign(
         static_cast<size_t>(worker.model->num_parameters()), 0.0);
@@ -408,9 +413,8 @@ void ExperimentHarness::EndSlowdown(int worker, double factor) {
 }
 
 double ExperimentHarness::ComputeSeconds(int batch_size) const {
-  return config_.profile.compute_seconds * config_.compute_multiplier *
-         static_cast<double>(batch_size) /
-         static_cast<double>(config_.profile_batch);
+  return config_.profile.compute_seconds * static_cast<double>(batch_size) /
+         static_cast<double>(ml::kProfileBatch);
 }
 
 double ExperimentHarness::PullSeconds(int src, int dst) const {

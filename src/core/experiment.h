@@ -121,17 +121,12 @@ struct ExperimentConfig {
 
   // --- time-domain cost model ---
   ml::ModelProfile profile = ml::ResNet18Profile();
-  // Batch size that profile.compute_seconds refers to.
-  int profile_batch = 128;
-  double compute_multiplier = 1.0;  // >1 for CPU-only WAN instances
 
   // --- cluster / network ---
   int num_workers = 8;
   NetworkScenario network = NetworkScenario::kHeterogeneousDynamic;
   bool two_server_placement = false;  // Section V-F placement
   double slowdown_period_seconds = 300.0;
-  double slowdown_min_factor = 2.0;
-  double slowdown_max_factor = 100.0;
   // Communication-graph shape (net/topology.h). kComplete is the paper's
   // flat all-pairs setting and keeps the pairwise StaticLinkModel presets;
   // kHierarchical builds clusters-of-clusters (complete intra-cluster, hub
@@ -146,33 +141,17 @@ struct ExperimentConfig {
   double learning_rate = 0.1;
   double momentum = 0.9;
   double weight_decay = 1e-4;
-  int plateau_patience = 3;             // LR /10 on plateau if no milestones
-  std::vector<int64_t> lr_milestones;   // LR /10 at these epochs if non-empty
+  // LR /10 at these epochs if non-empty, else on a plateau.
+  std::vector<int64_t> lr_milestones;
 
   // --- stopping ---
   int max_epochs = 30;                 // per-worker epochs
   double max_virtual_seconds = 1e7;    // safety cap on simulated time
 
-  // --- NetMax / monitor knobs ---
+  // --- monitor (NetMax, AD-PSGD+Monitor) ---
   double monitor_period_seconds = 120.0;  // Ts
-  double ema_beta = 0.5;                  // iteration-time EMA smoothing
   // generator.alpha is overwritten from learning_rate.
   PolicyGeneratorOptions generator;
-  // Initial consensus strength: rho_0 chosen so that
-  // alpha * rho_0 * (M-1) = initial_consensus_coefficient (uniform policy).
-  double initial_consensus_coefficient = 0.3;
-  bool overlap_communication = true;  // Fig. 7: parallel vs serial
-  bool adaptive_policy = true;        // Fig. 7: adaptive vs uniform
-  // Apply the consensus step as a symmetric exchange: when i pulls from m,
-  // m applies the mirrored update, so the pair moves toward each other and
-  // the fleet-wide parameter mean is preserved (the update matrix becomes
-  // doubly stochastic in the first moment, strengthening the paper's
-  // E[D^T D] condition). The literal one-sided pull of Algorithm 2 is
-  // row-stochastic only; every pull then discards a fraction of the puller's
-  // fresh gradient progress from the mean, which measurably slows per-epoch
-  // convergence in this scaled-down high-gradient-noise regime. Disable to
-  // run the paper-literal variant.
-  bool symmetric_consensus = true;
 
   // --- measurement ---
   // Evaluate test accuracy every this many global epochs (0 = only at end).
@@ -316,6 +295,13 @@ struct RunResult {
   int64_t bytes_sent = 0;
   int64_t bytes_saved = 0;
 };
+
+// Equal-work time: the virtual time at which the fleet finished its epoch
+// budget, the x of loss_vs_time's last (global-epoch) point, or
+// total_virtual_seconds when that series is empty. total_virtual_seconds
+// runs on to the next monitor or checkpoint tick after the work is done, so
+// speedups read this instead.
+double EqualWorkTime(const RunResult& result);
 
 // Interface implemented by NetMax and every baseline.
 class TrainingAlgorithm {
@@ -556,10 +542,9 @@ class ExperimentHarness {
   // ceil(threads / num_workers)).
   int shards() const { return shards_; }
 
-  // Policies the monitor produced (NetMax, AD-PSGD+Monitor), reported in
-  // RunResult and checkpointed; the pull loop sets it after every tick.
-  void set_policies_generated(int64_t n) { policies_generated_ = n; }
-  int64_t policies_generated() const { return policies_generated_; }
+  // Counts one policy the monitor produced (NetMax, AD-PSGD+Monitor); the
+  // count is reported in RunResult and checkpointed.
+  void CountPolicyGenerated() { ++policies_generated_; }
 
   // --- checkpoint / restore (implemented in core/checkpoint.cc) ---
   // Serializes/restores the engine's own state blob within the checkpoint.

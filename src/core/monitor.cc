@@ -4,10 +4,9 @@
 
 namespace netmax::core {
 
-NetworkMonitor::NetworkMonitor(net::Topology topology, MonitorOptions options)
-    : options_(options), generator_(std::move(topology), options.generator) {
-  NETMAX_CHECK_GT(options_.schedule_period_seconds, 0.0);
-}
+NetworkMonitor::NetworkMonitor(net::Topology topology,
+                               PolicyGeneratorOptions options)
+    : generator_(std::move(topology), options) {}
 
 std::optional<linalg::Matrix> NetworkMonitor::FillMissingTimes(
     const linalg::Matrix& ema_times) const {
@@ -38,9 +37,7 @@ StatusOr<GeneratedPolicy> NetworkMonitor::ComputePolicy(
     return FailedPreconditionError(
         "no iteration times measured yet; workers still warming up");
   }
-  StatusOr<GeneratedPolicy> result = generator_.Generate(*filled, pool);
-  if (result.ok()) ++policies_generated_;
-  return result;
+  return generator_.Generate(*filled, pool);
 }
 
 }  // namespace netmax::core

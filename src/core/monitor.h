@@ -8,8 +8,8 @@
 // per-link iteration-time EMAs [t_{i,m}] from the workers, runs the policy
 // generator (Algorithm 3), and pushes the new policy (P, rho) back. Inside
 // the simulator the engine schedules a monitor event every Ts and calls
-// ComputePolicy; this class holds the policy-generation state and the
-// handling of not-yet-measured links.
+// ComputePolicy; this class holds the policy generator and the handling of
+// not-yet-measured links. The engine counts the policies it adopts.
 
 #include <optional>
 
@@ -17,15 +17,9 @@
 
 namespace netmax::core {
 
-struct MonitorOptions {
-  // Ts: how often the monitor recomputes the policy (paper: 2 minutes).
-  double schedule_period_seconds = 120.0;
-  PolicyGeneratorOptions generator;
-};
-
 class NetworkMonitor {
  public:
-  NetworkMonitor(net::Topology topology, MonitorOptions options);
+  NetworkMonitor(net::Topology topology, PolicyGeneratorOptions options);
 
   // Fills links that no worker has measured yet (entry <= 0) with the largest
   // measured time — a conservative guess that steers traffic away from
@@ -41,18 +35,8 @@ class NetworkMonitor {
   StatusOr<GeneratedPolicy> ComputePolicy(const linalg::Matrix& ema_times,
                                           ThreadPool* pool = nullptr) const;
 
-  const MonitorOptions& options() const { return options_; }
-  const net::Topology& topology() const { return generator_.topology(); }
-
-  // Number of successful policy computations so far (diagnostics).
-  int64_t policies_generated() const { return policies_generated_; }
-  // Checkpoint support: restores the diagnostic counter.
-  void set_policies_generated(int64_t count) { policies_generated_ = count; }
-
  private:
-  MonitorOptions options_;
   PolicyGenerator generator_;
-  mutable int64_t policies_generated_ = 0;
 };
 
 }  // namespace netmax::core

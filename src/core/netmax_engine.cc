@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <span>
-#include <string>
 
 #include "core/pull_engine.h"
 
@@ -14,17 +13,20 @@ namespace {
 // (e.g. right after a monitor update).
 constexpr double kMaxConsensusCoefficient = 0.95;
 
+// The initial consensus strength: rho_0 is chosen so that
+// alpha * rho_0 * (M - 1) equals this under the initial uniform policy.
+constexpr double kInitialConsensusCoefficient = 0.3;
+
 class NetMaxEngine : public PullEngine {
  public:
-  explicit NetMaxEngine(const ExperimentConfig& config)
-      : PullEngine(config, "NetMax", /*step_before_mix=*/true) {}
+  NetMaxEngine(const ExperimentConfig& config, NetMaxOptions options)
+      : PullEngine(config, "NetMax", /*step_before_mix=*/true),
+        options_(options) {}
 
  private:
   Status Setup() override {
-    // Initial uniform policy and rho_0 with
-    // alpha * rho_0 * (M - 1) = initial_consensus_coefficient.
-    UsePolicy(config().adaptive_policy ? &config().generator : nullptr);
-    rho_ = config().initial_consensus_coefficient /
+    UsePolicy(options_.adaptive ? &config().generator : nullptr);
+    rho_ = kInitialConsensusCoefficient /
            (config().learning_rate *
             static_cast<double>(harness_.num_workers() - 1));
     return Status::Ok();
@@ -33,15 +35,14 @@ class NetMaxEngine : public PullEngine {
   // The first monitor tick follows the workers' first iterations.
   void Start() override {
     Engine::Start();
-    if (config().adaptive_policy) ScheduleMonitorTick();
+    if (options_.adaptive) ScheduleMonitorTick();
   }
 
   // Self-selection (p_ii > 0) is a local step.
   int DrawPeer(int w) override { return DrawFromPolicy(w); }
 
   double PullWall(double compute, double transfer) const override {
-    return config().overlap_communication ? std::max(compute, transfer)
-                                          : compute + transfer;
+    return options_.overlap ? std::max(compute, transfer) : compute + transfer;
   }
 
   // Second-step update: the consensus pull (Algorithm 2 lines 13-14)
@@ -52,7 +53,7 @@ class NetMaxEngine : public PullEngine {
   // consensus strength to the *decayed* SGD rate would silently turn off
   // mixing in late training and break the lambda_2-based policy objective.
   void Mix(int w, int m, int64_t round) override {
-    const bool symmetric = config().symmetric_consensus;
+    const bool symmetric = options_.symmetric;
     const double p = policy_->probability(w, m);
     NETMAX_CHECK_GT(p, 0.0);
     // For feasible policies Eq. (11) gives p >= 2*alpha*rho, so the
@@ -86,30 +87,15 @@ class NetMaxEngine : public PullEngine {
       }
     }
   }
+
+  const NetMaxOptions options_;
 };
 
 }  // namespace
 
 StatusOr<RunResult> NetMaxAlgorithm::Run(const ExperimentConfig& config) const {
-  NetMaxEngine engine(config);
+  NetMaxEngine engine(config, options_);
   return engine.Run();
-}
-
-NetMaxVariantAlgorithm::NetMaxVariantAlgorithm(bool overlap, bool adaptive)
-    : overlap_(overlap), adaptive_(adaptive) {
-  name_ = std::string(overlap ? "parallel" : "serial") + "+" +
-          (adaptive ? "adaptive" : "uniform");
-}
-
-StatusOr<RunResult> NetMaxVariantAlgorithm::Run(
-    const ExperimentConfig& config) const {
-  ExperimentConfig variant = config;
-  variant.overlap_communication = overlap_;
-  variant.adaptive_policy = adaptive_;
-  NetMaxEngine engine(variant);
-  StatusOr<RunResult> result = engine.Run();
-  if (result.ok()) result.value().algorithm = name_;
-  return result;
 }
 
 }  // namespace netmax::core

@@ -25,8 +25,6 @@ PolicyGenerator::PolicyGenerator(net::Topology topology,
   NETMAX_CHECK_GT(options_.alpha, 0.0);
   NETMAX_CHECK_GE(options_.outer_rounds, 1);
   NETMAX_CHECK_GE(options_.inner_rounds, 1);
-  NETMAX_CHECK(options_.epsilon > 0.0 && options_.epsilon < 1.0);
-  NETMAX_CHECK_GT(options_.probability_margin, 0.0);
   NETMAX_CHECK(topology_.IsConnected())
       << "Assumption 1 requires a connected graph";
 }
@@ -39,9 +37,9 @@ namespace {
 // to keep Y_P's off-diagonals positive (irreducibility, Lemma 3).
 double EdgeLowerBound(const PolicyGeneratorOptions& options, double rho) {
   if (options.mode == PolicyGeneratorOptions::Mode::kAveraging) {
-    return options.probability_margin;
+    return kProbabilityMargin;
   }
-  return 2.0 * options.alpha * rho + options.probability_margin;
+  return 2.0 * options.alpha * rho + kProbabilityMargin;
 }
 
 }  // namespace
@@ -122,8 +120,7 @@ StatusOr<double> PolicyGenerator::Lambda2(const CommunicationPolicy& policy,
                               1.0 / static_cast<double>(n));
   StatusOr<linalg::Matrix> y =
       options_.mode == PolicyGeneratorOptions::Mode::kAveraging
-          ? BuildAveragingY(policy, topology_, options_.averaging_weight,
-                            uniform)
+          ? BuildAveragingY(policy, topology_, kAveragingWeight, uniform)
           : BuildNetMaxY(policy, topology_, options_.alpha, rho, uniform);
   if (!y.ok()) return y.status();
   return linalg::SecondLargestEigenvalue(y.value());
@@ -144,7 +141,7 @@ StatusOr<PolicyGenerator::Candidate> PolicyGenerator::EvaluateGridPoint(
   // mixes in a single step, so t_bar itself is the cost.
   const double t_convergence =
       l2 <= kLambdaFloor ? t_bar
-                         : t_bar * std::log(options_.epsilon) / std::log(l2);
+                         : t_bar * std::log(kConvergenceEpsilon) / std::log(l2);
   return Candidate{std::move(policy.value()), rho, l2, t_bar, t_convergence};
 }
 
@@ -191,8 +188,7 @@ StatusOr<GeneratedPolicy> PolicyGenerator::Generate(
       upper = std::min(upper, max_t);
     }
     const double rho_feasible =
-        (upper / max_row_time - options_.probability_margin) /
-        (2.0 * options_.alpha);
+        (upper / max_row_time - kProbabilityMargin) / (2.0 * options_.alpha);
     if (rho_feasible <= 0.0) {
       return InfeasibleError("no rho admits a feasible policy");
     }

@@ -47,6 +47,14 @@ class ThreadPool;
 
 namespace netmax::core {
 
+// eps of constraint (9): lambda^k <= eps defines "converged".
+inline constexpr double kConvergenceEpsilon = 0.01;
+// Strictness margin added to the Eq. (11) lower bound so the inequality is
+// strict and gamma stays bounded.
+inline constexpr double kProbabilityMargin = 1e-4;
+// Averaging weight of Mode::kAveraging (AD-PSGD's 1/2).
+inline constexpr double kAveragingWeight = 0.5;
+
 struct PolicyGeneratorOptions {
   // SGD learning rate alpha (bounds rho's feasible interval).
   double alpha = 0.1;
@@ -54,19 +62,12 @@ struct PolicyGeneratorOptions {
   int outer_rounds = 8;
   // R: number of t_bar values searched per rho.
   int inner_rounds = 8;
-  // eps of constraint (9): lambda^k <= eps defines "converged".
-  double epsilon = 0.01;
-  // Strictness margin added to the Eq. (11) lower bound so the inequality is
-  // strict and gamma stays bounded.
-  double probability_margin = 1e-4;
   // Consensus update family: kConsensus scores candidates with NetMax's Y
   // (coefficient alpha*rho/p); kAveraging with the fixed-weight gossip Y
   // (Section III-D), where rho plays no role in the update and the Eq. (11)
   // bound degenerates to the margin alone.
   enum class Mode { kConsensus, kAveraging };
   Mode mode = Mode::kConsensus;
-  // Averaging weight for Mode::kAveraging (AD-PSGD uses 1/2).
-  double averaging_weight = 0.5;
 };
 
 struct GeneratedPolicy {

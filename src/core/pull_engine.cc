@@ -3,19 +3,23 @@
 #include <utility>
 
 namespace netmax::core {
+namespace {
+
+// Smoothing of the per-link iteration-time EMAs the monitor reads.
+constexpr double kEmaBeta = 0.5;
+
+}  // namespace
 
 void PullEngine::UsePolicy(const PolicyGeneratorOptions* monitor_generator) {
   policy_ = std::make_unique<CommunicationPolicy>(
       CommunicationPolicy::Uniform(harness_.topology()));
   if (monitor_generator == nullptr) return;
-  MonitorOptions options;
-  options.schedule_period_seconds = config().monitor_period_seconds;
-  options.generator = *monitor_generator;
-  options.generator.alpha = config().learning_rate;
-  monitor_ = std::make_unique<NetworkMonitor>(harness_.topology(), options);
+  PolicyGeneratorOptions generator = *monitor_generator;
+  generator.alpha = config().learning_rate;
+  monitor_ = std::make_unique<NetworkMonitor>(harness_.topology(), generator);
   const size_t n = static_cast<size_t>(harness_.num_workers());
   ema_times_.assign(n, std::vector<ExponentialMovingAverage>(
-                           n, ExponentialMovingAverage(config().ema_beta)));
+                           n, ExponentialMovingAverage(kEmaBeta)));
 }
 
 void PullEngine::ScheduleMonitorTick() {
@@ -133,8 +137,8 @@ void PullEngine::MonitorTick() {
     policy_ = std::make_unique<CommunicationPolicy>(
         std::move(generated.value().policy));
     rho_ = generated->rho;
+    harness_.CountPolicyGenerated();
   }
-  harness_.set_policies_generated(monitor_->policies_generated());
   ScheduleMonitorTick();
 }
 
@@ -207,11 +211,7 @@ Status PullEngine::RestoreState(Deserializer& in) {
   }
   policy_ = std::make_unique<CommunicationPolicy>(std::move(matrix));
   NETMAX_ASSIGN_OR_RETURN(rho_, in.ReadDouble());
-  NETMAX_RETURN_IF_ERROR(RestoreEmaGrid(in, &ema_times_));
-  // The harness restored the policy count it reports; the monitor resumes
-  // counting from it.
-  monitor_->set_policies_generated(harness_.policies_generated());
-  return Status::Ok();
+  return RestoreEmaGrid(in, &ema_times_);
 }
 
 }  // namespace netmax::core

@@ -154,15 +154,6 @@ SyntheticSpec ImageNetSimSpec() {
   return spec;
 }
 
-StatusOr<SyntheticSpec> SyntheticSpecByName(const std::string& name) {
-  for (const SyntheticSpec& spec :
-       {MnistSimSpec(), Cifar10SimSpec(), Cifar100SimSpec(),
-        TinyImageNetSimSpec(), ImageNetSimSpec()}) {
-    if (spec.name == name) return spec;
-  }
-  return NotFoundError("no synthetic dataset named '" + name + "'");
-}
-
 std::vector<Dataset> PartitionUniform(const Dataset& data, int num_workers,
                                       uint64_t seed) {
   NETMAX_CHECK_GT(num_workers, 0);

@@ -84,9 +84,6 @@ SyntheticSpec Cifar100SimSpec();
 SyntheticSpec TinyImageNetSimSpec();
 SyntheticSpec ImageNetSimSpec();
 
-// Returns the preset whose name matches (e.g. "mnist-sim"); NotFound if none.
-StatusOr<SyntheticSpec> SyntheticSpecByName(const std::string& name);
-
 // --- Partitioners -----------------------------------------------------------
 
 // Shuffles and splits `data` into `num_workers` near-equal shards.

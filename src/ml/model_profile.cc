@@ -22,13 +22,4 @@ ModelProfile Vgg19Profile() {
   return ModelProfile{"vgg19", 143'700'000, 0.340};
 }
 
-StatusOr<ModelProfile> ModelProfileByName(const std::string& name) {
-  for (const ModelProfile& profile :
-       {MobileNetProfile(), GoogLeNetProfile(), ResNet18Profile(),
-        ResNet50Profile(), Vgg19Profile()}) {
-    if (profile.name == name) return profile;
-  }
-  return NotFoundError("no model profile named '" + name + "'");
-}
-
 }  // namespace netmax::ml

@@ -14,16 +14,17 @@
 #include <cstdint>
 #include <string>
 
-#include "common/status.h"
-
 namespace netmax::ml {
+
+// The minibatch size that ModelProfile::compute_seconds is measured at.
+inline constexpr int kProfileBatch = 128;
 
 struct ModelProfile {
   std::string name;
   // Parameter count as reported by the paper.
   int64_t num_parameters = 0;
-  // Forward+backward wall time of one minibatch (batch 128 unless the
-  // experiment overrides it) on one GPU, in seconds.
+  // Forward+backward wall time of one minibatch of kProfileBatch examples
+  // on one GPU, in seconds.
   double compute_seconds = 0.0;
 
   // Bytes exchanged when a worker pulls this model from a peer (fp32).
@@ -35,9 +36,6 @@ ModelProfile GoogLeNetProfile();
 ModelProfile ResNet18Profile();
 ModelProfile ResNet50Profile();
 ModelProfile Vgg19Profile();
-
-// Lookup by name ("mobilenet", "googlenet", "resnet18", "resnet50", "vgg19").
-StatusOr<ModelProfile> ModelProfileByName(const std::string& name);
 
 }  // namespace netmax::ml
 

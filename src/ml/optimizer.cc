@@ -1,6 +1,5 @@
 #include "ml/optimizer.h"
 
-#include <algorithm>
 #include <limits>
 
 #include "common/logging.h"
@@ -28,10 +27,6 @@ void SgdOptimizer::Step(std::span<double> parameters,
     velocity_[i] = mu * velocity_[i] + gradient[i] + wd * parameters[i];
     parameters[i] -= lr * velocity_[i];
   }
-}
-
-void SgdOptimizer::ResetMomentum() {
-  std::fill(velocity_.begin(), velocity_.end(), 0.0);
 }
 
 void SgdOptimizer::SaveState(Serializer& out) const {

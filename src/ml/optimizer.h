@@ -35,10 +35,6 @@ class SgdOptimizer {
   void set_learning_rate(double lr) { options_.learning_rate = lr; }
   const SgdOptions& options() const { return options_; }
 
-  // Clears accumulated momentum (used when a worker adopts a pulled model
-  // wholesale and stale velocity would be misleading).
-  void ResetMomentum();
-
   // Checkpoint support: serializes/restores the velocity buffer and current
   // learning rate. RestoreState rejects a velocity vector whose length
   // differs from this optimizer's parameter count.

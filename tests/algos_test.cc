@@ -156,7 +156,7 @@ TEST(WanTest, AllWanAlgorithmsTrain) {
   ExperimentConfig config = BaseConfig();
   config.network = NetworkScenario::kWan;
   config.num_workers = 6;
-  config.compute_multiplier = 4.0;
+  config.profile.compute_seconds *= 4.0;  // CPU-only instances
   for (const char* name : {"netmax", "adpsgd", "ps-sync", "ps-async"}) {
     const auto result = RunAlgo(name, config);
     EXPECT_GT(result.final_accuracy, 0.5) << name;

@@ -682,6 +682,14 @@ TEST(CheckpointErrors, ConfigFingerprintMismatches) {
   wrong_epochs.restore_source = &checkpoint;
   EXPECT_EQ(TryRun("gossip", wrong_epochs).code(),
             StatusCode::kFailedPrecondition);
+
+  // Every change to compute time goes through the profile, so a restore
+  // cannot graft a run onto another time scale.
+  ExperimentConfig slower_compute = base;
+  slower_compute.profile.compute_seconds *= 8.0;
+  slower_compute.restore_source = &checkpoint;
+  EXPECT_EQ(TryRun("gossip", slower_compute).code(),
+            StatusCode::kFailedPrecondition);
 }
 
 TEST(CheckpointErrors, RestorePathAndSourceAreMutuallyExclusive) {

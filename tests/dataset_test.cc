@@ -85,17 +85,6 @@ TEST(SyntheticTest, AllLabelsPresent) {
   }
 }
 
-TEST(SyntheticTest, PresetsResolvableByName) {
-  for (const char* name :
-       {"mnist-sim", "cifar10-sim", "cifar100-sim", "tiny-imagenet-sim",
-        "imagenet-sim"}) {
-    auto spec = SyntheticSpecByName(name);
-    ASSERT_TRUE(spec.ok()) << name;
-    EXPECT_EQ(spec->name, name);
-  }
-  EXPECT_FALSE(SyntheticSpecByName("no-such-dataset").ok());
-}
-
 TEST(SyntheticTest, PresetClassCountsMatchPaperDatasets) {
   EXPECT_EQ(MnistSimSpec().num_classes, 10);
   EXPECT_EQ(Cifar10SimSpec().num_classes, 10);

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "algos/registry.h"
 #include "core/experiment.h"
 #include "core/netmax_engine.h"
@@ -105,18 +107,18 @@ TEST(NetMaxEngineTest, MonitorGeneratesPolicies) {
 }
 
 TEST(NetMaxEngineTest, UniformVariantSkipsMonitor) {
-  core::NetMaxVariantAlgorithm uniform(/*overlap=*/true, /*adaptive=*/false);
+  const core::NetMaxAlgorithm uniform({.adaptive = false});
   auto result = uniform.Run(SmokeConfig());
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_EQ(result->policies_generated, 0);
-  EXPECT_EQ(result->algorithm, "parallel+uniform");
+  EXPECT_EQ(result->algorithm, "NetMax");
 }
 
 TEST(NetMaxEngineTest, SerialVariantIsSlowerThanParallel) {
   // Uniform policy in both arms so the neighbor-draw sequences coincide and
   // the comparison isolates the overlap effect.
-  core::NetMaxVariantAlgorithm serial(/*overlap=*/false, /*adaptive=*/false);
-  core::NetMaxVariantAlgorithm parallel(/*overlap=*/true, /*adaptive=*/false);
+  const core::NetMaxAlgorithm serial({.overlap = false, .adaptive = false});
+  const core::NetMaxAlgorithm parallel({.overlap = true, .adaptive = false});
   const ExperimentConfig config = SmokeConfig();
   auto serial_result = serial.Run(config);
   auto parallel_result = parallel.Run(config);
@@ -153,8 +155,29 @@ TEST(ShapeTest, NetMaxFasterThanAdPsgdOnHeterogeneousNetwork) {
   auto adpsgd_result = (*adpsgd)->Run(config);
   ASSERT_TRUE(netmax_result.ok()) << netmax_result.status();
   ASSERT_TRUE(adpsgd_result.ok()) << adpsgd_result.status();
-  EXPECT_LT(netmax_result->total_virtual_seconds,
-            adpsgd_result->total_virtual_seconds);
+  EXPECT_LT(core::EqualWorkTime(*netmax_result),
+            core::EqualWorkTime(*adpsgd_result));
+}
+
+TEST(ShapeTest, EqualWorkTimeStopsAtTheLastEpochPoint) {
+  // NetMax's clock runs on to the monitor tick after the fleet finished its
+  // epoch budget; equal-work time is the last global-epoch point instead.
+  const ExperimentConfig config = SmokeConfig();
+  auto netmax = MakeAlgorithm("netmax");
+  ASSERT_TRUE(netmax.ok());
+  auto result = (*netmax)->Run(config);
+  ASSERT_TRUE(result.ok()) << result.status();
+  ASSERT_EQ(result->loss_vs_time.size(),
+            static_cast<size_t>(config.max_epochs));
+  EXPECT_EQ(std::fmod(result->total_virtual_seconds,
+                      config.monitor_period_seconds),
+            0.0);
+  EXPECT_LT(result->loss_vs_time.back().x, result->total_virtual_seconds);
+  EXPECT_EQ(core::EqualWorkTime(*result), result->loss_vs_time.back().x);
+
+  RunResult empty;
+  empty.total_virtual_seconds = 7.5;
+  EXPECT_EQ(core::EqualWorkTime(empty), 7.5);
 }
 
 TEST(ShapeTest, EveryAlgorithmReachesSameEpochCount) {

@@ -317,22 +317,12 @@ TEST(HarnessTest, InitBuildsWorkersWithIdenticalReplicas) {
 TEST(HarnessTest, ComputeSecondsScaleWithBatch) {
   ExperimentConfig config = TinyConfig();
   config.profile = ml::ResNet18Profile();
-  config.profile_batch = 128;
   ExperimentHarness harness(config, "test");
   ASSERT_TRUE(harness.Init().ok());
   EXPECT_DOUBLE_EQ(harness.ComputeSeconds(128),
                    ml::ResNet18Profile().compute_seconds);
   EXPECT_DOUBLE_EQ(harness.ComputeSeconds(64),
                    0.5 * ml::ResNet18Profile().compute_seconds);
-}
-
-TEST(HarnessTest, ComputeMultiplierApplies) {
-  ExperimentConfig config = TinyConfig();
-  config.compute_multiplier = 8.0;  // CPU-only instances
-  ExperimentHarness harness(config, "test");
-  ASSERT_TRUE(harness.Init().ok());
-  EXPECT_DOUBLE_EQ(harness.ComputeSeconds(128),
-                   8.0 * config.profile.compute_seconds);
 }
 
 TEST(HarnessTest, LocalStepsCompleteEpochsAndFinish) {

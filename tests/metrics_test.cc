@@ -83,13 +83,6 @@ TEST(ModelProfileTest, MessageBytesIsFp32) {
   EXPECT_EQ(ResNet18Profile().message_bytes(), 11'700'000 * 4);
 }
 
-TEST(ModelProfileTest, LookupByName) {
-  auto profile = ModelProfileByName("vgg19");
-  ASSERT_TRUE(profile.ok());
-  EXPECT_EQ(profile->name, "vgg19");
-  EXPECT_FALSE(ModelProfileByName("alexnet").ok());
-}
-
 TEST(ModelProfileTest, ComputeCostOrderingMatchesModelSizeOrdering) {
   // Bigger models must cost more compute per batch.
   EXPECT_LT(MobileNetProfile().compute_seconds,

@@ -5,28 +5,26 @@
 namespace netmax::core {
 namespace {
 
-MonitorOptions DefaultMonitorOptions() {
-  MonitorOptions options;
-  options.schedule_period_seconds = 120.0;
-  options.generator.alpha = 0.1;
-  options.generator.outer_rounds = 4;
-  options.generator.inner_rounds = 4;
+PolicyGeneratorOptions DefaultGeneratorOptions() {
+  PolicyGeneratorOptions options;
+  options.alpha = 0.1;
+  options.outer_rounds = 4;
+  options.inner_rounds = 4;
   return options;
 }
 
 TEST(NetworkMonitorTest, RefusesBeforeAnyMeasurement) {
   net::Topology topo = net::Topology::Complete(4);
-  NetworkMonitor monitor(topo, DefaultMonitorOptions());
+  NetworkMonitor monitor(topo, DefaultGeneratorOptions());
   linalg::Matrix times(4, 4, 0.0);
   auto result = monitor.ComputePolicy(times);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kFailedPrecondition);
-  EXPECT_EQ(monitor.policies_generated(), 0);
 }
 
 TEST(NetworkMonitorTest, FillsMissingWithMaxMeasured) {
   net::Topology topo = net::Topology::Complete(3);
-  NetworkMonitor monitor(topo, DefaultMonitorOptions());
+  NetworkMonitor monitor(topo, DefaultGeneratorOptions());
   linalg::Matrix times(3, 3, 0.0);
   times(0, 1) = 1.0;
   times(1, 0) = 2.5;  // largest measured value
@@ -40,20 +38,19 @@ TEST(NetworkMonitorTest, FillsMissingWithMaxMeasured) {
 
 TEST(NetworkMonitorTest, GeneratesPolicyOncePartiallyMeasured) {
   net::Topology topo = net::Topology::Complete(4);
-  NetworkMonitor monitor(topo, DefaultMonitorOptions());
+  NetworkMonitor monitor(topo, DefaultGeneratorOptions());
   linalg::Matrix times(4, 4, 0.0);
   times(0, 1) = 0.5;
   times(1, 0) = 0.5;
   auto result = monitor.ComputePolicy(times);
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_TRUE(result->policy.Validate(topo).ok());
-  EXPECT_EQ(monitor.policies_generated(), 1);
 }
 
 TEST(NetworkMonitorTest, SteersAwayFromMeasuredSlowLink) {
   const int n = 4;
   net::Topology topo = net::Topology::Complete(n);
-  NetworkMonitor monitor(topo, DefaultMonitorOptions());
+  NetworkMonitor monitor(topo, DefaultGeneratorOptions());
   linalg::Matrix times(n, n, 0.5);
   for (int i = 0; i < n; ++i) times(i, i) = 0.0;
   times(1, 2) = 10.0;
@@ -69,24 +66,6 @@ TEST(NetworkMonitorTest, SteersAwayFromMeasuredSlowLink) {
   EXPECT_GT(result->policy.probability(1, 0) +
                 result->policy.probability(1, 3),
             2.0 * result->policy.probability(1, 2));
-  EXPECT_EQ(monitor.policies_generated(), 1);
-}
-
-TEST(NetworkMonitorTest, CountsSuccessiveGenerations) {
-  net::Topology topo = net::Topology::Complete(3);
-  NetworkMonitor monitor(topo, DefaultMonitorOptions());
-  linalg::Matrix times(3, 3, 1.0);
-  for (int i = 0; i < 3; ++i) times(i, i) = 0.0;
-  ASSERT_TRUE(monitor.ComputePolicy(times).ok());
-  ASSERT_TRUE(monitor.ComputePolicy(times).ok());
-  EXPECT_EQ(monitor.policies_generated(), 2);
-}
-
-TEST(NetworkMonitorTest, RejectsNonPositivePeriod) {
-  net::Topology topo = net::Topology::Complete(3);
-  MonitorOptions options = DefaultMonitorOptions();
-  options.schedule_period_seconds = 0.0;
-  EXPECT_DEATH({ NetworkMonitor monitor(topo, options); }, "Check failed");
 }
 
 }  // namespace

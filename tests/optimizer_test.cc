@@ -48,20 +48,6 @@ TEST(SgdOptimizerTest, WeightDecayShrinksParameters) {
   EXPECT_DOUBLE_EQ(params[0], 1.9);
 }
 
-TEST(SgdOptimizerTest, ResetMomentumClearsVelocity) {
-  SgdOptions options;
-  options.learning_rate = 1.0;
-  options.momentum = 0.9;
-  options.weight_decay = 0.0;
-  SgdOptimizer optimizer(1, options);
-  std::vector<double> params = {0.0};
-  optimizer.Step(params, std::vector<double>{1.0});
-  optimizer.ResetMomentum();
-  optimizer.Step(params, std::vector<double>{0.0});
-  // Velocity was cleared, so a zero gradient moves nothing.
-  EXPECT_DOUBLE_EQ(params[0], -1.0);
-}
-
 TEST(SgdOptimizerTest, ConvergesOnQuadratic) {
   // f(x) = 0.5 * (x - 3)^2, gradient x - 3.
   SgdOptions options;

@@ -119,7 +119,8 @@ TEST(PolicyGeneratorTest, SlowLinkPolicyBeatsUniformOnConvergenceTime) {
     uniform_t_bar = std::max(
         uniform_t_bar, AverageIterationTime(times, uniform, topo, i) / n);
   }
-  const double uniform_t_conv = uniform_t_bar * std::log(options.epsilon) /
+  const double uniform_t_conv = uniform_t_bar *
+                                std::log(kConvergenceEpsilon) /
                                 std::log(lambda2.value());
   EXPECT_LE(adapted->expected_convergence_seconds, uniform_t_conv * 1.05);
 }

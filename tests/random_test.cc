@@ -173,25 +173,6 @@ TEST(RngTest, ShuffleActuallyPermutes) {
   EXPECT_GT(moved, 50);
 }
 
-TEST(RngTest, SampleWithoutReplacementDistinct) {
-  Rng rng(37);
-  const std::vector<int> sample = rng.SampleWithoutReplacement(10, 6);
-  EXPECT_EQ(sample.size(), 6u);
-  std::set<int> unique(sample.begin(), sample.end());
-  EXPECT_EQ(unique.size(), 6u);
-  for (int v : sample) {
-    EXPECT_GE(v, 0);
-    EXPECT_LT(v, 10);
-  }
-}
-
-TEST(RngTest, SampleWholePopulation) {
-  Rng rng(37);
-  std::vector<int> sample = rng.SampleWithoutReplacement(5, 5);
-  std::sort(sample.begin(), sample.end());
-  EXPECT_EQ(sample, (std::vector<int>{0, 1, 2, 3, 4}));
-}
-
 TEST(SplitMix64Test, KnownSequenceIsStable) {
   uint64_t state = 0;
   const uint64_t a = SplitMix64(state);

@@ -132,9 +132,9 @@ namespace netmax::core::reference {
 inline double EdgeLowerBound(const PolicyGeneratorOptions& options,
                              double rho) {
   if (options.mode == PolicyGeneratorOptions::Mode::kAveraging) {
-    return options.probability_margin;
+    return kProbabilityMargin;
   }
-  return 2.0 * options.alpha * rho + options.probability_margin;
+  return 2.0 * options.alpha * rho + kProbabilityMargin;
 }
 
 // Feasible t_bar interval [L, U] for a given rho (Appendix A, Eqs. 25-28).
@@ -258,7 +258,7 @@ inline StatusOr<double> Lambda2(const net::Topology& topology,
                               1.0 / static_cast<double>(n));
   StatusOr<linalg::Matrix> y =
       options.mode == PolicyGeneratorOptions::Mode::kAveraging
-          ? BuildAveragingY(policy, topology, options.averaging_weight, uniform)
+          ? BuildAveragingY(policy, topology, kAveragingWeight, uniform)
           : BuildNetMaxY(policy, topology, options.alpha, rho, uniform);
   if (!y.ok()) return y.status();
   if (y->rows() < 2) {
@@ -308,7 +308,7 @@ inline StatusOr<std::vector<std::pair<double, double>>> Grid(
       upper = std::min(upper, max_t);
     }
     const double rho_feasible =
-        (upper / max_row_time - options.probability_margin) /
+        (upper / max_row_time - kProbabilityMargin) /
         (2.0 * options.alpha);
     if (rho_feasible <= 0.0) {
       return InfeasibleError("no rho admits a feasible policy");
@@ -356,8 +356,9 @@ inline StatusOr<GeneratedPolicy> Generate(
     // T_conv = t_bar * ln(eps) / ln(lambda2); for lambda2 <= 0 consensus
     // mixes in a single step, so t_bar itself is the cost.
     const double t_convergence =
-        l2 <= kLambdaFloor ? t_bar
-                           : t_bar * std::log(options.epsilon) / std::log(l2);
+        l2 <= kLambdaFloor
+            ? t_bar
+            : t_bar * std::log(kConvergenceEpsilon) / std::log(l2);
     if (!best.has_value() ||
         t_convergence < best->expected_convergence_seconds) {
       best = GeneratedPolicy{std::move(policy.value()), rho, l2, t_bar,

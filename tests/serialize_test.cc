@@ -134,14 +134,5 @@ TEST(SerializeTest, ReadIntRejectsValuesThatDoNotFit) {
   EXPECT_EQ(in.ReadInt().status().code(), StatusCode::kOutOfRange);
 }
 
-TEST(SerializeTest, TakeBytesMovesBufferOut) {
-  Serializer out;
-  out.WriteU32(5);
-  const std::vector<uint8_t> taken = out.TakeBytes();
-  EXPECT_EQ(taken.size(), 4u);
-  Deserializer in(taken);
-  EXPECT_EQ(in.ReadU32().value(), 5u);
-}
-
 }  // namespace
 }  // namespace netmax

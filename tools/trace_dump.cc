@@ -39,18 +39,21 @@
 // advertises Fig. 9's pair, NetMax and AD-PSGD.
 //
 // Mix variant: "netmax+literal" runs NetMax with the paper's literal
-// one-sided pull of Algorithm 2 instead of the default symmetric exchange,
-// and prints no extra lines. It is accepted for netmax only.
+// one-sided pull of Algorithm 2 (NetMaxOptions::symmetric off) instead of
+// the default symmetric exchange, and prints no extra lines. It is accepted
+// for netmax only.
 
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <string>
 
 #include "algos/registry.h"
 #include "common/flags.h"
 #include "common/status.h"
 #include "core/experiment.h"
+#include "core/netmax_engine.h"
 #include "ml/compression.h"
 #include "ml/metrics.h"
 #include "net/fault_schedule.h"
@@ -153,7 +156,6 @@ Status DumpTrace(const std::string& request) {
   }
   core::ExperimentConfig config = GoldenConfig();
   if (homogeneous) config.network = core::NetworkScenario::kHomogeneous;
-  if (literal) config.symmetric_consensus = false;
   // NETMAX_THREADS and NETMAX_BACKEND select the execution point without
   // perturbing the pinned config: every thread count and backend must
   // reproduce the same trace bytes, which is exactly what CI's golden-trace
@@ -180,7 +182,13 @@ Status DumpTrace(const std::string& request) {
     NETMAX_ASSIGN_OR_RETURN(config.compress,
                             ml::ParseCompressionSpec(compress_spec));
   }
-  NETMAX_ASSIGN_OR_RETURN(const auto algorithm, algos::MakeAlgorithm(name));
+  std::unique_ptr<core::TrainingAlgorithm> algorithm;
+  if (literal) {
+    algorithm = std::make_unique<core::NetMaxAlgorithm>(
+        core::NetMaxOptions{.symmetric = false});
+  } else {
+    NETMAX_ASSIGN_OR_RETURN(algorithm, algos::MakeAlgorithm(name));
+  }
   NETMAX_ASSIGN_OR_RETURN(const core::RunResult result,
                           algorithm->Run(config));
   std::printf("netmax-golden-trace v1\n");
