@@ -47,8 +47,7 @@ Status Run() {
       const std::string setting =
           std::string(variant.overlap ? "parallel" : "serial") + "+" +
           (variant.adaptive ? "adaptive" : "uniform");
-      table.AddRow(
-          {setting, Fmt(result.avg_epoch_cost.total_seconds(), 2)});
+      table.AddRow({setting, Fmt(result.avg_epoch_cost.total_seconds(), 2)});
     }
     std::cout << "\n== Fig. 7: NetMax ablation (" << profile.name << ") ==\n";
     table.Print(std::cout);

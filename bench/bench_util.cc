@@ -550,13 +550,12 @@ void PrintSpeedups(std::ostream& os, const std::string& title,
                    const std::vector<NamedResult>& results) {
   NETMAX_CHECK(!results.empty());
   // Two speedup readings: time to a common (late-descent) loss level, and —
-  // the headline number — equal-work time, when the fleet finished the
-  // fixed epoch budget (core::EqualWorkTime, which stops at the last epoch
-  // point where the clock runs on to the next monitor tick). The paper
-  // trains every algorithm for a fixed epoch count and reads speedups off
-  // the loss-vs-time curves; with near-parity per-epoch convergence the
-  // equal-work ratio is the stable equivalent on these shortened runs, where
-  // a single curve crossing can swing threshold-based readings.
+  // the headline number — equal-work time (core::EqualWorkTime), when the
+  // fleet finished the fixed epoch budget. The paper trains every algorithm
+  // for a fixed epoch count and reads speedups off the loss-vs-time curves;
+  // with near-parity per-epoch convergence the equal-work ratio is the
+  // stable equivalent on these shortened runs, where a single curve crossing
+  // can swing threshold-based readings.
   const double threshold = CommonLossThreshold(results);
   const double ref_time = core::EqualWorkTime(results.back().result);
   TablePrinter table({"algorithm", "time_to_loss_s", "equal_work_s",

@@ -106,6 +106,11 @@ Status ExperimentConfig::Validate() const {
   if (learning_rate <= 0.0) {
     return InvalidArgumentError("learning_rate <= 0");
   }
+  // A monitor tick re-arms itself this far ahead; at <= 0 virtual time
+  // would never pass it.
+  if (monitor_period_seconds <= 0.0) {
+    return InvalidArgumentError("monitor_period_seconds <= 0");
+  }
   // The dataset spec comes straight from bench/user config; reject it here so
   // the generator's internal NETMAX_CHECKs stay pure programmer-error guards.
   if (dataset.feature_dim < 1) {

@@ -12,8 +12,9 @@
 //      x_i <- x_i - alpha * rho/p_{i,m} * (x_i - x_m),
 //   4. folds the iteration time into its EMA vector T_i[m].
 // Every Ts seconds the Network Monitor collects the EMAs and regenerates
-// (P, rho) by Algorithm 3. NetMaxOptions switches steps 2-4 for the Fig. 7
-// ablation and for the paper's literal pull.
+// (P, rho) by Algorithm 3. NetMaxOptions switches the overlap of step 2,
+// the mix of step 3 and the monitor, for the Fig. 7 ablation and the
+// paper's literal pull.
 
 #include "core/experiment.h"
 

@@ -115,6 +115,12 @@ TEST(HarnessTest, InitValidatesConfig) {
     ExperimentHarness harness(config, "test");
     EXPECT_FALSE(harness.Init().ok());
   }
+  {
+    ExperimentConfig config = TinyConfig();
+    config.monitor_period_seconds = 0.0;
+    ExperimentHarness harness(config, "test");
+    EXPECT_FALSE(harness.Init().ok());
+  }
 }
 
 TEST(HarnessTest, InitValidatesTopologyConfig) {
