@@ -1,9 +1,9 @@
 // Engine smoke tests: every algorithm trains a tiny problem end-to-end,
 // reduces the loss, keeps replicas in consensus, and is deterministic.
 
-#include <gtest/gtest.h>
-
 #include <cmath>
+
+#include <gtest/gtest.h>
 
 #include "algos/registry.h"
 #include "core/experiment.h"
