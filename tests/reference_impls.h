@@ -5,7 +5,10 @@
 // certify that the optimized production paths reproduce them:
 //  * ml::reference — the seed's per-sample, allocation-heavy formulations of
 //    LossAndGradient (to 1e-12; in practice bit for bit — the kernels
-//    preserve summation order);
+//    preserve summation order), and the sample-major batched gradient leaf
+//    and batched prediction (Transpose + GemmBias forward, GemmAtB / Gemm /
+//    column-sum backward), the bit-for-bit oracle of the production leaf;
+//  * linalg::reference — the sample-major kernels only that oracle uses;
 //  * core::reference — Algorithm 3 policy generation as one whole-matrix
 //    Eq. (14) LP per grid point (with its p <= 1 bound rows), lambda_2 read
 //    off the full JacobiEigenSymmetric decomposition, and the serial
@@ -26,6 +29,7 @@
 #include "common/status.h"
 #include "core/policy.h"
 #include "core/policy_generator.h"
+#include "linalg/blas.h"
 #include "linalg/eigen.h"
 #include "linalg/matrix.h"
 #include "linalg/simplex.h"
@@ -33,7 +37,155 @@
 #include "ml/mlp.h"
 #include "net/event_queue.h"
 
+namespace netmax::linalg::reference {
+
+// C (m x n) += A^T * B with A (r x m), B (r x n) row-major:
+// C[i][j] += sum_s A[s][i] * B[s][j], s ascending.
+inline void GemmAtBAccumulate(int r, int m, int n, const double* a, int lda,
+                              const double* b, int ldb, double* c, int ldc) {
+  for (int s = 0; s < r; ++s) {
+    const double* as = a + static_cast<size_t>(s) * lda;
+    const double* bs = b + static_cast<size_t>(s) * ldb;
+    for (int i = 0; i < m; ++i) {
+      const double d = as[i];
+      double* ci = c + static_cast<size_t>(i) * ldc;
+      for (int j = 0; j < n; ++j) ci[j] += d * bs[j];
+    }
+  }
+}
+
+// out (n) += column sums of A (r x n): out[j] += sum_s A[s][j], s ascending.
+inline void AddRowsAccumulate(int r, int n, const double* a, int lda,
+                              double* out) {
+  for (int s = 0; s < r; ++s) {
+    const double* as = a + static_cast<size_t>(s) * lda;
+    for (int j = 0; j < n; ++j) out[j] += as[j];
+  }
+}
+
+// out (cols x rows) = in^T for in (rows x cols), both row-major.
+inline void Transpose(int rows, int cols, const double* in, int ldin,
+                      double* out, int ldout) {
+  for (int r = 0; r < rows; ++r) {
+    const double* row = in + static_cast<size_t>(r) * ldin;
+    for (int c = 0; c < cols; ++c) {
+      out[static_cast<size_t>(c) * ldout + r] = row[c];
+    }
+  }
+}
+
+}  // namespace netmax::linalg::reference
+
 namespace netmax::ml::reference {
+
+// Sample-major batched forward over `indices`: one (batch x out) activation
+// matrix per layer, each a bias-seeded GemmBias against a transposed weight
+// copy, ReLU between layers. acts[0] is the gathered input; acts.back() the
+// logits.
+inline std::vector<std::vector<double>> BatchedForward(
+    const Mlp& model, const Dataset& data, std::span<const int> indices) {
+  const std::vector<int>& sizes = model.layer_sizes();
+  const size_t batch = indices.size();
+  const size_t in0 = static_cast<size_t>(sizes.front());
+  std::vector<std::vector<double>> acts(
+      static_cast<size_t>(model.num_layers()) + 1);
+  acts[0].resize(batch * in0);
+  for (size_t s = 0; s < batch; ++s) {
+    const std::span<const double> row = data.features(indices[s]);
+    std::copy(row.begin(), row.end(),
+              acts[0].begin() + static_cast<ptrdiff_t>(s * in0));
+  }
+  const double* params = model.parameters().data();
+  for (int l = 0; l < model.num_layers(); ++l) {
+    const int in = sizes[static_cast<size_t>(l)];
+    const int out = sizes[static_cast<size_t>(l) + 1];
+    std::vector<double> wt(static_cast<size_t>(in) * static_cast<size_t>(out));
+    linalg::reference::Transpose(out, in, params + model.WeightOffset(l), in,
+                                 wt.data(), out);
+    std::vector<double>& act = acts[static_cast<size_t>(l) + 1];
+    act.resize(batch * static_cast<size_t>(out));
+    linalg::GemmBias(static_cast<int>(batch), out, in,
+                     acts[static_cast<size_t>(l)].data(), in, wt.data(), out,
+                     params + model.BiasOffset(l), act.data(), out);
+    if (l + 1 < model.num_layers()) {
+      for (double& v : act) v = std::max(0.0, v);  // ReLU
+    }
+  }
+  return acts;
+}
+
+// One gradient leaf in the sample-major batched formulation: the unscaled
+// loss sum over `leaf`, with the unscaled gradient sums written into
+// `gradient` (zero-filled here; empty = loss only). The contract of
+// Mlp::EvalGradientLeaves for one leaf, bit for bit.
+inline double BatchedLeafLossAndGradientSums(const Mlp& model,
+                                             const Dataset& data,
+                                             std::span<const int> leaf,
+                                             std::span<double> gradient) {
+  const std::vector<int>& sizes = model.layer_sizes();
+  const bool want_gradient = !gradient.empty();
+  if (want_gradient) std::fill(gradient.begin(), gradient.end(), 0.0);
+  const size_t batch = leaf.size();
+  std::vector<std::vector<double>> acts = BatchedForward(model, data, leaf);
+  std::vector<double>& logits = acts.back();
+  const size_t num_classes = static_cast<size_t>(sizes.back());
+
+  double total_loss = 0.0;
+  for (size_t s = 0; s < batch; ++s) {
+    std::span<double> row =
+        std::span<double>(logits).subspan(s * num_classes, num_classes);
+    SoftmaxInPlace(row);
+    total_loss += CrossEntropyFromProbabilities(row, data.label(leaf[s]));
+  }
+  if (!want_gradient) return total_loss;
+
+  for (size_t s = 0; s < batch; ++s) {
+    const size_t label = static_cast<size_t>(data.label(leaf[s]));
+    logits[s * num_classes + label] -= 1.0;
+  }
+  const double* params = model.parameters().data();
+  std::vector<double> delta = logits;
+  for (int l = model.num_layers() - 1; l >= 0; --l) {
+    const int in = sizes[static_cast<size_t>(l)];
+    const int out = sizes[static_cast<size_t>(l) + 1];
+    const std::vector<double>& layer_input = acts[static_cast<size_t>(l)];
+    linalg::reference::GemmAtBAccumulate(
+        static_cast<int>(batch), out, in, delta.data(), out,
+        layer_input.data(), in, gradient.data() + model.WeightOffset(l), in);
+    linalg::reference::AddRowsAccumulate(static_cast<int>(batch), out,
+                                         delta.data(), out,
+                                         gradient.data() + model.BiasOffset(l));
+    if (l > 0) {
+      std::vector<double> prev_delta(batch * static_cast<size_t>(in));
+      linalg::Gemm(static_cast<int>(batch), in, out, delta.data(), out,
+                   params + model.WeightOffset(l), in, prev_delta.data(), in);
+      for (size_t i = 0; i < prev_delta.size(); ++i) {
+        prev_delta[i] = layer_input[i] > 0.0 ? prev_delta[i] : 0.0;
+      }
+      delta = std::move(prev_delta);
+    }
+  }
+  return total_loss;
+}
+
+// Sample-major batched prediction: one forward pass over all of `indices`,
+// then a row-wise argmax (ties toward the lowest class index).
+inline void BatchedPredictBatch(const Mlp& model, const Dataset& data,
+                                std::span<const int> indices,
+                                std::span<int> out) {
+  const std::vector<std::vector<double>> acts =
+      BatchedForward(model, data, indices);
+  const std::vector<double>& logits = acts.back();
+  const size_t cols = static_cast<size_t>(model.layer_sizes().back());
+  for (size_t r = 0; r < indices.size(); ++r) {
+    const double* row = logits.data() + r * cols;
+    size_t best = 0;
+    for (size_t c = 1; c < cols; ++c) {
+      if (row[c] > row[best]) best = c;
+    }
+    out[r] = static_cast<int>(best);
+  }
+}
 
 // Seed Mlp::LossAndGradient: per-sample forward with per-layer activation
 // vectors, per-sample backward with fresh delta buffers.
