@@ -334,24 +334,25 @@ void BM_MlpTrainingStepWorkspace(benchmark::State& state) {
 }
 BENCHMARK(BM_MlpTrainingStepWorkspace);
 
-void BM_GemmAtBKernel(benchmark::State& state) {
-  // The weight-gradient kernel: delta^T (out x batch) * input (batch x in).
-  const int batch = 32;
+void BM_LaneGemmAtBKernel(benchmark::State& state) {
+  // The write-form weight-gradient kernel over one full gradient leaf:
+  // deltas (n x 8 lanes) against the leaf's inputs (8 x n, row-major).
   const int n = static_cast<int>(state.range(0));
   Rng rng(8);
-  std::vector<double> a(static_cast<size_t>(batch) * n);
-  std::vector<double> b(static_cast<size_t>(batch) * n);
-  std::vector<double> c(static_cast<size_t>(n) * n, 0.0);
+  std::vector<double> a(static_cast<size_t>(n) * linalg::kLanes);
+  std::vector<double> b(static_cast<size_t>(linalg::kLanes) * n);
+  std::vector<double> c(static_cast<size_t>(n) * n);
   for (double& v : a) v = rng.Gaussian();
   for (double& v : b) v = rng.Gaussian();
   for (auto _ : state) {
-    linalg::GemmAtBAccumulate(batch, n, n, a.data(), n, b.data(), n, c.data(),
-                              n);
+    linalg::LaneGemmAtB(linalg::kLanes, n, n, a.data(), b.data(), n, c.data(),
+                        n);
     benchmark::DoNotOptimize(c.data());
   }
-  state.SetItemsProcessed(state.iterations() * int64_t{batch} * n * n);
+  state.SetItemsProcessed(state.iterations() * int64_t{linalg::kLanes} * n *
+                          n);
 }
-BENCHMARK(BM_GemmAtBKernel)->Arg(32)->Arg(128);
+BENCHMARK(BM_LaneGemmAtBKernel)->Arg(32)->Arg(128);
 
 }  // namespace
 }  // namespace netmax

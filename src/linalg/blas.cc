@@ -1,9 +1,12 @@
 #include "linalg/blas.h"
 
+#include <algorithm>
+#include <cstring>
+
 // Runtime ISA dispatch for the kernels whose inner loops are elementwise
-// over contiguous memory (Gemm/GemmBias/GemmAtBAccumulate/AddRows): the
-// binary stays portable (SSE2-baseline x86-64 "default" clone) and picks an
-// AVX2 or AVX-512 clone on capable hardware. The wider clones only widen the
+// over contiguous memory (GemmBias and the Lane* kernels): the binary stays
+// portable (SSE2-baseline x86-64 "default" clone) and picks an AVX2 or
+// AVX-512 clone on capable hardware. The wider clones only widen the
 // vectorized loops (4/8 doubles) — FP contraction is disabled for this
 // translation unit (see CMakeLists.txt: -ffp-contract=off), so no clone ever
 // fuses a multiply-add: every element sees separate round-to-nearest multiply
@@ -37,50 +40,6 @@
 #endif
 
 namespace netmax::linalg {
-
-NETMAX_KERNEL_ISA
-void GemmAtBAccumulate(int r, int m, int n, const double* a, int lda,
-                       const double* b, int ldb, double* c, int ldc) {
-  // Rank-1 update order: sample s contributes before sample s+1 for every C
-  // element, matching the per-sample accumulation of the seed backward pass.
-  // Four samples per pass quarter the traffic over C; the four adds per
-  // element stay sequential (s, s+1, s+2, s+3), so the order is untouched.
-  int s = 0;
-  for (; s + 4 <= r; s += 4) {
-    const double* a0 = a + static_cast<size_t>(s) * lda;
-    const double* a1 = a0 + lda;
-    const double* a2 = a1 + lda;
-    const double* a3 = a2 + lda;
-    const double* b0 = b + static_cast<size_t>(s) * ldb;
-    const double* b1 = b0 + ldb;
-    const double* b2 = b1 + ldb;
-    const double* b3 = b2 + ldb;
-    for (int i = 0; i < m; ++i) {
-      const double d0 = a0[i];
-      const double d1 = a1[i];
-      const double d2 = a2[i];
-      const double d3 = a3[i];
-      double* ci = c + static_cast<size_t>(i) * ldc;
-      for (int j = 0; j < n; ++j) {
-        double acc = ci[j];
-        acc += d0 * b0[j];
-        acc += d1 * b1[j];
-        acc += d2 * b2[j];
-        acc += d3 * b3[j];
-        ci[j] = acc;
-      }
-    }
-  }
-  for (; s < r; ++s) {
-    const double* as = a + static_cast<size_t>(s) * lda;
-    const double* bs = b + static_cast<size_t>(s) * ldb;
-    for (int i = 0; i < m; ++i) {
-      const double d = as[i];
-      double* ci = c + static_cast<size_t>(i) * ldc;
-      for (int j = 0; j < n; ++j) ci[j] += d * bs[j];
-    }
-  }
-}
 
 void Gemm(int m, int n, int k, const double* a, int lda, const double* b,
           int ldb, double* c, int ldc) {
@@ -139,16 +98,6 @@ void GemmBias(int m, int n, int k, const double* a, int lda, const double* b,
   }
 }
 
-void Transpose(int rows, int cols, const double* in, int ldin, double* out,
-               int ldout) {
-  for (int r = 0; r < rows; ++r) {
-    const double* row = in + static_cast<size_t>(r) * ldin;
-    for (int c = 0; c < cols; ++c) {
-      out[static_cast<size_t>(c) * ldout + r] = row[c];
-    }
-  }
-}
-
 void Gemv(int m, int n, const double* a, int lda, const double* x,
           const double* bias, double* y) {
   int i = 0;
@@ -182,11 +131,126 @@ void Gemv(int m, int n, const double* a, int lda, const double* x,
   }
 }
 
+namespace {
+
+// One lane-layout row as a vector of kLanes doubles: one zmm register in the
+// avx512f clone, two ymm in the avx2 clone, four xmm in the baseline clone.
+// + and * on it are the scalar IEEE-754 operations lane by lane, so a vector
+// accumulator holds exactly the scalar loop's sum in every lane. The vector
+// arithmetic is written out inside each kernel: a helper that took or
+// returned one would be compiled for the baseline ISA and not inlined into
+// the wider clones.
+typedef double LaneVector
+    __attribute__((vector_size(kLanes * sizeof(double))));
+static_assert(sizeof(LaneVector) == kLanes * sizeof(double));
+
+}  // namespace
+
 NETMAX_KERNEL_ISA
-void AddRowsAccumulate(int r, int n, const double* a, int lda, double* out) {
-  for (int s = 0; s < r; ++s) {
-    const double* as = a + static_cast<size_t>(s) * lda;
-    for (int j = 0; j < n; ++j) out[j] += as[j];
+void LaneGemm(int m, int k, const double* a, int a_row, int a_col,
+              const double* seed, const double* b, double* c) {
+  // Rows go in blocks of eight independent accumulators, and a tail of at
+  // most four rows in one block of four: enough chains to hide the add
+  // latency. A block past the last row repeats that row in its spare
+  // accumulators and stores only the real ones. Per row the sum is the
+  // seed, then t ascending. (The accumulators are value-initialized before
+  // the seed is written: gcc 12 otherwise warns that they may be used
+  // uninitialized.)
+  int i = 0;
+  for (; m - i > 4; i += 8) {
+    const double* ar[8];
+    LaneVector acc[8] = {};
+    for (int q = 0; q < 8; ++q) {
+      const int row = std::min(i + q, m - 1);
+      ar[q] = a + static_cast<ptrdiff_t>(row) * a_row;
+      double s[kLanes];  // the seed in every lane
+      std::fill_n(s, kLanes, seed != nullptr ? seed[row] : 0.0);
+      std::memcpy(&acc[q], s, sizeof acc[q]);
+    }
+    for (int t = 0; t < k; ++t) {
+      LaneVector bt;
+      std::memcpy(&bt, b + static_cast<ptrdiff_t>(t) * kLanes, sizeof bt);
+      const ptrdiff_t at = static_cast<ptrdiff_t>(t) * a_col;
+      for (int q = 0; q < 8; ++q) acc[q] += bt * ar[q][at];
+    }
+    for (int q = 0; q < 8; ++q) {
+      if (i + q < m) {
+        std::memcpy(c + static_cast<ptrdiff_t>(i + q) * kLanes, &acc[q],
+                    sizeof acc[q]);
+      }
+    }
+  }
+  if (i < m) {
+    const double* ar[4];
+    LaneVector acc[4] = {};
+    for (int q = 0; q < 4; ++q) {
+      const int row = std::min(i + q, m - 1);
+      ar[q] = a + static_cast<ptrdiff_t>(row) * a_row;
+      double s[kLanes];  // the seed in every lane
+      std::fill_n(s, kLanes, seed != nullptr ? seed[row] : 0.0);
+      std::memcpy(&acc[q], s, sizeof acc[q]);
+    }
+    for (int t = 0; t < k; ++t) {
+      LaneVector bt;
+      std::memcpy(&bt, b + static_cast<ptrdiff_t>(t) * kLanes, sizeof bt);
+      const ptrdiff_t at = static_cast<ptrdiff_t>(t) * a_col;
+      for (int q = 0; q < 4; ++q) acc[q] += bt * ar[q][at];
+    }
+    for (int q = 0; q < 4; ++q) {
+      if (i + q < m) {
+        std::memcpy(c + static_cast<ptrdiff_t>(i + q) * kLanes, &acc[q],
+                    sizeof acc[q]);
+      }
+    }
+  }
+}
+
+NETMAX_KERNEL_ISA
+void LaneGemmAtB(int r, int m, int n, const double* a, const double* b,
+                 int ldb, double* c, int ldc) {
+  // Four rows share each loaded vector of b; every (row, column vector) is
+  // one accumulator that starts at 0.0 and adds the samples in order. Rows
+  // past m repeat the last real row and are not stored; columns past the
+  // last full vector go one at a time in the same order.
+  const int n_vec = n - n % kLanes;
+  for (int i = 0; i < m; i += 4) {
+    const double* ar[4];
+    for (int q = 0; q < 4; ++q) {
+      ar[q] = a + static_cast<ptrdiff_t>(std::min(i + q, m - 1)) * kLanes;
+    }
+    for (int j = 0; j < n_vec; j += kLanes) {
+      LaneVector acc[4] = {};
+      for (int s = 0; s < r; ++s) {
+        LaneVector bs;
+        std::memcpy(&bs, b + static_cast<ptrdiff_t>(s) * ldb + j, sizeof bs);
+        for (int q = 0; q < 4; ++q) acc[q] += bs * ar[q][s];
+      }
+      for (int q = 0; q < 4; ++q) {
+        if (i + q < m) {
+          std::memcpy(c + static_cast<ptrdiff_t>(i + q) * ldc + j, &acc[q],
+                      sizeof acc[q]);
+        }
+      }
+    }
+    for (int q = 0; q < 4 && i + q < m; ++q) {
+      double* ci = c + static_cast<ptrdiff_t>(i + q) * ldc;
+      for (int j = n_vec; j < n; ++j) {
+        double acc = 0.0;
+        for (int s = 0; s < r; ++s) {
+          acc += ar[q][s] * b[static_cast<ptrdiff_t>(s) * ldb + j];
+        }
+        ci[j] = acc;
+      }
+    }
+  }
+}
+
+void LaneRowSums(int r, int m, const double* a, double* out) {
+  for (int i = 0; i < m; ++i) {
+    const double* ai = a + static_cast<ptrdiff_t>(i) * kLanes;
+    double acc = 0.0;
+    for (int s = 0; s < r; ++s) acc += ai[s];
+    out[i] = acc;
   }
 }
 

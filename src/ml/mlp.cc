@@ -5,48 +5,56 @@
 
 #include "common/random.h"
 #include "linalg/blas.h"
-#include "linalg/vector_ops.h"
 #include "ml/sharding.h"
 
 namespace netmax::ml {
 namespace {
 
-// Workspace slot layout: gathered input matrix, then one activation matrix
-// per layer, then two ping-pong delta matrices after the activations.
-constexpr int kSlotInput = 0;
-constexpr int kSlotActBase = 1;
+// A gradient leaf fills one lane-layout block (linalg/blas.h): its samples
+// are the lanes.
+static_assert(linalg::kLanes == kGradientLeafSamples);
+constexpr size_t kLanes = linalg::kLanes;
 
-// Row-wise argmax of a row-major (rows x cols) logits matrix into `out`
-// (size rows); ties break toward the lowest class index.
-void ArgmaxRows(std::span<const double> logits, size_t rows, size_t cols,
-                std::span<int> out) {
-  for (size_t r = 0; r < rows; ++r) {
-    const double* row = logits.data() + r * cols;
-    size_t best = 0;
-    for (size_t c = 1; c < cols; ++c) {
-      if (row[c] > row[best]) best = c;
-    }
-    out[r] = static_cast<int>(best);
+// Workspace slot layout: the gathered input in lane layout and row-major,
+// the row-major copy of one hidden activation, two ping-pong delta blocks,
+// then one lane-layout activation block per layer.
+constexpr int kSlotInputLanes = 0;
+constexpr int kSlotInputRows = 1;
+constexpr int kSlotHiddenRows = 2;
+constexpr int kSlotDeltaBase = 3;
+constexpr int kSlotActBase = 5;
+
+// Softmax over `count` logits spaced `stride` apart, in place, numerically
+// stably: SoftmaxInPlace's arithmetic for one lane of a lane-layout block.
+void StridedSoftmaxInPlace(double* logits, size_t count, size_t stride) {
+  double max_logit = logits[0];
+  for (size_t c = 0; c < count; ++c) {
+    max_logit = std::max(max_logit, logits[c * stride]);
   }
+  double total = 0.0;
+  for (size_t c = 0; c < count; ++c) {
+    double& v = logits[c * stride];
+    v = std::exp(v - max_logit);
+    total += v;
+  }
+  for (size_t c = 0; c < count; ++c) logits[c * stride] /= total;
+}
+
+// -log(probability), clamped away from 0.
+double CrossEntropy(double probability) {
+  constexpr double kFloor = 1e-12;
+  return -std::log(std::max(probability, kFloor));
 }
 
 }  // namespace
 
 void SoftmaxInPlace(std::span<double> logits) {
-  double max_logit = logits[0];
-  for (double v : logits) max_logit = std::max(max_logit, v);
-  double total = 0.0;
-  for (double& v : logits) {
-    v = std::exp(v - max_logit);
-    total += v;
-  }
-  for (double& v : logits) v /= total;
+  StridedSoftmaxInPlace(logits.data(), logits.size(), 1);
 }
 
 double CrossEntropyFromProbabilities(std::span<const double> probabilities,
                                      int label) {
-  constexpr double kFloor = 1e-12;
-  return -std::log(std::max(probabilities[static_cast<size_t>(label)], kFloor));
+  return CrossEntropy(probabilities[static_cast<size_t>(label)]);
 }
 
 Mlp::Mlp(std::vector<int> layer_sizes) : layer_sizes_(std::move(layer_sizes)) {
@@ -103,45 +111,49 @@ void Mlp::InitializeParameters(uint64_t seed) {
   }
 }
 
-std::span<double> Mlp::ForwardBatch(const Dataset& data,
-                                    std::span<const int> indices,
-                                    TrainingWorkspace& workspace) const {
-  const size_t batch = indices.size();
+std::span<double> Mlp::LaneForward(const Dataset& data,
+                                   std::span<const int> block,
+                                   std::span<double> input_rows,
+                                   TrainingWorkspace& workspace) const {
+  NETMAX_CHECK(!block.empty());
+  NETMAX_CHECK_LE(block.size(), kLanes);
   const size_t in0 = static_cast<size_t>(layer_sizes_.front());
 
-  // Gather the batch's feature rows into one contiguous matrix.
-  std::span<double> x = workspace.Scratch(kSlotInput, batch * in0);
-  for (size_t s = 0; s < batch; ++s) {
-    const std::span<const double> row = data.features(indices[s]);
-    std::copy(row.begin(), row.end(),
-              x.begin() + static_cast<ptrdiff_t>(s * in0));
+  // Gather the block's feature rows transposed into lane layout (unit-major,
+  // one lane per sample), with the lanes past the block zeroed; the
+  // row-major copy is for the first layer's weight gradient.
+  std::span<double> x = workspace.Scratch(kSlotInputLanes, in0 * kLanes);
+  for (size_t s = 0; s < block.size(); ++s) {
+    const std::span<const double> row = data.features(block[s]);
+    for (size_t t = 0; t < in0; ++t) x[t * kLanes + s] = row[t];
+    if (!input_rows.empty()) {
+      std::copy(row.begin(), row.end(),
+                input_rows.begin() + static_cast<ptrdiff_t>(s * in0));
+    }
+  }
+  for (size_t t = 0; t < in0; ++t) {
+    for (size_t s = block.size(); s < kLanes; ++s) x[t * kLanes + s] = 0.0;
   }
 
-  // Each layer is one batch x out = (batch x in) * W^T product, run as
-  // bias-seeded i-k-j GEMM against a transposed weight copy so the inner loop
-  // streams contiguously (vectorizes at SSE peak). Every output element still
-  // sums bias-first then ascending over `in`, exactly like the per-sample
-  // dot-product loop.
-  const int wt_slot_base = kSlotActBase + num_layers() + 2;
+  // Each layer is one lane GEMM against W as stored, seeded with the bias:
+  // every output element sums bias first, then ascending over `in`, exactly
+  // like the per-sample dot-product loop.
   std::span<double> input = x;
   std::span<double> act;
   for (int l = 0; l < num_layers(); ++l) {
     const int in = layer_sizes_[static_cast<size_t>(l)];
     const int out = layer_sizes_[static_cast<size_t>(l) + 1];
-    std::span<double> wt = workspace.Scratch(
-        wt_slot_base + l, static_cast<size_t>(in) * static_cast<size_t>(out));
-    linalg::Transpose(out, in, params_.data() + WeightOffset(l), in, wt.data(),
-                      out);
-    act = workspace.Scratch(kSlotActBase + l, batch * static_cast<size_t>(out));
-    linalg::GemmBias(static_cast<int>(batch), out, in, input.data(), in,
-                     wt.data(), out, params_.data() + BiasOffset(l),
-                     act.data(), out);
+    act = workspace.Scratch(kSlotActBase + l,
+                            static_cast<size_t>(out) * kLanes);
+    linalg::LaneGemm(out, in, params_.data() + WeightOffset(l), in, 1,
+                     params_.data() + BiasOffset(l), input.data(),
+                     act.data());
     if (l + 1 < num_layers()) {
       for (double& v : act) v = std::max(0.0, v);  // ReLU
     }
     input = act;
   }
-  return act;  // batch x num_classes logits
+  return act;  // num_classes x kLanes logits
 }
 
 double Mlp::LossAndGradient(const Dataset& data,
@@ -183,67 +195,77 @@ double Mlp::LeafLossAndGradientSums(const Dataset& data,
                                     std::span<const int> leaf,
                                     std::span<double> gradient,
                                     TrainingWorkspace& workspace) const {
-  NETMAX_CHECK(!leaf.empty());
   NETMAX_CHECK_EQ(data.feature_dim(), layer_sizes_.front());
   const bool want_gradient = !gradient.empty();
   if (want_gradient) {
     NETMAX_CHECK_EQ(static_cast<int>(gradient.size()), num_parameters());
-    netmax::linalg::Fill(gradient, 0.0);
   }
 
   const size_t batch = leaf.size();
-  std::span<double> logits = ForwardBatch(data, leaf, workspace);
-  const size_t num_classes =
-      static_cast<size_t>(layer_sizes_.back());
+  const size_t in0 = static_cast<size_t>(layer_sizes_.front());
+  const std::span<double> input_rows =
+      want_gradient ? workspace.Scratch(kSlotInputRows, batch * in0)
+                    : std::span<double>{};
+  std::span<double> logits = LaneForward(data, leaf, input_rows, workspace);
+  const size_t num_classes = static_cast<size_t>(layer_sizes_.back());
 
-  // Per-row softmax; the logits matrix becomes the probability matrix. Losses
-  // accumulate in batch order, as in the per-sample loop.
+  // Softmax down each real lane; the logits become probabilities. Losses
+  // accumulate in sample order, as in the per-sample loop. The lanes past
+  // the leaf are never read by a sum.
   double total_loss = 0.0;
   for (size_t s = 0; s < batch; ++s) {
-    std::span<double> row = logits.subspan(s * num_classes, num_classes);
-    SoftmaxInPlace(row);
-    total_loss += CrossEntropyFromProbabilities(row, data.label(leaf[s]));
+    StridedSoftmaxInPlace(logits.data() + s, num_classes, kLanes);
+    const size_t label = static_cast<size_t>(data.label(leaf[s]));
+    total_loss += CrossEntropy(logits[label * kLanes + s]);
   }
   if (!want_gradient) return total_loss;
 
-  // The probability matrix becomes the delta matrix: dL/dlogits = p - onehot.
+  // The probabilities become the deltas: dL/dlogits = p - onehot.
   for (size_t s = 0; s < batch; ++s) {
     const size_t label = static_cast<size_t>(data.label(leaf[s]));
-    logits[s * num_classes + label] -= 1.0;
+    logits[label * kLanes + s] -= 1.0;
   }
 
-  // Backward: weight gradients are delta^T * input (rank-1 updates in batch
-  // order — the same sample-ascending accumulation as the seed loop), bias
-  // gradients are delta column sums, and delta propagates through W with the
-  // previous layer's ReLU mask.
-  const int delta_slot_base = kSlotActBase + num_layers();
+  // Backward, one lane-layout delta block per layer. The weight gradient is
+  // delta^T * input and the bias gradient the delta sums, each written (not
+  // accumulated) from 0.0 in sample order; the delta propagates through W^T
+  // read in place, masked by the previous layer's ReLU.
   int ping = 0;
   std::span<double> delta = logits;
   for (int l = num_layers() - 1; l >= 0; --l) {
     const int in = layer_sizes_[static_cast<size_t>(l)];
     const int out = layer_sizes_[static_cast<size_t>(l) + 1];
-    const std::span<const double> layer_input =
-        l == 0 ? std::span<const double>(
-                     workspace.Scratch(kSlotInput,
-                                       batch * static_cast<size_t>(in)))
-               : std::span<const double>(
-                     workspace.Scratch(kSlotActBase + l - 1,
-                                       batch * static_cast<size_t>(in)));
-    linalg::GemmAtBAccumulate(static_cast<int>(batch), out, in, delta.data(),
-                              out, layer_input.data(), in,
-                              gradient.data() + WeightOffset(l), in);
-    linalg::AddRowsAccumulate(static_cast<int>(batch), out, delta.data(), out,
-                              gradient.data() + BiasOffset(l));
+    const std::span<const double> input_lanes = workspace.Scratch(
+        l == 0 ? kSlotInputLanes : kSlotActBase + l - 1,
+        static_cast<size_t>(in) * kLanes);
+    std::span<const double> rows = input_rows;
+    if (l > 0) {
+      // Row-major copy of this layer's input for the weight gradient.
+      std::span<double> hidden_rows = workspace.Scratch(
+          kSlotHiddenRows, batch * static_cast<size_t>(in));
+      for (size_t s = 0; s < batch; ++s) {
+        for (size_t u = 0; u < static_cast<size_t>(in); ++u) {
+          hidden_rows[s * static_cast<size_t>(in) + u] =
+              input_lanes[u * kLanes + s];
+        }
+      }
+      rows = hidden_rows;
+    }
+    linalg::LaneGemmAtB(static_cast<int>(batch), out, in, delta.data(),
+                        rows.data(), in, gradient.data() + WeightOffset(l),
+                        in);
+    linalg::LaneRowSums(static_cast<int>(batch), out, delta.data(),
+                        gradient.data() + BiasOffset(l));
     if (l > 0) {
       std::span<double> prev_delta = workspace.Scratch(
-          delta_slot_base + ping, batch * static_cast<size_t>(in));
+          kSlotDeltaBase + ping, static_cast<size_t>(in) * kLanes);
       ping ^= 1;
-      linalg::Gemm(static_cast<int>(batch), in, out, delta.data(), out,
-                   params_.data() + WeightOffset(l), in, prev_delta.data(), in);
+      linalg::LaneGemm(in, out, params_.data() + WeightOffset(l), 1, in,
+                       nullptr, delta.data(), prev_delta.data());
       // ReLU mask as a branchless select (the branchy form mispredicts on
       // ~half the units and costs more than the surrounding GEMMs).
       for (size_t i = 0; i < prev_delta.size(); ++i) {
-        prev_delta[i] = layer_input[i] > 0.0 ? prev_delta[i] : 0.0;
+        prev_delta[i] = input_lanes[i] > 0.0 ? prev_delta[i] : 0.0;
       }
       delta = prev_delta;
     }
@@ -261,12 +283,21 @@ void Mlp::PredictBatch(const Dataset& data, std::span<const int> indices,
                        std::span<int> out,
                        TrainingWorkspace& workspace) const {
   NETMAX_CHECK_EQ(indices.size(), out.size());
-  if (indices.empty()) return;
   NETMAX_CHECK_EQ(data.feature_dim(), layer_sizes_.front());
-  const std::span<const double> logits =
-      ForwardBatch(data, indices, workspace);
-  ArgmaxRows(logits, indices.size(), static_cast<size_t>(layer_sizes_.back()),
-             out);
+  const size_t num_classes = static_cast<size_t>(layer_sizes_.back());
+  for (size_t start = 0; start < indices.size(); start += kLanes) {
+    const size_t count = std::min(kLanes, indices.size() - start);
+    const std::span<const double> logits = LaneForward(
+        data, indices.subspan(start, count), {}, workspace);
+    // Argmax down each real lane; ties break toward the lowest class index.
+    for (size_t s = 0; s < count; ++s) {
+      size_t best = 0;
+      for (size_t c = 1; c < num_classes; ++c) {
+        if (logits[c * kLanes + s] > logits[best * kLanes + s]) best = c;
+      }
+      out[start + s] = static_cast<int>(best);
+    }
+  }
 }
 
 }  // namespace netmax::ml

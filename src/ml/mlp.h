@@ -48,13 +48,15 @@ class Mlp {
                          std::span<double> gradient) const;
 
   // Workspace overload: the zero-allocation batched hot path. Each gradient
-  // leaf (ml/sharding.h) moves through the layers as one matrix-matrix
-  // product (bias-seeded GemmBias against a transposed weight copy forward,
-  // GemmAtB/Gemm backward), with every buffer carved from `workspace`; leaf
-  // partials combine by the fixed pairwise tree, so this serial call is
-  // bit-identical to the sharded parallel evaluation at any shard/thread
-  // count. Within a leaf the summation order is the per-sample formulation's
-  // (ascending indices).
+  // leaf (ml/sharding.h, at most 8 samples) runs in lane layout
+  // (linalg/blas.h): the leaf's samples fill one 8-double vector per unit,
+  // and each layer is one lane GEMM against the weights as stored — W
+  // forward, W^T for the deltas — with the weight and bias gradients written
+  // from 0.0 by the write-form kernels. Every buffer is carved from
+  // `workspace`; leaf partials combine by the fixed pairwise tree, so this
+  // serial call is bit-identical to the sharded parallel evaluation at any
+  // shard/thread count. Within a leaf the summation order is the per-sample
+  // formulation's (bias first, then ascending indices; samples ascending).
   double LossAndGradient(const Dataset& data,
                          std::span<const int> batch_indices,
                          std::span<double> gradient,
@@ -81,8 +83,9 @@ class Mlp {
   int Predict(const Dataset& data, int index) const;
 
   // Batched prediction: writes the predicted class of every `indices[i]` to
-  // `out[i]` (`out.size()` must equal `indices.size()`) from one forward pass
-  // over the whole batch; bit-identical to single-example Predict.
+  // `out[i]` (`out.size()` must equal `indices.size()`), running the lane
+  // forward pass over blocks of 8 samples; bit-identical to single-example
+  // Predict.
   // Contract: this and LossAndGradient use only the workspace's double
   // Scratch slots — IntScratch slots are reserved for callers, whose index
   // spans may be backed by them, and ReduceScratch slots for the sharding
@@ -104,16 +107,20 @@ class Mlp {
   size_t BiasOffset(int layer) const;
 
  private:
-  // Batched forward pass over `indices`: gathers features and fills one
-  // activation matrix per layer in `workspace`; returns the logits matrix
-  // (indices.size() x num_classes).
-  std::span<double> ForwardBatch(const Dataset& data,
-                                 std::span<const int> indices,
-                                 TrainingWorkspace& workspace) const;
+  // Lane-layout forward pass over `block` (1 to kGradientLeafSamples
+  // samples, one lane each; linalg/blas.h): gathers the features into a
+  // (input_dim x lanes) block, zeroing the lanes past the block, and runs
+  // each layer as one lane GEMM against the weights as stored. Also writes
+  // the block's features row-major into `input_rows` when it is non-empty.
+  // Returns the (num_classes x lanes) logits block.
+  std::span<double> LaneForward(const Dataset& data,
+                                std::span<const int> block,
+                                std::span<double> input_rows,
+                                TrainingWorkspace& workspace) const;
 
   // One leaf of EvalGradientLeaves: the unscaled loss sum over `leaf`, with
   // the unscaled gradient sums written into `gradient` (size
-  // num_parameters(), zero-filled here; empty = loss only).
+  // num_parameters(), every coordinate overwritten; empty = loss only).
   double LeafLossAndGradientSums(const Dataset& data,
                                  std::span<const int> leaf,
                                  std::span<double> gradient,

@@ -4,6 +4,8 @@
 // path relies on for reproducibility).
 
 #include <array>
+#include <bit>
+#include <cstdint>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -20,30 +22,6 @@ std::vector<double> RandomBuffer(size_t n, uint64_t seed) {
   std::vector<double> out(n);
   for (double& v : out) v = rng.Gaussian();
   return out;
-}
-
-TEST(BlasTest, GemmAtBAccumulateMatchesNaive) {
-  for (const auto& [r, m, n] : {std::array{1, 1, 1}, std::array{7, 3, 5},
-                                std::array{32, 10, 32},
-                                std::array{31, 9, 33}}) {
-    const std::vector<double> a = RandomBuffer(static_cast<size_t>(r) * m, 6);
-    const std::vector<double> b = RandomBuffer(static_cast<size_t>(r) * n, 7);
-    std::vector<double> c = RandomBuffer(static_cast<size_t>(m) * n, 8);
-    std::vector<double> want = c;
-    GemmAtBAccumulate(r, m, n, a.data(), m, b.data(), n, c.data(), n);
-    for (int s = 0; s < r; ++s) {
-      for (int i = 0; i < m; ++i) {
-        const double d = a[static_cast<size_t>(s) * m + i];
-        for (int j = 0; j < n; ++j) {
-          want[static_cast<size_t>(i) * n + j] +=
-              d * b[static_cast<size_t>(s) * n + j];
-        }
-      }
-    }
-    for (size_t i = 0; i < c.size(); ++i) {
-      EXPECT_EQ(c[i], want[i]) << r << "x" << m << "x" << n << " at " << i;
-    }
-  }
 }
 
 TEST(BlasTest, GemmMatchesNaive) {
@@ -85,20 +63,117 @@ TEST(BlasTest, GemvMatchesNaive) {
   }
 }
 
-TEST(BlasTest, AddRowsAccumulateMatchesNaive) {
-  const int r = 13;
-  const int n = 21;
-  const std::vector<double> a = RandomBuffer(static_cast<size_t>(r) * n, 14);
-  std::vector<double> out = RandomBuffer(static_cast<size_t>(n), 15);
-  std::vector<double> want = out;
-  AddRowsAccumulate(r, n, a.data(), n, out.data());
-  for (int s = 0; s < r; ++s) {
-    for (int j = 0; j < n; ++j) {
-      want[static_cast<size_t>(j)] += a[static_cast<size_t>(s) * n + j];
+// Gaussian entries with every fourth one a signed zero, so sums that start
+// from a seed or 0.0 meet -0.0 products.
+std::vector<double> RandomBufferWithZeros(size_t n, uint64_t seed) {
+  std::vector<double> out = RandomBuffer(n, seed);
+  for (size_t i = 0; i < n; i += 4) out[i] = i % 8 == 0 ? 0.0 : -0.0;
+  return out;
+}
+
+uint64_t Bits(double v) { return std::bit_cast<uint64_t>(v); }
+
+TEST(BlasTest, LaneGemmMatchesNaive) {
+  // Rows 1-17 cover every block remainder; both stride forms read the same
+  // row-major W (out x in) in place, as the layer forward (A = W) and as the
+  // delta propagation (A = W^T).
+  for (int m = 1; m <= 17; ++m) {
+    for (const int k : {1, 7, 8, 33}) {
+      for (const bool transposed : {false, true}) {
+        for (const bool seeded : {false, true}) {
+          const std::vector<double> w =
+              RandomBufferWithZeros(static_cast<size_t>(m) * k, 20 + m);
+          const std::vector<double> seed =
+              RandomBufferWithZeros(static_cast<size_t>(m), 40 + k);
+          const std::vector<double> b =
+              RandomBufferWithZeros(static_cast<size_t>(k) * kLanes, 60 + k);
+          // A (m x k): W stored (m x k), or W^T of a stored (k x m) W.
+          const int a_row = transposed ? 1 : k;
+          const int a_col = transposed ? m : 1;
+          std::vector<double> c(static_cast<size_t>(m) * kLanes, -7.0);
+          LaneGemm(m, k, w.data(), a_row, a_col,
+                   seeded ? seed.data() : nullptr, b.data(), c.data());
+          for (int i = 0; i < m; ++i) {
+            for (int v = 0; v < kLanes; ++v) {
+              double want = seeded ? seed[static_cast<size_t>(i)] : 0.0;
+              for (int t = 0; t < k; ++t) {
+                want += w[static_cast<size_t>(i * a_row + t * a_col)] *
+                        b[static_cast<size_t>(t * kLanes + v)];
+              }
+              EXPECT_EQ(Bits(c[static_cast<size_t>(i * kLanes + v)]),
+                        Bits(want))
+                  << "m=" << m << " k=" << k << " transposed=" << transposed
+                  << " seeded=" << seeded << " at (" << i << ", " << v << ")";
+            }
+          }
+        }
+      }
     }
   }
-  for (int j = 0; j < n; ++j) {
-    EXPECT_EQ(out[static_cast<size_t>(j)], want[static_cast<size_t>(j)]);
+}
+
+TEST(BlasTest, LaneGemmCopiesANegativeZeroSeed) {
+  // A seed is copied, not added to 0.0: with no contraction terms a -0.0
+  // seed stays -0.0, as the bias-first naive loop keeps it.
+  const double seed[2] = {-0.0, 0.0};
+  double c[2 * kLanes];
+  LaneGemm(2, 0, nullptr, 0, 1, seed, nullptr, c);
+  for (int v = 0; v < kLanes; ++v) {
+    EXPECT_EQ(Bits(c[v]), Bits(-0.0));
+    EXPECT_EQ(Bits(c[kLanes + v]), Bits(0.0));
+  }
+}
+
+TEST(BlasTest, LaneGemmAtBMatchesNaive) {
+  // Every sample count, rows 1-17, and column counts on and off the vector
+  // width; C is a sub-block of a wider buffer, poisoned beforehand: every
+  // element inside must be written, every element past n left alone.
+  for (int r = 1; r <= kLanes; ++r) {
+    for (int m = 1; m <= 17; ++m) {
+      for (const int n : {1, 5, 8, 13, 16, 33}) {
+        const int ldc = n + 3;
+        const std::vector<double> a =
+            RandomBufferWithZeros(static_cast<size_t>(m) * kLanes, 80 + m);
+        const std::vector<double> b =
+            RandomBufferWithZeros(static_cast<size_t>(r) * n, 100 + n);
+        std::vector<double> c(static_cast<size_t>(m) * ldc, -7.0);
+        LaneGemmAtB(r, m, n, a.data(), b.data(), n, c.data(), ldc);
+        for (int i = 0; i < m; ++i) {
+          for (int j = 0; j < ldc; ++j) {
+            double want = -7.0;
+            if (j < n) {
+              want = 0.0;
+              for (int s = 0; s < r; ++s) {
+                want += a[static_cast<size_t>(i * kLanes + s)] *
+                        b[static_cast<size_t>(s * n + j)];
+              }
+            }
+            EXPECT_EQ(Bits(c[static_cast<size_t>(i * ldc + j)]), Bits(want))
+                << "r=" << r << " m=" << m << " n=" << n << " at (" << i
+                << ", " << j << ")";
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(BlasTest, LaneRowSumsMatchesNaive) {
+  for (int r = 1; r <= kLanes; ++r) {
+    for (int m = 1; m <= 17; ++m) {
+      const std::vector<double> a =
+          RandomBufferWithZeros(static_cast<size_t>(m) * kLanes, 120 + m);
+      std::vector<double> out(static_cast<size_t>(m), -7.0);
+      LaneRowSums(r, m, a.data(), out.data());
+      for (int i = 0; i < m; ++i) {
+        double want = 0.0;
+        for (int s = 0; s < r; ++s) {
+          want += a[static_cast<size_t>(i * kLanes + s)];
+        }
+        EXPECT_EQ(Bits(out[static_cast<size_t>(i)]), Bits(want))
+            << "r=" << r << " m=" << m << " row " << i;
+      }
+    }
   }
 }
 
