@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <string>
 #include <utility>
 
 #include "core/experiment.h"
@@ -105,6 +106,13 @@ Status RestoreEmaGrid(
 }
 
 namespace {
+
+// `value` with enough digits to tell any two doubles apart.
+std::string ExactDouble(double value) {
+  char buffer[32];
+  std::snprintf(buffer, sizeof buffer, "%.17g", value);
+  return buffer;
+}
 
 void SaveSeries(Serializer& out, const ml::Series& series) {
   out.WriteU64(series.size());
@@ -462,12 +470,22 @@ Status ExperimentHarness::Restore(const EngineStateRestorer& restore_engine) {
   NETMAX_ASSIGN_OR_RETURN(const std::string profile_name, in.ReadString());
   NETMAX_ASSIGN_OR_RETURN(const int64_t profile_params, in.ReadI64());
   NETMAX_ASSIGN_OR_RETURN(const double profile_compute, in.ReadDouble());
-  if (profile_name != config_.profile.name ||
-      profile_params != config_.profile.num_parameters ||
-      profile_compute != config_.profile.compute_seconds) {
+  if (profile_name != config_.profile.name) {
     return FailedPreconditionError("checkpoint was written under the \"" +
                                    profile_name + "\" cost profile, config " +
                                    "uses \"" + config_.profile.name + "\"");
+  }
+  if (profile_params != config_.profile.num_parameters) {
+    return FailedPreconditionError(
+        "checkpoint's \"" + profile_name + "\" cost profile has " +
+        "num_parameters " + std::to_string(profile_params) + ", config " +
+        std::to_string(config_.profile.num_parameters));
+  }
+  if (profile_compute != config_.profile.compute_seconds) {
+    return FailedPreconditionError(
+        "checkpoint's \"" + profile_name + "\" cost profile has " +
+        "compute_seconds " + ExactDouble(profile_compute) + ", config " +
+        ExactDouble(config_.profile.compute_seconds));
   }
   NETMAX_ASSIGN_OR_RETURN(const std::string compress_name, in.ReadString());
   if (compress_name != ml::CompressionSpecName(config_.compress)) {

@@ -684,12 +684,23 @@ TEST(CheckpointErrors, ConfigFingerprintMismatches) {
             StatusCode::kFailedPrecondition);
 
   // Every change to compute time goes through the profile, so a restore
-  // cannot graft a run onto another time scale.
+  // cannot graft a run onto another time scale. The message names the field
+  // that differs, since the profile's name is the same on both sides.
   ExperimentConfig slower_compute = base;
   slower_compute.profile.compute_seconds *= 8.0;
   slower_compute.restore_source = &checkpoint;
-  EXPECT_EQ(TryRun("gossip", slower_compute).code(),
-            StatusCode::kFailedPrecondition);
+  const Status slower = TryRun("gossip", slower_compute);
+  EXPECT_EQ(slower.code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(slower.message().find("compute_seconds"), std::string::npos)
+      << slower.message();
+
+  ExperimentConfig bigger_profile = base;
+  bigger_profile.profile.num_parameters += 1;
+  bigger_profile.restore_source = &checkpoint;
+  const Status bigger = TryRun("gossip", bigger_profile);
+  EXPECT_EQ(bigger.code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(bigger.message().find("num_parameters"), std::string::npos)
+      << bigger.message();
 }
 
 TEST(CheckpointErrors, RestorePathAndSourceAreMutuallyExclusive) {
