@@ -128,9 +128,12 @@ void CompareStrategies(int n, uint64_t seed) {
         std::chrono::duration<double, std::milli>(
             std::chrono::steady_clock::now() - start)
             .count();
+    // The generation's wall time goes to stderr: stdout holds only results,
+    // so two runs of one binary print the same bytes.
+    std::cerr << "netmax-lp K=R=" << grid << " (M=" << n << ", seed=" << seed
+              << "): generated in " << Fmt(millis, 1) << " ms\n";
     if (result.ok()) {
-      table.AddRow({"netmax-lp K=R=" + Fmt(grid) + " (" + Fmt(millis, 1) +
-                        " ms)",
+      table.AddRow({"netmax-lp K=R=" + Fmt(grid),
                     Fmt(result->expected_convergence_seconds, 1)});
     } else {
       table.AddRow({"netmax-lp K=R=" + Fmt(grid), "infeasible"});
