@@ -4,9 +4,9 @@
 #include <cstring>
 
 // Runtime ISA dispatch for the kernels whose inner loops are elementwise
-// over contiguous memory (GemmBias and the Lane* kernels): the binary stays
-// portable (SSE2-baseline x86-64 "default" clone) and picks an AVX2 or
-// AVX-512 clone on capable hardware. The wider clones only widen the
+// over contiguous memory (GemmBias, the Lane* kernels, TreeSumScaled): the
+// binary stays portable (SSE2-baseline x86-64 "default" clone) and picks an
+// AVX2 or AVX-512 clone on capable hardware. The wider clones only widen the
 // vectorized loops (4/8 doubles) — FP contraction is disabled for this
 // translation unit (see CMakeLists.txt: -ffp-contract=off), so no clone ever
 // fuses a multiply-add: every element sees separate round-to-nearest multiply
@@ -208,38 +208,61 @@ void LaneGemm(int m, int k, const double* a, int a_row, int a_col,
 NETMAX_KERNEL_ISA
 void LaneGemmAtB(int r, int m, int n, const double* a, const double* b,
                  int ldb, double* c, int ldc) {
-  // Four rows share each loaded vector of b; every (row, column vector) is
-  // one accumulator that starts at 0.0 and adds the samples in order. Rows
-  // past m repeat the last real row and are not stored; columns past the
-  // last full vector go one at a time in the same order.
+  // Rows go in pairs, each against four column vectors at a time: eight
+  // accumulators share every loaded vector of b, and each starts at 0.0 and
+  // adds the samples in order. A pair past the last row repeats that row and
+  // stores only the real one; columns past the last full vector go one at a
+  // time in the same order.
   const int n_vec = n - n % kLanes;
-  for (int i = 0; i < m; i += 4) {
-    const double* ar[4];
-    for (int q = 0; q < 4; ++q) {
+  for (int i = 0; i < m; i += 2) {
+    const double* ar[2];
+    for (int q = 0; q < 2; ++q) {
       ar[q] = a + static_cast<ptrdiff_t>(std::min(i + q, m - 1)) * kLanes;
     }
-    for (int j = 0; j < n_vec; j += kLanes) {
-      LaneVector acc[4] = {};
+    int j = 0;
+    for (; j + 4 * kLanes <= n_vec; j += 4 * kLanes) {
+      LaneVector acc[8] = {};
       for (int s = 0; s < r; ++s) {
-        LaneVector bs;
-        std::memcpy(&bs, b + static_cast<ptrdiff_t>(s) * ldb + j, sizeof bs);
-        for (int q = 0; q < 4; ++q) acc[q] += bs * ar[q][s];
+        const double* bs = b + static_cast<ptrdiff_t>(s) * ldb + j;
+        LaneVector bv[4];
+        for (int v = 0; v < 4; ++v) {
+          std::memcpy(&bv[v], bs + v * kLanes, sizeof bv[v]);
+        }
+        for (int q = 0; q < 2; ++q) {
+          for (int v = 0; v < 4; ++v) acc[4 * q + v] += bv[v] * ar[q][s];
+        }
       }
-      for (int q = 0; q < 4; ++q) {
+      for (int q = 0; q < 2; ++q) {
+        if (i + q < m) {
+          double* ci = c + static_cast<ptrdiff_t>(i + q) * ldc + j;
+          for (int v = 0; v < 4; ++v) {
+            std::memcpy(ci + v * kLanes, &acc[4 * q + v], sizeof acc[0]);
+          }
+        }
+      }
+    }
+    for (; j < n_vec; j += kLanes) {
+      LaneVector acc[2] = {};
+      for (int s = 0; s < r; ++s) {
+        LaneVector bv;
+        std::memcpy(&bv, b + static_cast<ptrdiff_t>(s) * ldb + j, sizeof bv);
+        for (int q = 0; q < 2; ++q) acc[q] += bv * ar[q][s];
+      }
+      for (int q = 0; q < 2; ++q) {
         if (i + q < m) {
           std::memcpy(c + static_cast<ptrdiff_t>(i + q) * ldc + j, &acc[q],
                       sizeof acc[q]);
         }
       }
     }
-    for (int q = 0; q < 4 && i + q < m; ++q) {
+    for (int q = 0; q < 2 && i + q < m; ++q) {
       double* ci = c + static_cast<ptrdiff_t>(i + q) * ldc;
-      for (int j = n_vec; j < n; ++j) {
+      for (int jj = n_vec; jj < n; ++jj) {
         double acc = 0.0;
         for (int s = 0; s < r; ++s) {
-          acc += ar[q][s] * b[static_cast<ptrdiff_t>(s) * ldb + j];
+          acc += ar[q][s] * b[static_cast<ptrdiff_t>(s) * ldb + jj];
         }
-        ci[j] = acc;
+        ci[jj] = acc;
       }
     }
   }
@@ -251,6 +274,52 @@ void LaneRowSums(int r, int m, const double* a, double* out) {
     double acc = 0.0;
     for (int s = 0; s < r; ++s) acc += ai[s];
     out[i] = acc;
+  }
+}
+
+NETMAX_KERNEL_ISA
+void TreeSumScaled(int count, int n, double* rows, int ld, double scale,
+                   double* out) {
+  // Column chunks small enough that a chunk of every row stays in L1 across
+  // the tree's levels; the last level's row is scaled into `out` while it is
+  // still there.
+  constexpr int kChunk = 512;
+  for (int lo = 0; lo < n; lo += kChunk) {
+    const int hi = std::min(n, lo + kChunk);
+    const int hi_vec = hi - (hi - lo) % kLanes;
+    int live = count;
+    while (live > 1) {
+      const int pairs = live / 2;
+      for (int i = 0; i < pairs; ++i) {
+        double* dst = rows + static_cast<ptrdiff_t>(i) * ld;
+        const double* x = rows + static_cast<ptrdiff_t>(2 * i) * ld;
+        const double* y = x + ld;
+        int j = lo;
+        for (; j < hi_vec; j += kLanes) {
+          LaneVector vx;
+          LaneVector vy;
+          std::memcpy(&vx, x + j, sizeof vx);
+          std::memcpy(&vy, y + j, sizeof vy);
+          vx += vy;
+          std::memcpy(dst + j, &vx, sizeof vx);
+        }
+        for (; j < hi; ++j) dst[j] = x[j] + y[j];
+      }
+      if (live % 2 == 1) {
+        const double* last = rows + static_cast<ptrdiff_t>(live - 1) * ld;
+        std::copy(last + lo, last + hi,
+                  rows + static_cast<ptrdiff_t>(pairs) * ld + lo);
+      }
+      live = pairs + live % 2;
+    }
+    int j = lo;
+    for (; j < hi_vec; j += kLanes) {
+      LaneVector v;
+      std::memcpy(&v, rows + j, sizeof v);
+      v *= scale;
+      std::memcpy(out + j, &v, sizeof v);
+    }
+    for (; j < hi; ++j) out[j] = rows[j] * scale;
   }
 }
 

@@ -68,6 +68,14 @@ void LaneGemmAtB(int r, int m, int n, const double* a, const double* b,
 // s ascending, for a (m x kLanes) in lane layout, r <= kLanes.
 void LaneRowSums(int r, int m, const double* a, double* out);
 
+// Scaled tree sum over the rows of a (count x n) row-major matrix with row
+// stride ld: out[j] = T[j] * scale, where T is the fixed-shape pairwise
+// tree — adjacent rows add level by level (row 2i + row 2i+1 -> row i, an
+// odd last row moving down unchanged) until one row is left — so every
+// rounding step depends on count alone. Overwrites the rows; count >= 1.
+void TreeSumScaled(int count, int n, double* rows, int ld, double scale,
+                   double* out);
+
 }  // namespace netmax::linalg
 
 #endif  // NETMAX_LINALG_BLAS_H_

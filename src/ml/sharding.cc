@@ -4,6 +4,7 @@
 
 #include "common/logging.h"
 #include "common/thread_pool.h"
+#include "linalg/blas.h"
 #include "ml/mlp.h"
 #include "ml/workspace.h"
 
@@ -14,62 +15,36 @@ namespace {
 constexpr int kSlotLossSums = 0;
 constexpr int kSlotGradientSums = 1;
 
-// Fixed-shape pairwise tree reduction over `count` contiguous partials of
-// `width` doubles each, restricted to the column slice [col_begin, col_end),
-// in place; the reduced partial lands in slot 0. Each level sums adjacent
-// pairs (slot 2i + slot 2i+1 -> slot i) and moves an odd leftover down
-// unchanged, so the tree shape — and therefore every rounding step — depends
-// only on `count`, never on who produced the partials. The reduction is
-// element-wise across columns, which is what lets disjoint slices run
-// concurrently without touching the per-element arithmetic.
-void TreeReduceColumns(std::span<double> partials, int count, size_t width,
-                       size_t col_begin, size_t col_end) {
-  int n = count;
-  while (n > 1) {
-    const int pairs = n / 2;
-    for (int i = 0; i < pairs; ++i) {
-      double* dst = partials.data() + width * static_cast<size_t>(i);
-      const double* a = partials.data() + width * static_cast<size_t>(2 * i);
-      const double* b =
-          partials.data() + width * static_cast<size_t>(2 * i + 1);
-      for (size_t j = col_begin; j < col_end; ++j) dst[j] = a[j] + b[j];
-    }
-    if (n % 2 == 1 && n > 1) {
-      double* dst = partials.data() + width * static_cast<size_t>(pairs);
-      const double* src = partials.data() + width * static_cast<size_t>(n - 1);
-      if (dst != src) {
-        std::copy(src + col_begin, src + col_end,
-                  dst + col_begin);  // value move, no FP
-      }
-    }
-    n = pairs + n % 2;
-  }
-}
-
 // Minimum columns per pooled reduce task: below this the slice is too small
 // to amortize the fan-out.
 constexpr size_t kReduceChunkColumns = 1 << 12;
 
 }  // namespace
 
-// Tree-reduces `count` partials of `width` doubles, fanning the column range
-// onto `pool` for wide models (width >= kPooledReduceMinWidth). Bits are
-// identical either way: chunking only changes who reduces a column.
+// Tree-reduces `count` partials of `width` doubles into `out`, scaled,
+// fanning the column range onto `pool` for wide models (width >=
+// kPooledReduceMinWidth). Bits are identical either way: chunking only
+// changes who reduces a column.
 void TreeReducePartials(std::span<double> partials, int count, size_t width,
+                        double scale, std::span<double> out,
                         ThreadPool* pool) {
+  const auto reduce = [&](size_t lo, size_t hi) {
+    linalg::TreeSumScaled(count, static_cast<int>(hi - lo),
+                          partials.data() + lo, static_cast<int>(width),
+                          scale, out.data() + lo);
+  };
   if (pool != nullptr && count >= 2 && width >= kPooledReduceMinWidth) {
     const size_t max_tasks = static_cast<size_t>(pool->num_threads()) + 1;
     const size_t tasks = std::min(max_tasks, width / kReduceChunkColumns);
     if (tasks >= 2) {
       ParallelFor(*pool, static_cast<int>(tasks), [&](int t) {
-        const size_t lo = width * static_cast<size_t>(t) / tasks;
-        const size_t hi = width * (static_cast<size_t>(t) + 1) / tasks;
-        TreeReduceColumns(partials, count, width, lo, hi);
+        reduce(width * static_cast<size_t>(t) / tasks,
+               width * (static_cast<size_t>(t) + 1) / tasks);
       });
       return;
     }
   }
-  TreeReduceColumns(partials, count, width, 0, width);
+  reduce(0, width);
 }
 
 int GradientLeafCount(size_t batch) {
@@ -142,15 +117,15 @@ double ShardedLossAndGradient(const Mlp& model, const Dataset& data,
     });
   }
 
-  TreeReducePartials(loss_sums, num_leaves, 1, nullptr);
   const double inv_batch = 1.0 / static_cast<double>(batch_indices.size());
+  double loss = 0.0;
+  TreeReducePartials(loss_sums, num_leaves, 1, inv_batch, {&loss, 1},
+                     nullptr);
   if (want_gradient) {
-    TreeReducePartials(gradient_sums, num_leaves, width, pool);
-    for (size_t j = 0; j < width; ++j) {
-      gradient[j] = gradient_sums[j] * inv_batch;
-    }
+    TreeReducePartials(gradient_sums, num_leaves, width, inv_batch, gradient,
+                       pool);
   }
-  return loss_sums[0] * inv_batch;
+  return loss;
 }
 
 }  // namespace netmax::ml

@@ -66,13 +66,15 @@ struct LeafRange {
 LeafRange GradientLeafRange(size_t batch, int leaf);
 
 // Fixed-shape pairwise tree reduction of `count` contiguous partials of
-// `width` doubles each, in place (the reduced partial lands in slot 0). The
-// tree shape — and therefore every rounding step — depends only on `count`,
-// so any agent that produced the partials (shard tasks or a serial loop)
-// reduces to the same bits. With a pool and width >= kPooledReduceMinWidth
-// the column range fans out, each task running the full tree over its chunk;
-// bit-identical either way.
+// `width` doubles each (linalg::TreeSumScaled; the partials are
+// overwritten), with every column's sum multiplied by `scale` and written
+// to `out` in the same pass. The tree shape — and therefore every rounding
+// step — depends only on `count`, so any agent that produced the partials
+// (shard tasks or a serial loop) reduces to the same bits. With a pool and
+// width >= kPooledReduceMinWidth the column range fans out, each task
+// running the full tree over its chunk; bit-identical either way.
 void TreeReducePartials(std::span<double> partials, int count, size_t width,
+                        double scale, std::span<double> out,
                         ThreadPool* pool);
 
 // Evaluates `model`'s mean loss (and, when `gradient` is non-empty, mean

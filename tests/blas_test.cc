@@ -177,6 +177,47 @@ TEST(BlasTest, LaneRowSumsMatchesNaive) {
   }
 }
 
+TEST(BlasTest, TreeSumScaledMatchesNaiveTree) {
+  // Every count up to 17 (each odd-leftover pattern), and widths on and off
+  // the vector width and across the kernel's column chunks; the naive tree
+  // adds pairs level by level over whole rows.
+  for (int count = 1; count <= 17; ++count) {
+    for (const int n : {1, 7, 8, 13, 600, 1100}) {
+      const int ld = n + 3;
+      const std::vector<double> rows = RandomBufferWithZeros(
+          static_cast<size_t>(count) * ld, 140 + count);
+      std::vector<double> naive = rows;
+      int live = count;
+      while (live > 1) {
+        const int pairs = live / 2;
+        for (int i = 0; i < pairs; ++i) {
+          for (int j = 0; j < n; ++j) {
+            naive[static_cast<size_t>(i * ld + j)] =
+                naive[static_cast<size_t>(2 * i * ld + j)] +
+                naive[static_cast<size_t>((2 * i + 1) * ld + j)];
+          }
+        }
+        if (live % 2 == 1) {
+          for (int j = 0; j < n; ++j) {
+            naive[static_cast<size_t>(pairs * ld + j)] =
+                naive[static_cast<size_t>((live - 1) * ld + j)];
+          }
+        }
+        live = pairs + live % 2;
+      }
+      const double scale = 1.0 / 3.0;
+      std::vector<double> scratch = rows;
+      std::vector<double> out(static_cast<size_t>(n), -7.0);
+      TreeSumScaled(count, n, scratch.data(), ld, scale, out.data());
+      for (int j = 0; j < n; ++j) {
+        EXPECT_EQ(Bits(out[static_cast<size_t>(j)]),
+                  Bits(naive[static_cast<size_t>(j)] * scale))
+            << "count=" << count << " n=" << n << " column " << j;
+      }
+    }
+  }
+}
+
 TEST(BlasTest, MatrixMultiplyMatchesKernelAndReference) {
   // Matrix::Multiply now routes through Gemm; it must agree exactly with the
   // seed's naive i-k-j loop (same ascending-k order).
