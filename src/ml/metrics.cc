@@ -9,9 +9,9 @@
 namespace netmax::ml {
 namespace {
 
-// Evaluation chunk: big enough to amortize the batched forward pass, small
-// enough that the workspace stays a few hundred KB at test-set widths (and
-// that the index/prediction buffers below fit on the stack).
+// Evaluation chunk: the index/prediction buffers below hold one chunk on the
+// stack. PredictBatch runs its forward pass over 8-sample blocks, so the
+// chunk sets no workspace size.
 constexpr int kEvalChunk = 256;
 
 // Workspace int-slot used by AverageLoss for the all-examples index list.
