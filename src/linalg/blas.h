@@ -17,10 +17,11 @@
 //
 // Lane layout. The Lane* kernels work on one block of at most kLanes
 // samples stored feature-major: a (units x kLanes) matrix whose row u holds
-// unit u of every sample, sample v in lane v. One row is one 64-byte
-// vector, so these kernels keep the sample axis innermost and each output
-// row is a single vector accumulator; the contraction still runs in the
-// naive loop's order, one separately rounded multiply and add per step.
+// unit u of every sample, sample v in lane v. One row is 64 bytes — one
+// AVX-512 vector, two AVX2 or four SSE2 ones — so these kernels keep the
+// sample axis innermost and accumulate each output row in vector registers
+// of the widest kind the CPU has; the contraction still runs in the naive
+// loop's order, one separately rounded multiply and add per step.
 
 #include <cstddef>
 
