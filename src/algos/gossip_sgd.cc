@@ -123,11 +123,8 @@ class GossipEngine : public core::Engine {
     }
   }
 
-  void SaveState(Serializer& out) const override {
-    out.WriteDoubleVec(push_busy_until_);
-  }
-  Status RestoreState(Deserializer& in) override {
-    return in.ReadDoubleSpan(push_busy_until_);
+  Status TransferState(StateIo& io) override {
+    return io(std::span<double>(push_busy_until_));
   }
 
   std::vector<double> push_busy_until_;

@@ -52,17 +52,8 @@ class PsState {
   ml::Mlp& model() { return *model_; }
   ml::SgdOptimizer& optimizer() { return *optimizer_; }
 
-  void SaveState(Serializer& out) const {
-    out.WriteDoubleVec(model_->parameters());
-    optimizer_->SaveState(out);
-    out.WriteDouble(nic_free_);
-  }
-
-  Status RestoreState(Deserializer& in) {
-    NETMAX_RETURN_IF_ERROR(in.ReadDoubleSpan(model_->parameters()));
-    NETMAX_RETURN_IF_ERROR(optimizer_->RestoreState(in));
-    NETMAX_ASSIGN_OR_RETURN(nic_free_, in.ReadDouble());
-    return Status::Ok();
+  Status TransferState(StateIo& io) {
+    return io(model_->parameters(), *optimizer_, nic_free_);
   }
 
  private:
@@ -125,13 +116,9 @@ class PsSyncEngine : public core::RoundEngine {
     return clock;
   }
 
-  void SaveState(Serializer& out) const override {
-    RoundEngine::SaveState(out);
-    ps_->SaveState(out);
-  }
-  Status RestoreState(Deserializer& in) override {
-    NETMAX_RETURN_IF_ERROR(RoundEngine::RestoreState(in));
-    return ps_->RestoreState(in);
+  Status TransferState(StateIo& io) override {
+    NETMAX_RETURN_IF_ERROR(RoundEngine::TransferState(io));
+    return io(*ps_);
   }
 
   std::unique_ptr<PsState> ps_;
@@ -244,10 +231,7 @@ class PsAsyncEngine : public core::Engine {
              static_cast<double>(round)}});
   }
 
-  void SaveState(Serializer& out) const override { ps_->SaveState(out); }
-  Status RestoreState(Deserializer& in) override {
-    return ps_->RestoreState(in);
-  }
+  Status TransferState(StateIo& io) override { return io(*ps_); }
 
   std::unique_ptr<PsState> ps_;
 };

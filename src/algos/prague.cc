@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/engine.h"
@@ -110,24 +111,19 @@ class PragueEngine : public core::Engine {
     return Malformed(event);
   }
 
-  void SaveState(Serializer& out) const override {
-    out.WriteIntVec(ready_);
-    out.WriteDoubleVec(iteration_start_);
-    out.WriteInt(active_groups_);
-    out.WriteDoubleVec(ready_since_);
-  }
-
-  Status RestoreState(Deserializer& in) override {
-    NETMAX_RETURN_IF_ERROR(in.ReadIntVec(&ready_));
+  Status TransferState(StateIo& io) override {
+    NETMAX_RETURN_IF_ERROR(io(ready_));
     for (int w : ready_) {
-      if (!IsWorker(w)) return InvalidArgumentError("ready worker out of range");
+      if (io.restoring() && !IsWorker(w)) {
+        return InvalidArgumentError("ready worker out of range");
+      }
     }
-    NETMAX_RETURN_IF_ERROR(in.ReadDoubleSpan(iteration_start_));
-    NETMAX_ASSIGN_OR_RETURN(active_groups_, in.ReadInt());
-    if (active_groups_ < 0) {
+    NETMAX_RETURN_IF_ERROR(
+        io(std::span<double>(iteration_start_), active_groups_));
+    if (io.restoring() && active_groups_ < 0) {
       return InvalidArgumentError("negative active group count");
     }
-    return in.ReadDoubleSpan(ready_since_);
+    return io(std::span<double>(ready_since_));
   }
 
   // The worker's local step committed: it waits for a group. Under

@@ -103,13 +103,4 @@ int Rng::Discrete(std::span<const double> probabilities) {
   return static_cast<int>(probabilities.size()) - 1;
 }
 
-std::array<uint64_t, 5> Rng::SaveState() const {
-  return {seed_, state_[0], state_[1], state_[2], state_[3]};
-}
-
-void Rng::RestoreState(const std::array<uint64_t, 5>& state) {
-  seed_ = state[0];
-  for (int i = 0; i < 4; ++i) state_[i] = state[static_cast<size_t>(i) + 1];
-}
-
 }  // namespace netmax

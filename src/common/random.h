@@ -9,12 +9,12 @@
 // discrete sampling from an arbitrary probability vector (used to pick
 // neighbors from a communication-policy row).
 
-#include <array>
 #include <cstdint>
 #include <span>
 #include <vector>
 
 #include "common/logging.h"
+#include "common/serialize.h"
 
 namespace netmax {
 
@@ -66,10 +66,12 @@ class Rng {
   // Raw 64 random bits.
   uint64_t Next64();
 
-  // Raw engine state (seed + the four xoshiro256** words) for checkpointing;
-  // RestoreState reproduces the exact stream position SaveState captured.
-  std::array<uint64_t, 5> SaveState() const;
-  void RestoreState(const std::array<uint64_t, 5>& state);
+  // Checkpoint support: the raw engine state as five words (the seed, then
+  // the four xoshiro256** words), so a restore resumes the exact stream
+  // position.
+  Status TransferState(StateIo& io) {
+    return io(seed_, state_[0], state_[1], state_[2], state_[3]);
+  }
 
  private:
   uint64_t seed_;

@@ -1,5 +1,6 @@
 #include "common/serialize.h"
 
+#include <charconv>
 #include <limits>
 
 namespace netmax {
@@ -116,6 +117,89 @@ Status Deserializer::ReadDoubleSpan(std::span<double> values) {
     NETMAX_ASSIGN_OR_RETURN(v, ReadDouble());
   }
   return Status::Ok();
+}
+
+namespace {
+
+// Stores a successful read in `value`.
+template <typename T>
+Status Assign(T& value, StatusOr<T> read) {
+  if (!read.ok()) return read.status();
+  value = std::move(read).value();
+  return Status::Ok();
+}
+
+}  // namespace
+
+std::string FieldText(double value) {
+  // The shortest text that reads back as exactly `value`.
+  char buffer[32];
+  return std::string(
+      buffer, std::to_chars(buffer, buffer + sizeof buffer, value).ptr);
+}
+
+std::string FieldText(int64_t value) { return std::to_string(value); }
+std::string FieldText(uint64_t value) { return std::to_string(value); }
+std::string FieldText(int value) { return std::to_string(value); }
+std::string FieldText(bool value) { return value ? "true" : "false"; }
+std::string FieldText(const std::string& value) { return '"' + value + '"'; }
+
+Status StateIo::Count(uint64_t& count, uint64_t min_bytes) {
+  NETMAX_RETURN_IF_ERROR(Transfer(count));
+  if (restoring() && count > in_->remaining() / min_bytes) {
+    return OutOfRangeError("checkpointed count " + std::to_string(count) +
+                           " runs past the " +
+                           std::to_string(in_->remaining()) + " bytes left");
+  }
+  return Status::Ok();
+}
+
+Status StateIo::Transfer(double& value) {
+  if (restoring()) return Assign(value, in_->ReadDouble());
+  out_->WriteDouble(value);
+  return Status::Ok();
+}
+
+Status StateIo::Transfer(int64_t& value) {
+  if (restoring()) return Assign(value, in_->ReadI64());
+  out_->WriteI64(value);
+  return Status::Ok();
+}
+
+Status StateIo::Transfer(uint64_t& value) {
+  if (restoring()) return Assign(value, in_->ReadU64());
+  out_->WriteU64(value);
+  return Status::Ok();
+}
+
+Status StateIo::Transfer(int& value) {
+  if (restoring()) return Assign(value, in_->ReadInt());
+  out_->WriteInt(value);
+  return Status::Ok();
+}
+
+Status StateIo::Transfer(bool& value) {
+  if (restoring()) return Assign(value, in_->ReadBool());
+  out_->WriteBool(value);
+  return Status::Ok();
+}
+
+Status StateIo::Transfer(std::string& value) {
+  if (restoring()) return Assign(value, in_->ReadString());
+  out_->WriteString(value);
+  return Status::Ok();
+}
+
+Status StateIo::Transfer(std::span<double> values) {
+  if (restoring()) return in_->ReadDoubleSpan(values);
+  out_->WriteDoubleVec(values);
+  return Status::Ok();
+}
+
+Status StateIo::Mismatch(std::string_view name, const std::string& stored,
+                         const std::string& value) {
+  return FailedPreconditionError("checkpoint has " + std::string(name) +
+                                 " = " + stored + ", this run has " + value);
 }
 
 }  // namespace netmax

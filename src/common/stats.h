@@ -10,6 +10,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/serialize.h"
+
 namespace netmax {
 
 // Exponential moving average with smoothing factor beta in [0, 1):
@@ -32,11 +34,14 @@ class ExponentialMovingAverage {
 
   void Reset();
 
-  // Checkpoint support: overwrites the running estimate with saved state
-  // (beta stays whatever this instance was constructed with).
-  void RestoreState(double value, int64_t count) {
-    value_ = value;
-    count_ = count;
+  // Checkpoint support: the running estimate and its sample count (beta
+  // stays whatever this instance was constructed with).
+  Status TransferState(StateIo& io) {
+    NETMAX_RETURN_IF_ERROR(io(value_, count_));
+    if (io.restoring() && count_ < 0) {
+      return InvalidArgumentError("checkpointed EMA count is negative");
+    }
+    return Status::Ok();
   }
 
  private:

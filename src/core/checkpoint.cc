@@ -1,13 +1,14 @@
 #include "core/checkpoint.h"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <span>
 #include <string>
 #include <utility>
 
+#include "common/serialize.h"
 #include "core/experiment.h"
 #include "ml/metrics.h"
 
@@ -50,77 +51,7 @@ StatusOr<std::vector<uint8_t>> ReadCheckpointFile(const std::string& path) {
   return bytes;
 }
 
-void SaveMatrix(Serializer& out, const linalg::Matrix& matrix) {
-  out.WriteInt(matrix.rows());
-  out.WriteInt(matrix.cols());
-  out.WriteDoubleVec(matrix.data());
-}
-
-StatusOr<linalg::Matrix> LoadMatrix(Deserializer& in) {
-  NETMAX_ASSIGN_OR_RETURN(const int rows, in.ReadInt());
-  NETMAX_ASSIGN_OR_RETURN(const int cols, in.ReadInt());
-  if (rows < 0 || cols < 0) {
-    return InvalidArgumentError("checkpointed matrix has negative shape");
-  }
-  linalg::Matrix matrix(rows, cols);
-  NETMAX_RETURN_IF_ERROR(in.ReadDoubleSpan(matrix.mutable_data()));
-  return matrix;
-}
-
-void SaveEmaGrid(
-    Serializer& out,
-    const std::vector<std::vector<ExponentialMovingAverage>>& grid) {
-  out.WriteU64(grid.size());
-  for (const auto& row : grid) {
-    out.WriteU64(row.size());
-    for (const ExponentialMovingAverage& ema : row) {
-      out.WriteDouble(ema.value());
-      out.WriteI64(ema.count());
-    }
-  }
-}
-
-Status RestoreEmaGrid(
-    Deserializer& in,
-    std::vector<std::vector<ExponentialMovingAverage>>* grid) {
-  NETMAX_ASSIGN_OR_RETURN(const uint64_t rows, in.ReadU64());
-  if (rows != grid->size()) {
-    return InvalidArgumentError("checkpointed EMA grid row count mismatch");
-  }
-  for (auto& row : *grid) {
-    NETMAX_ASSIGN_OR_RETURN(const uint64_t cols, in.ReadU64());
-    if (cols != row.size()) {
-      return InvalidArgumentError("checkpointed EMA grid column count "
-                                  "mismatch");
-    }
-    for (ExponentialMovingAverage& ema : row) {
-      NETMAX_ASSIGN_OR_RETURN(const double value, in.ReadDouble());
-      NETMAX_ASSIGN_OR_RETURN(const int64_t count, in.ReadI64());
-      if (count < 0) {
-        return InvalidArgumentError("checkpointed EMA count is negative");
-      }
-      ema.RestoreState(value, count);
-    }
-  }
-  return Status::Ok();
-}
-
 namespace {
-
-// `value` with enough digits to tell any two doubles apart.
-std::string ExactDouble(double value) {
-  char buffer[32];
-  std::snprintf(buffer, sizeof buffer, "%.17g", value);
-  return buffer;
-}
-
-void SaveSeries(Serializer& out, const ml::Series& series) {
-  out.WriteU64(series.size());
-  for (const ml::SeriesPoint& point : series) {
-    out.WriteDouble(point.x);
-    out.WriteDouble(point.y);
-  }
-}
 
 // A worker index from a checkpointed event's args: an integral value in
 // [0, num_workers). Checked on the double, before any narrowing cast.
@@ -142,27 +73,33 @@ Status CheckFactor(double factor, const char* what) {
   return Status::Ok();
 }
 
-Status LoadSeries(Deserializer& in, ml::Series* series) {
-  NETMAX_ASSIGN_OR_RETURN(const uint64_t size, in.ReadU64());
-  if (size * 16 > in.remaining()) {
-    return OutOfRangeError("checkpointed series is truncated");
-  }
-  series->clear();
-  series->reserve(size);
-  for (uint64_t i = 0; i < size; ++i) {
-    ml::SeriesPoint point;
-    NETMAX_ASSIGN_OR_RETURN(point.x, in.ReadDouble());
-    NETMAX_ASSIGN_OR_RETURN(point.y, in.ReadDouble());
-    series->push_back(point);
+// A recorded series: its length, then each point's (x, y).
+Status TransferSeries(StateIo& io, ml::Series& series) {
+  uint64_t size = series.size();
+  NETMAX_RETURN_IF_ERROR(io.Count(size, 16));
+  series.resize(size);
+  for (ml::SeriesPoint& point : series) {
+    NETMAX_RETURN_IF_ERROR(io(point.x, point.y));
   }
   return Status::Ok();
 }
 
+// A pending event's description: the fields SaveQueue snapshots and
+// RestoreQueue rebuilds from.
+Status TransferEvent(StateIo& io, net::SimEvent& event) {
+  return io(event.time, event.sequence, event.worker_key, event.payload.tag,
+            event.payload.args);
+}
+
+// Each event takes at least 40 bytes: its time, sequence, worker key, tag
+// and args length.
+constexpr uint64_t kMinEventBytes = 40;
+
 }  // namespace
 
-void ExperimentHarness::ArmCheckpoint(EngineStateSaver save_engine) {
+void ExperimentHarness::ArmCheckpoint(EngineStateIo engine_state) {
   NETMAX_CHECK(initialized_) << "ArmCheckpoint before Init";
-  checkpoint_saver_ = std::move(save_engine);
+  engine_state_ = std::move(engine_state);
   const double at = config_.checkpoint_at_seconds;
   if (at > 0.0 && at > sim_.Now()) {
     net::EventPayload payload;
@@ -197,7 +134,7 @@ void ExperimentHarness::OneShotCheckpoint(double at) {
         " is past the end of the run");
     return;
   }
-  checkpoint_status_ = SaveCheckpoint(checkpoint_saver_);
+  checkpoint_status_ = SaveCheckpoint();
 }
 
 void ExperimentHarness::CadenceTick(int64_t tick_index) {
@@ -293,10 +230,9 @@ Status ExperimentHarness::BuildHarnessEvent(net::SimEvent& event) {
   }
 }
 
-StatusOr<std::vector<uint8_t>> ExperimentHarness::SerializeCheckpoint(
-    const EngineStateSaver& save_engine) {
-  NETMAX_CHECK(save_engine != nullptr)
-      << "checkpoint armed without an engine saver";
+StatusOr<std::vector<uint8_t>> ExperimentHarness::SerializeCheckpoint() {
+  NETMAX_CHECK(engine_state_ != nullptr)
+      << "checkpoint armed without the engine's state";
   // Quiesce: invalidate every speculated compute evaluation so all state
   // below is at its committed value. The simulator re-dispatches the
   // invalidated evaluations after this handler returns; compute halves are
@@ -307,80 +243,15 @@ StatusOr<std::vector<uint8_t>> ExperimentHarness::SerializeCheckpoint(
   Serializer out;
   out.WriteU32(kCheckpointMagic);
   out.WriteU32(kCheckpointVersion);
-  // Fingerprint, so a restore into a mismatched experiment fails loudly.
-  out.WriteString(algorithm_name_);
-  out.WriteInt(config_.num_workers);
-  out.WriteU64(config_.seed);
-  out.WriteInt(config_.max_epochs);
-  out.WriteI64(workers_[0].model->num_parameters());
-  // The cost profile drives every event time; restoring into a different
-  // profile would silently graft this run's state onto another time scale.
-  out.WriteString(config_.profile.name);
-  out.WriteI64(config_.profile.num_parameters);
-  out.WriteDouble(config_.profile.compute_seconds);
-  // The compression spec shapes every transfer time and RNG draw after the
-  // snapshot, so restoring under a different spec must fail like a profile
-  // mismatch would (version 3).
-  out.WriteString(ml::CompressionSpecName(config_.compress));
-
-  out.WriteDouble(sim_.Now());
-  out.WriteI64(sim_.next_sequence());
-  out.WriteI64(sim_.num_events_processed());
-  NETMAX_ASSIGN_OR_RETURN(std::vector<net::SimEvent> events,
-                          sim_.SaveQueue());
-  // Pending crash faults are dropped from the snapshot: the entire point of
-  // restoring is to finish the run the crash cut short, so the restored run
-  // must be the fault-free-suffix run — which is exactly the uninterrupted
-  // run, because (a) before the crash time the two runs are bit-identical
-  // (a pending crash event influences nothing until it fires) and (b)
-  // RestoreQueue tolerates the sequence-number gap the dropped event leaves.
-  std::erase_if(events, [](const net::SimEvent& event) {
-    return event.payload.tag == kHarnessFaultTag &&
-           !event.payload.args.empty() &&
-           static_cast<int>(event.payload.args[0]) ==
-               static_cast<int>(net::FaultKind::kCrash);
-  });
-  out.WriteU64(events.size());
-  for (const net::SimEvent& event : events) {
-    out.WriteDouble(event.time);
-    out.WriteI64(event.sequence);
-    out.WriteInt(event.worker_key);
-    out.WriteI64(event.payload.tag);
-    out.WriteDoubleVec(event.payload.args);
-  }
-
-  for (const WorkerRuntime& worker : workers_) SaveWorker(out, worker);
-
-  SaveSeries(out, loss_vs_time_);
-  SaveSeries(out, loss_vs_epoch_);
-  SaveSeries(out, accuracy_vs_time_);
-  out.WriteI64(total_epochs_completed_);
-  out.WriteI64(policies_generated_);
-
-  // Fault-injection state (version 2): the liveness view, active slowdown
-  // factors, the degradation counters, and the cadence tick index.
-  for (int w = 0; w < config_.num_workers; ++w) {
-    out.WriteBool(alive_[static_cast<size_t>(w)]);
-    out.WriteDouble(compute_factor_[static_cast<size_t>(w)]);
-  }
-  out.WriteI64(faults_injected_);
-  out.WriteI64(rounds_degraded_);
-  out.WriteI64(peers_timed_out_);
-  // Wire accounting (version 3), alongside the fault counters: restored runs
-  // must report the same totals as the uninterrupted run.
-  out.WriteI64(messages_sent_);
-  out.WriteI64(bytes_sent_);
-  out.WriteI64(bytes_saved_);
-  out.WriteI64(cadence_next_index_);
-
-  NETMAX_RETURN_IF_ERROR(save_engine(out));
+  StateIo io(out);
+  NETMAX_RETURN_IF_ERROR(TransferCheckpoint(io, engine_state_));
   out.WriteU32(kCheckpointEndMarker);
   return out.bytes();
 }
 
-Status ExperimentHarness::SaveCheckpoint(const EngineStateSaver& save_engine) {
+Status ExperimentHarness::SaveCheckpoint() {
   NETMAX_ASSIGN_OR_RETURN(const std::vector<uint8_t> bytes,
-                          SerializeCheckpoint(save_engine));
+                          SerializeCheckpoint());
   if (config_.checkpoint_sink != nullptr) {
     *config_.checkpoint_sink = bytes;
   }
@@ -393,7 +264,7 @@ Status ExperimentHarness::SaveCheckpoint(const EngineStateSaver& save_engine) {
 
 Status ExperimentHarness::SavePeriodicCheckpoint(int64_t tick_index) {
   NETMAX_ASSIGN_OR_RETURN(const std::vector<uint8_t> bytes,
-                          SerializeCheckpoint(checkpoint_saver_));
+                          SerializeCheckpoint());
   // The sink always holds the newest periodic snapshot (in-memory restores,
   // tests); the path gets the newest bytes at `<path>` — what --restore-path
   // naturally points at after a crash — plus a rotating `<path>.t<k>`
@@ -417,7 +288,7 @@ Status ExperimentHarness::SavePeriodicCheckpoint(int64_t tick_index) {
   return Status::Ok();
 }
 
-Status ExperimentHarness::Restore(const EngineStateRestorer& restore_engine) {
+Status ExperimentHarness::Restore(const EngineStateIo& engine_state) {
   NETMAX_CHECK(initialized_) << "Restore before Init";
   NETMAX_CHECK(sim_.empty()) << "Restore after events were scheduled";
   std::vector<uint8_t> file_bytes;
@@ -443,109 +314,8 @@ Status ExperimentHarness::Restore(const EngineStateRestorer& restore_engine) {
     return InvalidArgumentError("unsupported checkpoint version " +
                                 std::to_string(version));
   }
-  NETMAX_ASSIGN_OR_RETURN(const std::string algorithm, in.ReadString());
-  if (algorithm != algorithm_name_) {
-    return FailedPreconditionError("checkpoint was written by \"" + algorithm +
-                                   "\", restoring into \"" + algorithm_name_ +
-                                   "\"");
-  }
-  NETMAX_ASSIGN_OR_RETURN(const int num_workers, in.ReadInt());
-  if (num_workers != config_.num_workers) {
-    return FailedPreconditionError(
-        "checkpoint has " + std::to_string(num_workers) + " workers, config " +
-        std::to_string(config_.num_workers));
-  }
-  NETMAX_ASSIGN_OR_RETURN(const uint64_t seed, in.ReadU64());
-  if (seed != config_.seed) {
-    return FailedPreconditionError("checkpoint seed mismatch");
-  }
-  NETMAX_ASSIGN_OR_RETURN(const int max_epochs, in.ReadInt());
-  if (max_epochs != config_.max_epochs) {
-    return FailedPreconditionError("checkpoint max_epochs mismatch");
-  }
-  NETMAX_ASSIGN_OR_RETURN(const int64_t num_parameters, in.ReadI64());
-  if (num_parameters != workers_[0].model->num_parameters()) {
-    return FailedPreconditionError("checkpoint model size mismatch");
-  }
-  NETMAX_ASSIGN_OR_RETURN(const std::string profile_name, in.ReadString());
-  NETMAX_ASSIGN_OR_RETURN(const int64_t profile_params, in.ReadI64());
-  NETMAX_ASSIGN_OR_RETURN(const double profile_compute, in.ReadDouble());
-  if (profile_name != config_.profile.name) {
-    return FailedPreconditionError("checkpoint was written under the \"" +
-                                   profile_name + "\" cost profile, config " +
-                                   "uses \"" + config_.profile.name + "\"");
-  }
-  if (profile_params != config_.profile.num_parameters) {
-    return FailedPreconditionError(
-        "checkpoint's \"" + profile_name + "\" cost profile has " +
-        "num_parameters " + std::to_string(profile_params) + ", config " +
-        std::to_string(config_.profile.num_parameters));
-  }
-  if (profile_compute != config_.profile.compute_seconds) {
-    return FailedPreconditionError(
-        "checkpoint's \"" + profile_name + "\" cost profile has " +
-        "compute_seconds " + ExactDouble(profile_compute) + ", config " +
-        ExactDouble(config_.profile.compute_seconds));
-  }
-  NETMAX_ASSIGN_OR_RETURN(const std::string compress_name, in.ReadString());
-  if (compress_name != ml::CompressionSpecName(config_.compress)) {
-    return FailedPreconditionError(
-        "checkpoint was written with --compress=" + compress_name +
-        ", config uses --compress=" +
-        ml::CompressionSpecName(config_.compress));
-  }
-
-  NETMAX_ASSIGN_OR_RETURN(const double now, in.ReadDouble());
-  NETMAX_ASSIGN_OR_RETURN(const int64_t next_sequence, in.ReadI64());
-  NETMAX_ASSIGN_OR_RETURN(const int64_t processed, in.ReadI64());
-  NETMAX_ASSIGN_OR_RETURN(const uint64_t event_count, in.ReadU64());
-  if (event_count > in.remaining()) {  // every event takes > 1 byte
-    return OutOfRangeError("checkpointed event queue is truncated");
-  }
-  // Grown as read, not reserved: a corrupted count must not allocate ahead
-  // of the bytes that back it.
-  std::vector<net::SimEvent> events;
-  for (uint64_t i = 0; i < event_count; ++i) {
-    net::SimEvent& event = events.emplace_back();
-    NETMAX_ASSIGN_OR_RETURN(event.time, in.ReadDouble());
-    NETMAX_ASSIGN_OR_RETURN(event.sequence, in.ReadI64());
-    NETMAX_ASSIGN_OR_RETURN(event.worker_key, in.ReadInt());
-    NETMAX_ASSIGN_OR_RETURN(event.payload.tag, in.ReadI64());
-    NETMAX_RETURN_IF_ERROR(in.ReadDoubleVec(&event.payload.args));
-  }
-  // A restored cadence tick tells ArmCheckpoint not to arm a duplicate.
-  cadence_tick_restored_ =
-      std::any_of(events.begin(), events.end(), [](const net::SimEvent& event) {
-        return event.payload.tag == kHarnessCadenceTag;
-      });
-  NETMAX_RETURN_IF_ERROR(
-      sim_.RestoreQueue(now, next_sequence, processed, std::move(events)));
-
-  for (auto& worker : workers_) {
-    NETMAX_RETURN_IF_ERROR(RestoreWorker(in, worker));
-  }
-
-  NETMAX_RETURN_IF_ERROR(LoadSeries(in, &loss_vs_time_));
-  NETMAX_RETURN_IF_ERROR(LoadSeries(in, &loss_vs_epoch_));
-  NETMAX_RETURN_IF_ERROR(LoadSeries(in, &accuracy_vs_time_));
-  NETMAX_ASSIGN_OR_RETURN(total_epochs_completed_, in.ReadI64());
-  NETMAX_ASSIGN_OR_RETURN(policies_generated_, in.ReadI64());
-
-  for (int w = 0; w < config_.num_workers; ++w) {
-    NETMAX_ASSIGN_OR_RETURN(const bool alive, in.ReadBool());
-    alive_[static_cast<size_t>(w)] = alive;
-    NETMAX_ASSIGN_OR_RETURN(compute_factor_[static_cast<size_t>(w)],
-                            in.ReadDouble());
-  }
-  NETMAX_ASSIGN_OR_RETURN(faults_injected_, in.ReadI64());
-  NETMAX_ASSIGN_OR_RETURN(rounds_degraded_, in.ReadI64());
-  NETMAX_ASSIGN_OR_RETURN(peers_timed_out_, in.ReadI64());
-  NETMAX_ASSIGN_OR_RETURN(messages_sent_, in.ReadI64());
-  NETMAX_ASSIGN_OR_RETURN(bytes_sent_, in.ReadI64());
-  NETMAX_ASSIGN_OR_RETURN(bytes_saved_, in.ReadI64());
-  NETMAX_ASSIGN_OR_RETURN(cadence_next_index_, in.ReadI64());
-
-  NETMAX_RETURN_IF_ERROR(restore_engine(in));
+  StateIo io(in);
+  NETMAX_RETURN_IF_ERROR(TransferCheckpoint(io, engine_state));
   NETMAX_ASSIGN_OR_RETURN(const uint32_t end_marker, in.ReadU32());
   if (end_marker != kCheckpointEndMarker) {
     return InvalidArgumentError("checkpoint end marker mismatch");
@@ -556,68 +326,116 @@ Status ExperimentHarness::Restore(const EngineStateRestorer& restore_engine) {
   return Status::Ok();
 }
 
-void ExperimentHarness::SaveWorker(Serializer& out,
-                                   const WorkerRuntime& worker) const {
-  for (const uint64_t word : worker.rng.SaveState()) out.WriteU64(word);
-  out.WriteDoubleVec(worker.model->parameters());
-  worker.optimizer->SaveState(out);
-  worker.sampler->SaveState(out);
-  worker.lr_schedule->SaveState(out);
+Status ExperimentHarness::TransferCheckpoint(StateIo& io,
+                                             const EngineStateIo& engine_state) {
+  NETMAX_RETURN_IF_ERROR(TransferFingerprint(io));
+  NETMAX_RETURN_IF_ERROR(TransferQueue(io));
+  for (WorkerRuntime& worker : workers_) {
+    NETMAX_RETURN_IF_ERROR(TransferWorker(io, worker));
+  }
+  NETMAX_RETURN_IF_ERROR(TransferSeries(io, loss_vs_time_));
+  NETMAX_RETURN_IF_ERROR(TransferSeries(io, loss_vs_epoch_));
+  NETMAX_RETURN_IF_ERROR(TransferSeries(io, accuracy_vs_time_));
+  NETMAX_RETURN_IF_ERROR(io(total_epochs_completed_, policies_generated_));
+  // Fault-injection state (version 2): the liveness view, active slowdown
+  // factors, the degradation counters, and the cadence tick index.
+  for (size_t w = 0; w < alive_.size(); ++w) {
+    bool alive = alive_[w];  // std::vector<bool> hands out no bool&
+    NETMAX_RETURN_IF_ERROR(io(alive, compute_factor_[w]));
+    alive_[w] = alive;
+  }
+  NETMAX_RETURN_IF_ERROR(io(faults_injected_, rounds_degraded_,
+                            peers_timed_out_));
+  // Wire accounting (version 3), alongside the fault counters: restored runs
+  // must report the same totals as the uninterrupted run.
+  NETMAX_RETURN_IF_ERROR(io(messages_sent_, bytes_sent_, bytes_saved_,
+                            cadence_next_index_));
+  return engine_state(io);
+}
+
+Status ExperimentHarness::TransferFingerprint(StateIo& io) {
+  // So a restore into a mismatched experiment fails loudly. The cost profile
+  // drives every event time, and the compression spec (version 3) shapes
+  // every transfer time and RNG draw after the snapshot.
+  NETMAX_RETURN_IF_ERROR(io.Same("algorithm", algorithm_name_));
+  NETMAX_RETURN_IF_ERROR(io.Same("num_workers", config_.num_workers));
+  NETMAX_RETURN_IF_ERROR(io.Same("seed", config_.seed));
+  NETMAX_RETURN_IF_ERROR(io.Same("max_epochs", config_.max_epochs));
+  NETMAX_RETURN_IF_ERROR(io.Same(
+      "model parameters", int64_t{workers_[0].model->num_parameters()}));
+  NETMAX_RETURN_IF_ERROR(io.Same("profile.name", config_.profile.name));
+  NETMAX_RETURN_IF_ERROR(
+      io.Same("profile.num_parameters", config_.profile.num_parameters));
+  NETMAX_RETURN_IF_ERROR(
+      io.Same("profile.compute_seconds", config_.profile.compute_seconds));
+  return io.Same("compress", ml::CompressionSpecName(config_.compress));
+}
+
+Status ExperimentHarness::TransferQueue(StateIo& io) {
+  double now = sim_.Now();
+  int64_t next_sequence = sim_.next_sequence();
+  int64_t processed = sim_.num_events_processed();
+  std::vector<net::SimEvent> events;
+  if (!io.restoring()) {
+    NETMAX_ASSIGN_OR_RETURN(events, sim_.SaveQueue());
+    // Pending crash faults are dropped from the snapshot: the entire point
+    // of restoring is to finish the run the crash cut short, so the restored
+    // run must be the fault-free-suffix run — which is exactly the
+    // uninterrupted run, because (a) before the crash time the two runs are
+    // bit-identical (a pending crash event influences nothing until it
+    // fires) and (b) RestoreQueue tolerates the sequence-number gap the
+    // dropped event leaves.
+    std::erase_if(events, [](const net::SimEvent& event) {
+      return event.payload.tag == kHarnessFaultTag &&
+             !event.payload.args.empty() &&
+             static_cast<int>(event.payload.args[0]) ==
+                 static_cast<int>(net::FaultKind::kCrash);
+    });
+  }
+  uint64_t count = events.size();
+  NETMAX_RETURN_IF_ERROR(io(now, next_sequence, processed));
+  NETMAX_RETURN_IF_ERROR(io.Count(count, kMinEventBytes));
+  events.resize(count);
+  for (net::SimEvent& event : events) {
+    NETMAX_RETURN_IF_ERROR(TransferEvent(io, event));
+  }
+  if (!io.restoring()) return Status::Ok();
+  // A restored cadence tick tells ArmCheckpoint not to arm a duplicate.
+  cadence_tick_restored_ =
+      std::any_of(events.begin(), events.end(), [](const net::SimEvent& event) {
+        return event.payload.tag == kHarnessCadenceTag;
+      });
+  return sim_.RestoreQueue(now, next_sequence, processed, std::move(events));
+}
+
+Status ExperimentHarness::TransferWorker(StateIo& io, WorkerRuntime& worker) {
   // The gradient scratch buffer IS part of the run's future: e.g. the
   // parameter-server upload event reads it after the commit that filled it,
   // and a checkpoint can land between the two. (Workspace is pure scratch
   // and batch_indices pairs with the gradient, both rewritten before any
   // read that follows a pending compute's re-evaluation.)
-  out.WriteDoubleVec(worker.gradient);
-  out.WriteIntVec(worker.batch_indices);
-  out.WriteDouble(worker.epoch_loss_sum);
-  out.WriteI64(worker.epoch_batches);
-  out.WriteI64(worker.epochs_completed);
-  out.WriteDouble(worker.latest_epoch_loss);
-  out.WriteBool(worker.has_epoch_loss);
-  out.WriteDouble(worker.compute_cost_total);
-  out.WriteDouble(worker.comm_cost_total);
-  out.WriteI64(worker.iterations);
-  // The compressor schedule index (version 3): a restore must hand out the
-  // same round numbers — and so the same layer-wise masks and payload
-  // byte counts — the uninterrupted run would.
-  out.WriteI64(worker.comm_rounds);
-  out.WriteBool(worker.finished);
-}
-
-Status ExperimentHarness::RestoreWorker(Deserializer& in,
-                                        WorkerRuntime& worker) {
-  std::array<uint64_t, 5> rng_state;
-  for (uint64_t& word : rng_state) {
-    NETMAX_ASSIGN_OR_RETURN(word, in.ReadU64());
-  }
-  worker.rng.RestoreState(rng_state);
-  NETMAX_RETURN_IF_ERROR(in.ReadDoubleSpan(worker.model->parameters()));
-  NETMAX_RETURN_IF_ERROR(worker.optimizer->RestoreState(in));
-  NETMAX_RETURN_IF_ERROR(worker.sampler->RestoreState(in));
-  NETMAX_RETURN_IF_ERROR(worker.lr_schedule->RestoreState(in));
-  NETMAX_RETURN_IF_ERROR(in.ReadDoubleSpan(worker.gradient));
-  NETMAX_RETURN_IF_ERROR(in.ReadIntVec(&worker.batch_indices));
+  NETMAX_RETURN_IF_ERROR(io(worker.rng, worker.model->parameters(),
+                            *worker.optimizer, *worker.sampler,
+                            *worker.lr_schedule,
+                            std::span<double>(worker.gradient),
+                            worker.batch_indices));
   // A pending compute half reads the shard at these indices.
   for (const int index : worker.batch_indices) {
-    if (index < 0 || index >= worker.shard.size()) {
+    if (io.restoring() && (index < 0 || index >= worker.shard.size())) {
       return InvalidArgumentError(
           "checkpointed batch index " + std::to_string(index) +
           " is outside worker " + std::to_string(worker.id) + "'s shard of " +
           std::to_string(worker.shard.size()));
     }
   }
-  NETMAX_ASSIGN_OR_RETURN(worker.epoch_loss_sum, in.ReadDouble());
-  NETMAX_ASSIGN_OR_RETURN(worker.epoch_batches, in.ReadI64());
-  NETMAX_ASSIGN_OR_RETURN(worker.epochs_completed, in.ReadI64());
-  NETMAX_ASSIGN_OR_RETURN(worker.latest_epoch_loss, in.ReadDouble());
-  NETMAX_ASSIGN_OR_RETURN(worker.has_epoch_loss, in.ReadBool());
-  NETMAX_ASSIGN_OR_RETURN(worker.compute_cost_total, in.ReadDouble());
-  NETMAX_ASSIGN_OR_RETURN(worker.comm_cost_total, in.ReadDouble());
-  NETMAX_ASSIGN_OR_RETURN(worker.iterations, in.ReadI64());
-  NETMAX_ASSIGN_OR_RETURN(worker.comm_rounds, in.ReadI64());
-  NETMAX_ASSIGN_OR_RETURN(worker.finished, in.ReadBool());
-  return Status::Ok();
+  // The compressor schedule index comm_rounds (version 3): a restore must
+  // hand out the same round numbers — and so the same layer-wise masks and
+  // payload byte counts — the uninterrupted run would.
+  return io(worker.epoch_loss_sum, worker.epoch_batches,
+            worker.epochs_completed, worker.latest_epoch_loss,
+            worker.has_epoch_loss, worker.compute_cost_total,
+            worker.comm_cost_total, worker.iterations, worker.comm_rounds,
+            worker.finished);
 }
 
 }  // namespace netmax::core

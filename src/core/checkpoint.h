@@ -26,19 +26,21 @@
 //    relative ordering, which is why checkpointed and checkpoint-free runs
 //    also match each other bit for bit.
 //
+// Every checkpointed type states its layout once, in a
+// `Status TransferState(StateIo&)` (common/serialize.h) that both saves and
+// restores it, so the two directions cannot drift apart. Only the header,
+// the event queue and the end marker are direction-specific.
+//
 // The harness-side entry points (ArmCheckpoint / Restore / restore_requested)
 // are declared on ExperimentHarness in core/experiment.h and implemented in
-// core/checkpoint.cc; this header has the wire-format constants, the file
-// helpers, and the serialization helpers engines use.
+// core/checkpoint.cc; this header has the wire-format constants and the file
+// helpers.
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
-#include "common/serialize.h"
-#include "common/stats.h"
 #include "common/status.h"
-#include "linalg/matrix.h"
 #include "net/event_sim.h"
 
 namespace netmax::core {
@@ -65,19 +67,6 @@ inline constexpr uint32_t kCheckpointVersion = 4;
 Status WriteCheckpointFile(const std::string& path,
                            const std::vector<uint8_t>& bytes);
 StatusOr<std::vector<uint8_t>> ReadCheckpointFile(const std::string& path);
-
-// Matrix round trip (policy matrices, EMA grids).
-void SaveMatrix(Serializer& out, const linalg::Matrix& matrix);
-StatusOr<linalg::Matrix> LoadMatrix(Deserializer& in);
-
-// Per-link iteration-time EMA grid round trip (the monitor's
-// UPDATETIMEVECTOR state in the NetMax and AD-PSGD+Monitor engines). Restore
-// requires `grid` to be pre-sized to the saved shape — the engine builds it
-// from the config before restoring — and keeps each cell's beta.
-void SaveEmaGrid(Serializer& out,
-                 const std::vector<std::vector<ExponentialMovingAverage>>& grid);
-Status RestoreEmaGrid(Deserializer& in,
-                      std::vector<std::vector<ExponentialMovingAverage>>* grid);
 
 }  // namespace netmax::core
 

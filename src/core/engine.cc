@@ -13,22 +13,21 @@ StatusOr<RunResult> Engine::Run() {
   NETMAX_RETURN_IF_ERROR(Setup());
   harness_.set_engine_builder(
       [this](net::SimEvent& event) { return BuildEvent(event); });
+  // The checkpoint's engine blob: the parked flags, then the engine's own.
+  const ExperimentHarness::EngineStateIo engine_state = [this](StateIo& io) {
+    for (uint8_t& parked : parked_) {
+      bool flag = parked != 0;
+      NETMAX_RETURN_IF_ERROR(io(flag));
+      parked = flag ? 1 : 0;
+    }
+    return TransferState(io);
+  };
   if (harness_.restore_requested()) {
-    NETMAX_RETURN_IF_ERROR(harness_.Restore([this](Deserializer& in) {
-      for (uint8_t& parked : parked_) {
-        NETMAX_ASSIGN_OR_RETURN(const bool flag, in.ReadBool());
-        parked = flag ? 1 : 0;
-      }
-      return RestoreState(in);
-    }));
+    NETMAX_RETURN_IF_ERROR(harness_.Restore(engine_state));
   } else {
     Start();
   }
-  harness_.ArmCheckpoint([this](Serializer& out) {
-    for (const uint8_t parked : parked_) out.WriteBool(parked != 0);
-    SaveState(out);
-    return Status::Ok();
-  });
+  harness_.ArmCheckpoint(engine_state);
   harness_.set_fault_listener([this](const net::FaultEvent& fault) {
     if (fault.kind == net::FaultKind::kJoin &&
         parked_[static_cast<size_t>(fault.worker)] != 0) {
@@ -168,23 +167,19 @@ std::vector<double> RoundEngine::MeanGradient(bool decode, int64_t round) {
   return mean;
 }
 
-void RoundEngine::SaveState(Serializer& out) const {
-  out.WriteIntVec(members_);
-  out.WriteInt(pending_);
-  out.WriteBool(round_waiting_);
-}
-
-Status RoundEngine::RestoreState(Deserializer& in) {
-  NETMAX_RETURN_IF_ERROR(in.ReadIntVec(&members_));
+Status RoundEngine::TransferState(StateIo& io) {
+  NETMAX_RETURN_IF_ERROR(io(members_));
   for (int w : members_) {
-    if (!IsWorker(w)) return InvalidArgumentError("round member out of range");
+    if (io.restoring() && !IsWorker(w)) {
+      return InvalidArgumentError("round member out of range");
+    }
   }
-  NETMAX_ASSIGN_OR_RETURN(pending_, in.ReadInt());
-  if (pending_ < 0 || pending_ > static_cast<int>(members_.size())) {
+  NETMAX_RETURN_IF_ERROR(io(pending_));
+  if (io.restoring() &&
+      (pending_ < 0 || pending_ > static_cast<int>(members_.size()))) {
     return InvalidArgumentError("pending commit count out of range");
   }
-  NETMAX_ASSIGN_OR_RETURN(round_waiting_, in.ReadBool());
-  return Status::Ok();
+  return io(round_waiting_);
 }
 
 }  // namespace netmax::core

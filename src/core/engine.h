@@ -6,8 +6,8 @@
 //
 // An engine supplies three things: its event kinds (small non-negative tags
 // with double args, core/checkpoint.h), one BuildEvent that fills an event's
-// closures from its tag and args, and a checkpoint blob for whatever state
-// the harness does not own. Engine::Run does the rest, the same way for
+// closures from its tag and args, and one TransferState that saves and
+// restores whatever state the harness does not own. Engine::Run does the rest, the same way for
 // every algorithm:
 //
 //   harness Init -> Setup -> hand BuildEvent to the harness ->
@@ -63,9 +63,9 @@ class Engine {
   // Fills the closures of one event description (see GradientEvent and
   // PlainEvent); rejects an unknown tag or malformed args with Malformed.
   virtual Status BuildEvent(net::SimEvent& event) = 0;
-  // The engine blob of a checkpoint, after the skeleton's parked flags.
-  virtual void SaveState(Serializer& /*out*/) const {}
-  virtual Status RestoreState(Deserializer& /*in*/) { return Status::Ok(); }
+  // The engine blob of a checkpoint, after the skeleton's parked flags: one
+  // field list that both saves and restores (common/serialize.h).
+  virtual Status TransferState(StateIo& /*io*/) { return Status::Ok(); }
   // Starts worker w's next iteration (chain engines). The kJoin listener
   // calls it for a parked chain.
   virtual void StartIteration(int /*w*/) {}
@@ -141,8 +141,7 @@ class RoundEngine : public Engine {
 
   void Start() override;
   Status BuildEvent(net::SimEvent& event) override;
-  void SaveState(Serializer& out) const override;
-  Status RestoreState(Deserializer& in) override;
+  Status TransferState(StateIo& io) override;
 
  private:
   void RunRound();

@@ -547,9 +547,9 @@ class ExperimentHarness {
   void CountPolicyGenerated() { ++policies_generated_; }
 
   // --- checkpoint / restore (implemented in core/checkpoint.cc) ---
-  // Serializes/restores the engine's own state blob within the checkpoint.
-  using EngineStateSaver = std::function<Status(Serializer&)>;
-  using EngineStateRestorer = std::function<Status(Deserializer&)>;
+  // Transfers the engine's own state blob within the checkpoint, in either
+  // direction (common/serialize.h).
+  using EngineStateIo = std::function<Status(StateIo&)>;
 
   // True when the config asks this run to resume from a checkpoint.
   bool restore_requested() const {
@@ -568,13 +568,13 @@ class ExperimentHarness {
   // The engine calls this after Init() and after rebuilding its deterministic
   // setup (policies, monitors, topologies), INSTEAD of scheduling its initial
   // events: the restored queue already holds them, rebuilt through the
-  // simulator's builder. `restore_engine` reads the engine state blob.
-  Status Restore(const EngineStateRestorer& restore_engine);
+  // simulator's builder. `engine_state` reads the engine state blob.
+  Status Restore(const EngineStateIo& engine_state);
 
   // Arms the configured checkpoints (no-op when none are):
   //  * one-shot — a tagged plain event at config.checkpoint_at_seconds that
   //    quiesces in-flight speculation, serializes the full experiment state
-  //    plus the engine blob from `save_engine`, and writes it to the
+  //    plus the engine blob from `engine_state`, and writes it to the
   //    configured sink/path. A checkpoint time past the run's last event
   //    fails via checkpoint_status() rather than write a dead checkpoint.
   //  * periodic cadence — a self-rechaining tick every
@@ -587,7 +587,7 @@ class ExperimentHarness {
   //    would have, so restored and uninterrupted runs stay bit-identical.
   // The run continues after every save. Failures surface through
   // checkpoint_status(), which engines propagate after the run completes.
-  void ArmCheckpoint(EngineStateSaver save_engine);
+  void ArmCheckpoint(EngineStateIo engine_state);
 
   // Ok unless an armed checkpoint failed to serialize or write.
   const Status& checkpoint_status() const { return checkpoint_status_; }
@@ -616,12 +616,15 @@ class ExperimentHarness {
   Status BuildHarnessEvent(net::SimEvent& event);
   void OneShotCheckpoint(double at);
   void CadenceTick(int64_t tick_index);
-  StatusOr<std::vector<uint8_t>> SerializeCheckpoint(
-      const EngineStateSaver& save_engine);
-  Status SaveCheckpoint(const EngineStateSaver& save_engine);
+  StatusOr<std::vector<uint8_t>> SerializeCheckpoint();
+  Status SaveCheckpoint();
   Status SavePeriodicCheckpoint(int64_t tick_index);
-  void SaveWorker(Serializer& out, const WorkerRuntime& worker) const;
-  Status RestoreWorker(Deserializer& in, WorkerRuntime& worker);
+  // The checkpoint between its header and its end marker, in file order;
+  // the one field list both SerializeCheckpoint and Restore run.
+  Status TransferCheckpoint(StateIo& io, const EngineStateIo& engine_state);
+  Status TransferFingerprint(StateIo& io);
+  Status TransferQueue(StateIo& io);
+  Status TransferWorker(StateIo& io, WorkerRuntime& worker);
 
   ExperimentConfig config_;
   std::string algorithm_name_;
@@ -669,12 +672,12 @@ class ExperimentHarness {
 
   // Outcome of the armed checkpoint(s), if any.
   Status checkpoint_status_;
-  // Periodic-cadence state: the saver ArmCheckpoint captured, the index the
-  // next tick will carry (checkpointed, so a restored run's `<path>.t<k>`
-  // history continues where the crashed run's left off), and whether the
-  // restored queue already holds a pending tick (in which case ArmCheckpoint
-  // must not arm a duplicate).
-  EngineStateSaver checkpoint_saver_;
+  // Periodic-cadence state: the engine state ArmCheckpoint captured, the
+  // index the next tick will carry (checkpointed, so a restored run's
+  // `<path>.t<k>` history continues where the crashed run's left off), and
+  // whether the restored queue already holds a pending tick (in which case
+  // ArmCheckpoint must not arm a duplicate).
+  EngineStateIo engine_state_;
   int64_t cadence_next_index_ = 1;
   bool cadence_tick_restored_ = false;
 };

@@ -194,24 +194,39 @@ Status PullEngine::BuildEvent(net::SimEvent& event) {
   return Malformed(event);
 }
 
-void PullEngine::SaveState(Serializer& out) const {
+Status PullEngine::TransferState(StateIo& io) {
   // Only a monitor moves the policy; the EMAs exist only with one.
-  if (monitor_ == nullptr) return;
-  SaveMatrix(out, policy_->matrix());
-  out.WriteDouble(rho_);
-  SaveEmaGrid(out, ema_times_);
-}
-
-Status PullEngine::RestoreState(Deserializer& in) {
   if (monitor_ == nullptr) return Status::Ok();
-  NETMAX_ASSIGN_OR_RETURN(linalg::Matrix matrix, LoadMatrix(in));
-  const int n = harness_.num_workers();
-  if (matrix.rows() != n || matrix.cols() != n) {
-    return InvalidArgumentError("checkpoint policy matrix shape mismatch");
+  linalg::Matrix matrix = policy_->matrix();
+  NETMAX_RETURN_IF_ERROR(matrix.TransferState(io));
+  if (io.restoring()) {
+    const int n = harness_.num_workers();
+    if (matrix.rows() != n || matrix.cols() != n) {
+      return InvalidArgumentError("checkpoint policy matrix shape mismatch");
+    }
+    policy_ = std::make_unique<CommunicationPolicy>(std::move(matrix));
   }
-  policy_ = std::make_unique<CommunicationPolicy>(std::move(matrix));
-  NETMAX_ASSIGN_OR_RETURN(rho_, in.ReadDouble());
-  return RestoreEmaGrid(in, &ema_times_);
+  NETMAX_RETURN_IF_ERROR(io(rho_));
+  // The per-link iteration-time EMAs (the monitor's UPDATETIMEVECTOR state).
+  // The grid is built from the config before a restore, which must find the
+  // saved shape; each cell keeps its beta.
+  uint64_t rows = ema_times_.size();
+  NETMAX_RETURN_IF_ERROR(io(rows));
+  if (io.restoring() && rows != ema_times_.size()) {
+    return InvalidArgumentError("checkpointed EMA grid row count mismatch");
+  }
+  for (std::vector<ExponentialMovingAverage>& row : ema_times_) {
+    uint64_t cols = row.size();
+    NETMAX_RETURN_IF_ERROR(io(cols));
+    if (io.restoring() && cols != row.size()) {
+      return InvalidArgumentError("checkpointed EMA grid column count "
+                                  "mismatch");
+    }
+    for (ExponentialMovingAverage& ema : row) {
+      NETMAX_RETURN_IF_ERROR(io(ema));
+    }
+  }
+  return Status::Ok();
 }
 
 }  // namespace netmax::core

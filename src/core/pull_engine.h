@@ -83,8 +83,7 @@ class PullEngine : public Engine {
 
   void StartIteration(int w) override;
   Status BuildEvent(net::SimEvent& event) override;
-  void SaveState(Serializer& out) const override;
-  Status RestoreState(Deserializer& in) override;
+  Status TransferState(StateIo& io) override;
 
   std::unique_ptr<CommunicationPolicy> policy_;
   // The consensus strength of the monitor's latest policy (NetMax's mix is

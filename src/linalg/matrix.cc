@@ -123,4 +123,15 @@ double Matrix::MaxAbsDiff(const Matrix& a, const Matrix& b) {
   return best;
 }
 
+Status Matrix::TransferState(StateIo& io) {
+  NETMAX_RETURN_IF_ERROR(io(rows_, cols_));
+  if (io.restoring()) {
+    if (rows_ < 0 || cols_ < 0) {
+      return InvalidArgumentError("checkpointed matrix has negative shape");
+    }
+    data_.assign(static_cast<size_t>(rows_) * static_cast<size_t>(cols_), 0.0);
+  }
+  return io(std::span<double>(data_));
+}
+
 }  // namespace netmax::linalg

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "common/logging.h"
+#include "common/serialize.h"
 
 namespace netmax::linalg {
 
@@ -81,6 +82,10 @@ class Matrix {
   // Raw row-major storage for kernel-level access (linalg-internal hot loops
   // that must bypass the per-element bounds checks of operator()).
   std::span<double> mutable_data() { return data_; }
+
+  // Checkpoint support: the shape, then the entries. A restore takes the
+  // stored shape.
+  Status TransferState(StateIo& io);
 
  private:
   int rows_ = 0;

@@ -1,7 +1,6 @@
 #include "ml/dataset.h"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 
 #include "linalg/vector_ops.h"
@@ -329,35 +328,21 @@ int64_t BatchSampler::batches_per_epoch() const {
   return (dataset_->size() + batch_size_ - 1) / batch_size_;
 }
 
-void BatchSampler::SaveState(Serializer& out) const {
-  for (const uint64_t word : rng_.SaveState()) out.WriteU64(word);
-  out.WriteIntVec(order_);
-  out.WriteU64(cursor_);
-  out.WriteI64(epochs_completed_);
-}
-
-Status BatchSampler::RestoreState(Deserializer& in) {
-  std::array<uint64_t, 5> rng_state;
-  for (uint64_t& word : rng_state) {
-    NETMAX_ASSIGN_OR_RETURN(word, in.ReadU64());
-  }
-  std::vector<int> order;
-  NETMAX_RETURN_IF_ERROR(in.ReadIntVec(&order));
-  if (order.size() != order_.size()) {
+Status BatchSampler::TransferState(StateIo& io) {
+  const size_t shard_size = order_.size();
+  NETMAX_RETURN_IF_ERROR(io(rng_, order_));
+  if (io.restoring() && order_.size() != shard_size) {
     return InvalidArgumentError(
         "checkpointed sampler permutation covers " +
-        std::to_string(order.size()) + " examples, shard has " +
-        std::to_string(order_.size()));
+        std::to_string(order_.size()) + " examples, shard has " +
+        std::to_string(shard_size));
   }
-  NETMAX_ASSIGN_OR_RETURN(const uint64_t cursor, in.ReadU64());
-  if (cursor > order.size()) {
+  uint64_t cursor = cursor_;
+  NETMAX_RETURN_IF_ERROR(io(cursor, epochs_completed_));
+  if (io.restoring() && cursor > order_.size()) {
     return InvalidArgumentError("checkpointed sampler cursor out of range");
   }
-  NETMAX_ASSIGN_OR_RETURN(const int64_t epochs, in.ReadI64());
-  rng_.RestoreState(rng_state);
-  order_ = std::move(order);
   cursor_ = static_cast<size_t>(cursor);
-  epochs_completed_ = epochs;
   return Status::Ok();
 }
 

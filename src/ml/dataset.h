@@ -134,12 +134,11 @@ class BatchSampler {
   int64_t batches_per_epoch() const;
   int batch_size() const { return batch_size_; }
 
-  // Checkpoint support: serializes/restores the shuffle RNG, the current
-  // epoch's permutation, and the position within it. The dataset pointer and
-  // batch size stay whatever this instance was constructed with; RestoreState
+  // Checkpoint support: the shuffle RNG, the current epoch's permutation,
+  // the position within it, and the epoch count. The dataset pointer and
+  // batch size stay whatever this instance was constructed with; a restore
   // rejects a saved permutation whose length differs from the shard size.
-  void SaveState(Serializer& out) const;
-  Status RestoreState(Deserializer& in);
+  Status TransferState(StateIo& io);
 
  private:
   void Reshuffle();

@@ -29,24 +29,16 @@ void SgdOptimizer::Step(std::span<double> parameters,
   }
 }
 
-void SgdOptimizer::SaveState(Serializer& out) const {
-  out.WriteDoubleVec(velocity_);
-  out.WriteDouble(options_.learning_rate);
-}
-
-Status SgdOptimizer::RestoreState(Deserializer& in) {
-  std::vector<double> velocity;
-  NETMAX_RETURN_IF_ERROR(in.ReadDoubleVec(&velocity));
-  if (velocity.size() != velocity_.size()) {
+Status SgdOptimizer::TransferState(StateIo& io) {
+  const size_t num_parameters = velocity_.size();
+  NETMAX_RETURN_IF_ERROR(io(velocity_));
+  if (io.restoring() && velocity_.size() != num_parameters) {
     return InvalidArgumentError(
-        "checkpointed velocity has " + std::to_string(velocity.size()) +
-        " entries, optimizer has " + std::to_string(velocity_.size()) +
+        "checkpointed velocity has " + std::to_string(velocity_.size()) +
+        " entries, optimizer has " + std::to_string(num_parameters) +
         " parameters");
   }
-  NETMAX_ASSIGN_OR_RETURN(const double lr, in.ReadDouble());
-  velocity_ = std::move(velocity);
-  options_.learning_rate = lr;
-  return Status::Ok();
+  return io(options_.learning_rate);
 }
 
 StepDecayLr::StepDecayLr(double initial_lr, double factor,
@@ -62,15 +54,6 @@ double StepDecayLr::OnEpochEnd(int64_t epoch, double /*epoch_loss*/) {
     if (epoch == milestone) current_ *= factor_;
   }
   return current_;
-}
-
-void StepDecayLr::SaveState(Serializer& out) const {
-  out.WriteDouble(current_);
-}
-
-Status StepDecayLr::RestoreState(Deserializer& in) {
-  NETMAX_ASSIGN_OR_RETURN(current_, in.ReadDouble());
-  return Status::Ok();
 }
 
 PlateauDecayLr::PlateauDecayLr(double initial_lr, double factor, int patience,
@@ -98,19 +81,6 @@ double PlateauDecayLr::OnEpochEnd(int64_t /*epoch*/, double epoch_loss) {
     }
   }
   return current_;
-}
-
-void PlateauDecayLr::SaveState(Serializer& out) const {
-  out.WriteDouble(current_);
-  out.WriteDouble(best_loss_);
-  out.WriteI64(stale_epochs_);
-}
-
-Status PlateauDecayLr::RestoreState(Deserializer& in) {
-  NETMAX_ASSIGN_OR_RETURN(current_, in.ReadDouble());
-  NETMAX_ASSIGN_OR_RETURN(best_loss_, in.ReadDouble());
-  NETMAX_ASSIGN_OR_RETURN(stale_epochs_, in.ReadInt());
-  return Status::Ok();
 }
 
 }  // namespace netmax::ml

@@ -35,11 +35,10 @@ class SgdOptimizer {
   void set_learning_rate(double lr) { options_.learning_rate = lr; }
   const SgdOptions& options() const { return options_; }
 
-  // Checkpoint support: serializes/restores the velocity buffer and current
-  // learning rate. RestoreState rejects a velocity vector whose length
-  // differs from this optimizer's parameter count.
-  void SaveState(Serializer& out) const;
-  Status RestoreState(Deserializer& in);
+  // Checkpoint support: the velocity buffer and the current learning rate.
+  // A restore rejects a velocity vector whose length differs from this
+  // optimizer's parameter count.
+  Status TransferState(StateIo& io);
 
  private:
   SgdOptions options_;
@@ -54,10 +53,9 @@ class LrSchedule {
   virtual double OnEpochEnd(int64_t epoch, double epoch_loss) = 0;
   virtual double initial_learning_rate() const = 0;
 
-  // Checkpoint support: a schedule serializes its mutable fields (not its
+  // Checkpoint support: a schedule transfers its mutable fields (not its
   // construction parameters, which the harness rebuilds from the config).
-  virtual void SaveState(Serializer& out) const = 0;
-  virtual Status RestoreState(Deserializer& in) = 0;
+  virtual Status TransferState(StateIo& io) = 0;
 };
 
 // Multiplies the rate by `factor` at each listed epoch (paper Section V-F:
@@ -68,8 +66,7 @@ class StepDecayLr : public LrSchedule {
               std::vector<int64_t> milestones);
   double OnEpochEnd(int64_t epoch, double epoch_loss) override;
   double initial_learning_rate() const override { return initial_lr_; }
-  void SaveState(Serializer& out) const override;
-  Status RestoreState(Deserializer& in) override;
+  Status TransferState(StateIo& io) override { return io(current_); }
 
  private:
   double initial_lr_;
@@ -87,8 +84,9 @@ class PlateauDecayLr : public LrSchedule {
                  double min_delta = 1e-3);
   double OnEpochEnd(int64_t epoch, double epoch_loss) override;
   double initial_learning_rate() const override { return initial_lr_; }
-  void SaveState(Serializer& out) const override;
-  Status RestoreState(Deserializer& in) override;
+  Status TransferState(StateIo& io) override {
+    return io(current_, best_loss_, stale_epochs_);
+  }
 
  private:
   double initial_lr_;

@@ -617,19 +617,18 @@ TEST(CheckpointErrors, BatchIndexOutsideTheShardIsRejected) {
   std::vector<uint8_t> checkpoint = FaultedCheckpoint();
   size_t offset = 0;
   PendingEvents(checkpoint, nullptr, &offset);
-  // Walk worker 0's state up to its batch indices (the layout SaveWorker
-  // writes), restoring the variable-length parts into a scratch harness.
+  // Walk worker 0's state up to its batch indices (the layout the harness's
+  // worker field list transfers), restoring the variable-length parts into
+  // a scratch harness.
   const ExperimentConfig config = FaultedConfig();
   core::ExperimentHarness scratch(config, "gossip");
   NETMAX_CHECK_OK(scratch.Init());
   core::WorkerRuntime& worker = scratch.worker(0);
   Deserializer in(std::span<const uint8_t>(checkpoint).subspan(offset));
-  for (int i = 0; i < 5; ++i) in.ReadU64().value();  // rng state
-  NETMAX_CHECK_OK(in.ReadDoubleSpan(worker.model->parameters()));
-  NETMAX_CHECK_OK(worker.optimizer->RestoreState(in));
-  NETMAX_CHECK_OK(worker.sampler->RestoreState(in));
-  NETMAX_CHECK_OK(worker.lr_schedule->RestoreState(in));
-  NETMAX_CHECK_OK(in.ReadDoubleSpan(worker.gradient));
+  StateIo io(in);
+  NETMAX_CHECK_OK(io(worker.rng, worker.model->parameters(), *worker.optimizer,
+                     *worker.sampler, *worker.lr_schedule,
+                     std::span<double>(worker.gradient)));
   // batch_indices: a u64 count, then i64 indices.
   ASSERT_GT(in.ReadU64().value(), 0u);
   PatchWord(checkpoint, checkpoint.size() - in.remaining(),

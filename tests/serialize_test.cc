@@ -1,10 +1,12 @@
 // common/serialize.h: the wire format under every checkpoint. Round trips
 // must be bit-exact (doubles travel as IEEE-754 bit patterns) and every read
 // must fail with kOutOfRange instead of walking off a truncated buffer.
+// StateIo runs one field list in both directions over the same encodings.
 
 #include "common/serialize.h"
 
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <span>
@@ -123,6 +125,132 @@ TEST(SerializeTest, TruncationIsOutOfRangeNotUb) {
     ASSERT_FALSE(second.ok()) << "cut=" << cut;
     EXPECT_EQ(second.status().code(), StatusCode::kOutOfRange);
   }
+}
+
+// A checkpointed type with one field of every StateIo encoding, plus a
+// nested type that transfers through its own TransferState.
+struct Inner {
+  int64_t count = 0;
+  Status TransferState(StateIo& io) { return io(count); }
+};
+
+struct AllFields {
+  double rate = 0.0;
+  int64_t signed_wide = 0;
+  uint64_t unsigned_wide = 0;
+  int narrow = 0;
+  bool flag = false;
+  std::string name;
+  std::vector<double> doubles;
+  std::vector<int> ints;
+  std::vector<double> fixed = std::vector<double>(2, 0.0);
+  Inner inner;
+
+  Status TransferState(StateIo& io) {
+    return io(rate, signed_wide, unsigned_wide, narrow, flag, name, doubles,
+              ints, std::span<double>(fixed), inner);
+  }
+};
+
+TEST(StateIoTest, OneFieldListSavesAndRestoresTheSerializerBytes) {
+  AllFields saved;
+  saved.rate = 0.1;
+  saved.signed_wide = -5;
+  saved.unsigned_wide = 0xFEDCBA9876543210ull;
+  saved.narrow = -3;
+  saved.flag = true;
+  saved.name = "netmax";
+  saved.doubles = {1.5, -0.0};
+  saved.ints = {4, -2, 7};
+  saved.fixed = {8.0, 9.0};
+  saved.inner.count = 11;
+  Serializer out;
+  StateIo save(out);
+  NETMAX_EXPECT_OK(save(saved));
+
+  // The same bytes the Serializer writes field by field.
+  Serializer expected;
+  expected.WriteDouble(0.1);
+  expected.WriteI64(-5);
+  expected.WriteU64(0xFEDCBA9876543210ull);
+  expected.WriteInt(-3);
+  expected.WriteBool(true);
+  expected.WriteString("netmax");
+  expected.WriteDoubleVec(saved.doubles);
+  expected.WriteIntVec(saved.ints);
+  expected.WriteDoubleVec(saved.fixed);
+  expected.WriteI64(11);
+  EXPECT_EQ(out.bytes(), expected.bytes());
+
+  AllFields restored;
+  restored.doubles = {99.0, 98.0, 97.0};  // replaced, not appended to
+  Deserializer in(out.bytes());
+  StateIo restore(in);
+  EXPECT_TRUE(restore.restoring());
+  NETMAX_EXPECT_OK(restore(restored));
+  EXPECT_TRUE(in.AtEnd());
+  EXPECT_EQ(restored.rate, saved.rate);
+  EXPECT_EQ(restored.signed_wide, saved.signed_wide);
+  EXPECT_EQ(restored.unsigned_wide, saved.unsigned_wide);
+  EXPECT_EQ(restored.narrow, saved.narrow);
+  EXPECT_EQ(restored.flag, saved.flag);
+  EXPECT_EQ(restored.name, saved.name);
+  ASSERT_EQ(restored.doubles.size(), 2u);
+  EXPECT_EQ(restored.doubles[0], 1.5);
+  EXPECT_TRUE(std::signbit(restored.doubles[1]));
+  EXPECT_EQ(restored.ints, saved.ints);
+  EXPECT_EQ(restored.fixed, saved.fixed);
+  EXPECT_EQ(restored.inner.count, saved.inner.count);
+}
+
+TEST(StateIoTest, SameNamesTheFieldAndBothValues) {
+  Serializer out;
+  StateIo save(out);
+  NETMAX_EXPECT_OK(save.Same("learning_rate", 0.1));
+  NETMAX_EXPECT_OK(save.Same("hidden_layers", std::vector<int>{32, 16}));
+
+  Deserializer same_in(out.bytes());
+  StateIo same(same_in);
+  NETMAX_EXPECT_OK(same.Same("learning_rate", 0.1));
+  NETMAX_EXPECT_OK(same.Same("hidden_layers", std::vector<int>{32, 16}));
+
+  Deserializer rate_in(out.bytes());
+  StateIo rate(rate_in);
+  const Status status = rate.Same("learning_rate", 0.2);
+  EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(status.message().find("learning_rate = 0.1"), std::string::npos)
+      << status;
+  EXPECT_NE(status.message().find("0.2"), std::string::npos) << status;
+
+  Deserializer layers_in(out.bytes());
+  StateIo layers(layers_in);
+  NETMAX_EXPECT_OK(layers.Same("learning_rate", 0.1));
+  const Status shape = layers.Same("hidden_layers", std::vector<int>{32});
+  EXPECT_EQ(shape.code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(shape.message().find("hidden_layers = [32, 16]"),
+            std::string::npos)
+      << shape;
+}
+
+TEST(StateIoTest, RestoreRejectsAWrongSpanLengthAndAnOverlongCount) {
+  Serializer out;
+  out.WriteDoubleVec(std::vector<double>{1.0, 2.0, 3.0});
+
+  std::vector<double> wrong(4, 0.0);
+  Deserializer span_in(out.bytes());
+  StateIo span_io(span_in);
+  EXPECT_EQ(span_io(std::span<double>(wrong)).code(), StatusCode::kOutOfRange);
+
+  // A length prefix claiming more elements than the bytes left can hold
+  // fails before anything is allocated.
+  Serializer overlong;
+  overlong.WriteU64(1u << 20);
+  overlong.WriteDouble(1.0);
+  std::vector<double> values;
+  Deserializer count_in(overlong.bytes());
+  StateIo count_io(count_in);
+  EXPECT_EQ(count_io(values).code(), StatusCode::kOutOfRange);
+  EXPECT_TRUE(values.empty());
 }
 
 TEST(SerializeTest, ReadIntRejectsValuesThatDoNotFit) {
