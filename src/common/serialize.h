@@ -16,6 +16,7 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "common/status.h"
@@ -88,6 +89,11 @@ std::string FieldText(uint64_t value);
 std::string FieldText(int value);
 std::string FieldText(bool value);
 std::string FieldText(const std::string& value);
+template <typename E>
+  requires std::is_enum_v<E>
+std::string FieldText(E value) {
+  return FieldText(static_cast<int64_t>(value));
+}
 template <typename T>
 std::string FieldText(const std::vector<T>& values) {
   std::string text = "[";
@@ -104,10 +110,10 @@ std::string FieldText(const std::vector<T>& values) {
 //
 //   Status Foo::TransferState(StateIo& io) { return io(count_, weights_); }
 //
-// Encodings: double, int64_t and uint64_t as 8 bytes; int as an I64,
-// narrowed on read (kOutOfRange if it does not fit); bool as a U32;
-// std::string and std::vector<T> behind a u64 length; std::span<double> the
-// same way, except that on restore the stored length must equal the span's
+// Encodings: double, int64_t and uint64_t as 8 bytes; int and enums as an
+// I64 (an int is narrowed on read, kOutOfRange if it does not fit); bool as a
+// U32; std::string and std::vector<T> behind a u64 length; std::span<double>
+// the same way, except that on restore the stored length must equal the span's
 // (kOutOfRange otherwise, as Deserializer::ReadDoubleSpan). A type with a
 // `Status TransferState(StateIo&)` member transfers through it. Checks that
 // only a restore needs sit next to their field, under restoring().
@@ -150,6 +156,14 @@ class StateIo {
   Status Transfer(bool& value);
   Status Transfer(std::string& value);
   Status Transfer(std::span<double> values);
+  template <typename E>
+    requires std::is_enum_v<E>
+  Status Transfer(E& value) {
+    auto raw = static_cast<int64_t>(value);
+    NETMAX_RETURN_IF_ERROR(Transfer(raw));
+    value = static_cast<E>(raw);
+    return Status::Ok();
+  }
   // Every element type in use takes at least 8 bytes on the wire.
   template <typename T>
   Status Transfer(std::vector<T>& values) {

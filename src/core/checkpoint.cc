@@ -233,13 +233,6 @@ Status ExperimentHarness::BuildHarnessEvent(net::SimEvent& event) {
 StatusOr<std::vector<uint8_t>> ExperimentHarness::SerializeCheckpoint() {
   NETMAX_CHECK(engine_state_ != nullptr)
       << "checkpoint armed without the engine's state";
-  // Quiesce: invalidate every speculated compute evaluation so all state
-  // below is at its committed value. The simulator re-dispatches the
-  // invalidated evaluations after this handler returns; compute halves are
-  // pure, so the re-evaluations reproduce the same bits and the run
-  // continues unperturbed.
-  for (int w = 0; w < config_.num_workers; ++w) sim_.NotifyStateWrite(w);
-
   Serializer out;
   out.WriteU32(kCheckpointMagic);
   out.WriteU32(kCheckpointVersion);
@@ -326,12 +319,14 @@ Status ExperimentHarness::Restore(const EngineStateIo& engine_state) {
   return Status::Ok();
 }
 
-Status ExperimentHarness::TransferCheckpoint(StateIo& io,
-                                             const EngineStateIo& engine_state) {
+Status ExperimentHarness::TransferCheckpoint(
+    StateIo& io, const EngineStateIo& engine_state) {
   NETMAX_RETURN_IF_ERROR(TransferFingerprint(io));
-  NETMAX_RETURN_IF_ERROR(TransferQueue(io));
+  std::vector<uint8_t> computing(workers_.size(), 0);
+  NETMAX_RETURN_IF_ERROR(TransferQueue(io, computing));
   for (WorkerRuntime& worker : workers_) {
-    NETMAX_RETURN_IF_ERROR(TransferWorker(io, worker));
+    NETMAX_RETURN_IF_ERROR(TransferWorker(
+        io, worker, computing[static_cast<size_t>(worker.id)] != 0));
   }
   NETMAX_RETURN_IF_ERROR(TransferSeries(io, loss_vs_time_));
   NETMAX_RETURN_IF_ERROR(TransferSeries(io, loss_vs_epoch_));
@@ -353,25 +348,91 @@ Status ExperimentHarness::TransferCheckpoint(StateIo& io,
   return engine_state(io);
 }
 
+// One fingerprint entry: the config field named `field`, by its own name.
+#define NETMAX_SAME(field) NETMAX_RETURN_IF_ERROR(io.Same(#field, field))
+
 Status ExperimentHarness::TransferFingerprint(StateIo& io) {
-  // So a restore into a mismatched experiment fails loudly. The cost profile
-  // drives every event time, and the compression spec (version 3) shapes
-  // every transfer time and RNG draw after the snapshot.
+  // So a restore into a different experiment fails loudly, naming the field:
+  // the fingerprint covers every config field that changes a result bit.
+  // Every ExperimentConfig member is bound here by position, so a new member
+  // fails to compile until it is listed below as covered or excluded.
+  [[maybe_unused]] const auto& [dataset, partition, segments, lost_labels,
+                                hidden_layers, profile, num_workers, network,
+                                two_server_placement, slowdown_period_seconds,
+                                topology, batch_size, learning_rate, momentum,
+                                weight_decay, lr_milestones, max_epochs,
+                                max_virtual_seconds, monitor_period_seconds,
+                                generator, eval_every_epochs, seed, threads,
+                                shards, backend, event_queue, faults,
+                                peer_policy, peer_timeout_seconds,
+                                peer_poll_seconds, compress,
+                                checkpoint_at_seconds, checkpoint_every_seconds,
+                                checkpoint_retain, checkpoint_path,
+                                checkpoint_sink, restore_path, restore_source] =
+      config_;
+  // Not covered, each for its reason:
+  //  * threads, shards, backend, event_queue: execution choices, under which
+  //    every result bit is the same (the determinism grid);
+  //  * checkpoint_at_seconds, checkpoint_every_seconds, checkpoint_retain,
+  //    checkpoint_path, checkpoint_sink, restore_path, restore_source: where
+  //    and when checkpoint bytes are written and read;
+  //  * generator.alpha: overwritten from learning_rate, which is covered;
+  //  * faults: the restored queue carries the pending faults, and a run
+  //    restored after a crash finishes under the crash-free schedule by
+  //    design (the crash event is dropped from the saved queue).
   NETMAX_RETURN_IF_ERROR(io.Same("algorithm", algorithm_name_));
-  NETMAX_RETURN_IF_ERROR(io.Same("num_workers", config_.num_workers));
-  NETMAX_RETURN_IF_ERROR(io.Same("seed", config_.seed));
-  NETMAX_RETURN_IF_ERROR(io.Same("max_epochs", config_.max_epochs));
-  NETMAX_RETURN_IF_ERROR(io.Same(
-      "model parameters", int64_t{workers_[0].model->num_parameters()}));
-  NETMAX_RETURN_IF_ERROR(io.Same("profile.name", config_.profile.name));
-  NETMAX_RETURN_IF_ERROR(
-      io.Same("profile.num_parameters", config_.profile.num_parameters));
-  NETMAX_RETURN_IF_ERROR(
-      io.Same("profile.compute_seconds", config_.profile.compute_seconds));
-  return io.Same("compress", ml::CompressionSpecName(config_.compress));
+  NETMAX_SAME(dataset.name);
+  NETMAX_SAME(dataset.num_classes);
+  NETMAX_SAME(dataset.feature_dim);
+  NETMAX_SAME(dataset.num_train);
+  NETMAX_SAME(dataset.num_test);
+  NETMAX_SAME(dataset.class_separation);
+  NETMAX_SAME(dataset.noise_stddev);
+  NETMAX_SAME(dataset.seed);
+  NETMAX_SAME(partition);
+  NETMAX_SAME(segments);
+  NETMAX_SAME(lost_labels);
+  NETMAX_SAME(hidden_layers);
+  // The cost profile drives every event time.
+  NETMAX_SAME(profile.name);
+  NETMAX_SAME(profile.num_parameters);
+  NETMAX_SAME(profile.compute_seconds);
+  NETMAX_SAME(num_workers);
+  NETMAX_SAME(network);
+  NETMAX_SAME(two_server_placement);
+  NETMAX_SAME(slowdown_period_seconds);
+  NETMAX_SAME(topology.shape);
+  NETMAX_SAME(topology.cluster_size);
+  NETMAX_SAME(batch_size);
+  NETMAX_SAME(learning_rate);
+  NETMAX_SAME(momentum);
+  NETMAX_SAME(weight_decay);
+  NETMAX_SAME(lr_milestones);
+  NETMAX_SAME(max_epochs);
+  NETMAX_SAME(max_virtual_seconds);
+  NETMAX_SAME(monitor_period_seconds);
+  NETMAX_SAME(generator.outer_rounds);
+  NETMAX_SAME(generator.inner_rounds);
+  NETMAX_SAME(generator.mode);
+  NETMAX_SAME(eval_every_epochs);
+  NETMAX_SAME(seed);
+  NETMAX_SAME(peer_policy);
+  NETMAX_SAME(peer_timeout_seconds);
+  NETMAX_SAME(peer_poll_seconds);
+  // The compression spec shapes every transfer time and RNG draw after the
+  // snapshot.
+  const std::string compress_name = ml::CompressionSpecName(compress);
+  NETMAX_RETURN_IF_ERROR(io.Same("compress", compress_name));
+  // Derived from the fields above, so it differs only across builds whose
+  // model layout differs.
+  return io.Same("model parameters",
+                 int64_t{workers_[0].model->num_parameters()});
 }
 
-Status ExperimentHarness::TransferQueue(StateIo& io) {
+#undef NETMAX_SAME
+
+Status ExperimentHarness::TransferQueue(StateIo& io,
+                                        std::vector<uint8_t>& computing) {
   double now = sim_.Now();
   int64_t next_sequence = sim_.next_sequence();
   int64_t processed = sim_.num_events_processed();
@@ -391,6 +452,11 @@ Status ExperimentHarness::TransferQueue(StateIo& io) {
              static_cast<int>(event.payload.args[0]) ==
                  static_cast<int>(net::FaultKind::kCrash);
     });
+    for (const net::SimEvent& event : events) {
+      if (event.worker_key != kPlainEvent) {
+        computing[static_cast<size_t>(event.worker_key)] = 1;
+      }
+    }
   }
   uint64_t count = events.size();
   NETMAX_RETURN_IF_ERROR(io(now, next_sequence, processed));
@@ -408,16 +474,25 @@ Status ExperimentHarness::TransferQueue(StateIo& io) {
   return sim_.RestoreQueue(now, next_sequence, processed, std::move(events));
 }
 
-Status ExperimentHarness::TransferWorker(StateIo& io, WorkerRuntime& worker) {
+Status ExperimentHarness::TransferWorker(StateIo& io, WorkerRuntime& worker,
+                                         bool computing) {
   // The gradient scratch buffer IS part of the run's future: e.g. the
   // parameter-server upload event reads it after the commit that filled it,
-  // and a checkpoint can land between the two. (Workspace is pure scratch
-  // and batch_indices pairs with the gradient, both rewritten before any
-  // read that follows a pending compute's re-evaluation.)
+  // and a checkpoint can land between the two. Not so while the worker has
+  // a compute pending: that compute rewrites the buffer before anything
+  // reads it, and a speculated evaluation may already have written it ahead
+  // of its turn (net/event_sim.h). Such a worker saves zeros and leaves the
+  // buffer unread, so the bytes do not depend on the dispatch and the save
+  // reads nothing a pool thread writes. (Workspace is pure scratch.)
+  std::vector<double> zeros;
+  std::span<double> gradient = worker.gradient;
+  if (computing && !io.restoring()) {
+    zeros.assign(gradient.size(), 0.0);
+    gradient = zeros;
+  }
   NETMAX_RETURN_IF_ERROR(io(worker.rng, worker.model->parameters(),
                             *worker.optimizer, *worker.sampler,
-                            *worker.lr_schedule,
-                            std::span<double>(worker.gradient),
+                            *worker.lr_schedule, gradient,
                             worker.batch_indices));
   // A pending compute half reads the shard at these indices.
   for (const int index : worker.batch_indices) {

@@ -13,11 +13,14 @@
 // or speculative dispatch at any thread count.
 //
 // Two properties make that work:
-//  * Quiesce-before-save: the checkpoint event runs on the simulator thread
-//    and first invalidates every speculated compute evaluation
-//    (NotifyStateWrite per worker), so all serialized state is at its
-//    committed value; invalidated evaluations re-run afterwards and
-//    reproduce the same bits because compute halves are pure.
+//  * Committed state only: the checkpoint event runs on the simulator thread,
+//    where everything but a worker's gradient scratch is at its committed
+//    value. The scratch of a worker with a compute event pending is dead
+//    until that compute rewrites it, and a speculated evaluation may have
+//    written it ahead of its turn (net/event_sim.h), so such a worker saves
+//    zeros in its place. The bytes are therefore the same under every
+//    dispatch and thread count, and the save reads nothing a pool thread
+//    writes, so speculation in flight is left to run on.
 //  * Exact sequence restore: pending events are re-inserted with the saved
 //    (time, sequence) identity, so every tie-break after the restore matches
 //    the original run. The checkpoint event itself consumes one sequence
@@ -59,8 +62,9 @@ inline constexpr uint32_t kCheckpointEndMarker = 0x4E4D4345;
 // (core/engine.h, core/pull_engine.h): new event tags, the parked-chain flags
 // saved once by the skeleton ahead of every engine blob, and leaner blobs
 // (no policy for monitor-less engines, no duplicate policy counter, no
-// reduce seconds in Prague's group events).
-inline constexpr uint32_t kCheckpointVersion = 4;
+// reduce seconds in Prague's group events). Version 5 widened the config
+// fingerprint to every field that changes a result bit.
+inline constexpr uint32_t kCheckpointVersion = 5;
 
 // Whole-file read/write. Write goes through a temp file + rename so a crash
 // mid-write never leaves a truncated checkpoint at `path`.

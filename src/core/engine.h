@@ -7,8 +7,8 @@
 // An engine supplies three things: its event kinds (small non-negative tags
 // with double args, core/checkpoint.h), one BuildEvent that fills an event's
 // closures from its tag and args, and one TransferState that saves and
-// restores whatever state the harness does not own. Engine::Run does the rest, the same way for
-// every algorithm:
+// restores whatever state the harness does not own. Engine::Run does the
+// rest, the same way for every algorithm:
 //
 //   harness Init -> Setup -> hand BuildEvent to the harness ->
 //   restore-or-Start -> ArmCheckpoint -> fault listener -> RunUntilIdle ->

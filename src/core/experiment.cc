@@ -515,23 +515,10 @@ void ExperimentHarness::CommitBatchStats(int w, double loss) {
   }
 }
 
-double ExperimentHarness::ComputeGradientOnly(int w) {
-  SampleBatch(w);
-  const double loss = EvalBatchGradient(w);
-  CommitBatchStats(w, loss);
-  return loss;
-}
-
 void ExperimentHarness::ApplyStoredGradient(int w) {
   WorkerRuntime& worker = workers_[static_cast<size_t>(w)];
   sim_.NotifyStateWrite(w);
   worker.optimizer->Step(worker.model->parameters(), worker.gradient);
-}
-
-double ExperimentHarness::LocalGradientStep(int w) {
-  const double loss = ComputeGradientOnly(w);
-  ApplyStoredGradient(w);
-  return loss;
 }
 
 void ExperimentHarness::AccountIteration(int w, double compute_seconds,

@@ -210,10 +210,10 @@ struct ExperimentConfig {
   ml::CompressionSpec compress;
 
   // --- checkpoint / restore (core/checkpoint.h) ---
-  // When > 0, the harness arms a checkpoint at this virtual time: the run is
-  // quiesced, the full experiment state (workers, RNG streams, event queue,
-  // series) is serialized, and the run continues. Resuming from that state
-  // finishes with a bit-identical RunResult.
+  // When > 0, the harness arms a checkpoint at this virtual time: the full
+  // experiment state (workers, RNG streams, event queue, series) is
+  // serialized, and the run continues. Resuming from that state finishes
+  // with a bit-identical RunResult.
   double checkpoint_at_seconds = 0.0;
   // When > 0, the harness also checkpoints periodically, every this many
   // virtual seconds, to checkpoint_path (always the latest bytes) plus a
@@ -474,15 +474,6 @@ class ExperimentHarness {
   // mark the worker finished.
   void CommitBatchStats(int w, double loss);
 
-  // Serial convenience: SampleBatch + EvalBatchGradient + CommitBatchStats.
-  // The gradient is left in worker.gradient without applying it (engines that
-  // apply gradients after communication, e.g. AD-PSGD's average-then-step
-  // order).
-  double ComputeGradientOnly(int w);
-
-  // Serial convenience: ComputeGradientOnly + ApplyStoredGradient.
-  double LocalGradientStep(int w);
-
   // Applies worker w's stored gradient through its optimizer (and notifies
   // the simulator of the parameter write for speculation tracking).
   void ApplyStoredGradient(int w);
@@ -573,8 +564,8 @@ class ExperimentHarness {
 
   // Arms the configured checkpoints (no-op when none are):
   //  * one-shot — a tagged plain event at config.checkpoint_at_seconds that
-  //    quiesces in-flight speculation, serializes the full experiment state
-  //    plus the engine blob from `engine_state`, and writes it to the
+  //    serializes the full experiment state plus the engine blob from
+  //    `engine_state` (core/checkpoint.h), and writes it to the
   //    configured sink/path. A checkpoint time past the run's last event
   //    fails via checkpoint_status() rather than write a dead checkpoint.
   //  * periodic cadence — a self-rechaining tick every
@@ -623,8 +614,13 @@ class ExperimentHarness {
   // the one field list both SerializeCheckpoint and Restore run.
   Status TransferCheckpoint(StateIo& io, const EngineStateIo& engine_state);
   Status TransferFingerprint(StateIo& io);
-  Status TransferQueue(StateIo& io);
-  Status TransferWorker(StateIo& io, WorkerRuntime& worker);
+  // The clock and the pending events. Save snapshots the queue without its
+  // pending crash faults and flags each worker with a compute event pending
+  // in `computing`; restore rebuilds the events through RestoreQueue.
+  Status TransferQueue(StateIo& io, std::vector<uint8_t>& computing);
+  // One worker's record; `computing` (save only) swaps its gradient scratch
+  // for zeros.
+  Status TransferWorker(StateIo& io, WorkerRuntime& worker, bool computing);
 
   ExperimentConfig config_;
   std::string algorithm_name_;

@@ -10,10 +10,12 @@
 #include <bit>
 #include <cstdint>
 #include <cstdio>
+#include <functional>
 #include <map>
 #include <set>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -161,13 +163,13 @@ TEST_P(CheckpointRoundTrip, CheckpointsAreBackendPortable) {
   ExpectBitIdentical(reference, MustRun(GetParam(), resumed));
 }
 
-// Cross-config restore from pooled speculation (the test's name is
-// historical): a checkpoint written under an 8-thread pool restores
-// bit-identically under a 3-thread pool, whose frontiers differ, and under
-// serial dispatch. The checkpoint fingerprint covers the simulation config
-// only — backend and threads are real-machine choices — so both restores
-// must accept the bytes and finish on the reference's bits.
-TEST_P(CheckpointRoundTrip, SpeculativeCheckpointRestoresUnderProcessBackend) {
+// Cross-config restore from pooled speculation: a checkpoint written under
+// an 8-thread pool restores bit-identically under a 3-thread pool, whose
+// frontiers differ, and under serial dispatch. The checkpoint fingerprint
+// covers the simulation config only — backend and threads are real-machine
+// choices — so both restores must accept the bytes and finish on the
+// reference's bits.
+TEST_P(CheckpointRoundTrip, PooledCheckpointRestoresUnderEveryBackend) {
   const ExperimentConfig base = BaseConfig();
   const RunResult reference = MustRun(GetParam(), base);
   ASSERT_GT(reference.total_virtual_seconds, 0.0);
@@ -195,6 +197,59 @@ TEST_P(CheckpointRoundTrip, SpeculativeCheckpointRestoresUnderProcessBackend) {
   const RunResult serial_restored = MustRun(GetParam(), under_serial);
   EXPECT_EQ(serial_restored.backend, "serial");
   ExpectBitIdentical(reference, serial_restored);
+}
+
+// The checkpoint bytes do not depend on the dispatch: serial dispatch and an
+// 8-thread speculative pool write byte-equal checkpoints, at the one-shot
+// point and at every save of a dense periodic cadence (one save per 1% of
+// the run). A gradient a speculated evaluation wrote ahead of its turn would
+// show up here as a differing byte range.
+TEST_P(CheckpointRoundTrip, CheckpointBytesAreBackendIndependent) {
+  const ExperimentConfig base = BaseConfig();
+  const RunResult reference = MustRun(GetParam(), base);
+  ASSERT_GT(reference.total_virtual_seconds, 0.0);
+
+  struct Saves {
+    std::vector<uint8_t> one_shot;
+    std::vector<std::vector<uint8_t>> cadence;  // tick k at index k - 1
+  };
+  const auto save = [&](int threads) {
+    Saves saves;
+    ExperimentConfig one_shot = base;
+    one_shot.threads = threads;
+    one_shot.checkpoint_at_seconds = 0.5 * reference.total_virtual_seconds;
+    one_shot.checkpoint_sink = &saves.one_shot;
+    MustRun(GetParam(), one_shot);
+
+    ExperimentConfig cadenced = base;
+    cadenced.threads = threads;
+    cadenced.checkpoint_every_seconds =
+        0.01 * reference.total_virtual_seconds;
+    cadenced.checkpoint_path = ::testing::TempDir() + "/netmax_bytes_" +
+                               GetParam() + "_" + std::to_string(threads);
+    cadenced.checkpoint_retain = 1000;  // keep every tick's file
+    MustRun(GetParam(), cadenced);
+    for (int tick = 1;; ++tick) {
+      const std::string path =
+          cadenced.checkpoint_path + ".t" + std::to_string(tick);
+      auto bytes = core::ReadCheckpointFile(path);
+      if (!bytes.ok()) break;
+      saves.cadence.push_back(std::move(*bytes));
+      std::remove(path.c_str());
+    }
+    std::remove(cadenced.checkpoint_path.c_str());
+    return saves;
+  };
+  const Saves serial = save(1);
+  const Saves pooled = save(8);
+  ASSERT_FALSE(serial.one_shot.empty());
+  EXPECT_TRUE(serial.one_shot == pooled.one_shot);
+  ASSERT_GE(serial.cadence.size(), 50u);
+  ASSERT_EQ(serial.cadence.size(), pooled.cadence.size());
+  for (size_t k = 0; k < serial.cadence.size(); ++k) {
+    EXPECT_TRUE(serial.cadence[k] == pooled.cadence[k])
+        << "periodic save " << k + 1;
+  }
 }
 
 // The crash-recovery contract: a run killed by a crash@T fault, restored
@@ -306,24 +361,43 @@ void ExpectSameRun(const RunResult& a, const RunResult& b) {
 }
 
 // The pending events a checkpoint holds, read past its fingerprint and
-// clock (the layout SerializeCheckpoint writes). `args_at`, when given,
-// receives each event's byte offset of args[0]; `workers_at`, the offset at
+// clock (the layout the harness's checkpoint field list transfers).
+// `args_at`, when given, receives each event's byte offset of args[0] (its
+// tag sits 16 bytes before, its worker key 24); `workers_at`, the offset at
 // which the worker states begin.
 std::vector<net::SimEvent> PendingEvents(
     const std::vector<uint8_t>& bytes, std::vector<size_t>* args_at = nullptr,
     size_t* workers_at = nullptr) {
   Deserializer in(bytes);
-  in.ReadU32().value();     // magic
-  in.ReadU32().value();     // version
-  in.ReadString().value();  // algorithm
-  in.ReadInt().value();     // workers
-  in.ReadU64().value();     // seed
-  in.ReadInt().value();     // max_epochs
-  in.ReadI64().value();     // model parameters
-  in.ReadString().value();  // profile name
-  in.ReadI64().value();     // profile parameters
-  in.ReadDouble().value();  // profile compute seconds
-  in.ReadString().value();  // compression spec
+  const auto skip_words = [&in](int count) {
+    for (int i = 0; i < count; ++i) in.ReadU64().value();
+  };
+  const auto skip_string = [&in] { in.ReadString().value(); };
+  const auto skip_vector = [&in] {
+    std::vector<double> words;
+    NETMAX_CHECK_OK(in.ReadDoubleVec(&words));
+  };
+  in.ReadU32().value();  // magic
+  in.ReadU32().value();  // version
+  // The version-5 fingerprint, in ExperimentConfig's order. Ints, enums,
+  // u64s and doubles each take one 8-byte word; a vector of them takes a
+  // length and that many words.
+  skip_string();  // algorithm
+  skip_string();  // dataset.name
+  skip_words(8);  // the rest of the dataset spec, partition
+  skip_vector();  // segments
+  const uint64_t lost_labels = in.ReadU64().value();
+  for (uint64_t i = 0; i < lost_labels; ++i) skip_vector();
+  skip_vector();  // hidden_layers
+  skip_string();  // profile.name
+  skip_words(4);  // profile.num_parameters, profile.compute_seconds,
+                  // num_workers, network
+  in.ReadBool().value();  // two_server_placement
+  skip_words(7);  // slowdown_period_seconds through weight_decay
+  skip_vector();  // lr_milestones
+  skip_words(11);  // max_epochs through peer_poll_seconds
+  skip_string();  // compress
+  skip_words(1);  // model parameters
   in.ReadDouble().value();  // now
   in.ReadI64().value();     // next sequence
   in.ReadI64().value();     // events processed
@@ -446,7 +520,9 @@ TEST(CheckpointLrMilestones, DecayedRateSurvivesRestore) {
       while (harness.worker(w).epochs_completed < 1) {
         ASSERT_EQ(harness.worker(w).optimizer->learning_rate(),
                   base.learning_rate);
-        harness.LocalGradientStep(w);
+        harness.SampleBatch(w);
+        harness.CommitBatchStats(w, harness.EvalBatchGradient(w));
+        harness.ApplyStoredGradient(w);
       }
       EXPECT_EQ(harness.worker(w).optimizer->learning_rate(),
                 0.1 * base.learning_rate)
@@ -641,6 +717,63 @@ TEST(CheckpointErrors, BatchIndexOutsideTheShardIsRejected) {
   EXPECT_NE(status.message().find("batch index"), std::string::npos);
 }
 
+// A restored queue whose engine event no longer describes one fails with the
+// engine's malformed-event error, on every event table: the pull loop
+// (netmax), the round loop (allreduce), gossip, PS-async and Prague. Two
+// corruptions of a checkpoint taken inside the first compute interval: an
+// unknown tag on the first pending engine event, and a worker key out of
+// range on the first pending compute event (the round loop never has one
+// pending).
+TEST(CheckpointErrors, MalformedEngineEventsAreRejected) {
+  const std::pair<std::string, std::string> engines[] = {
+      {"netmax", "NetMax"},     {"allreduce", "Allreduce"},
+      {"gossip", "GoSGD"},      {"ps-async", "PS-asyn"},
+      {"prague", "Prague"},
+  };
+  const ExperimentConfig base = BaseConfig();
+  for (const auto& [name, display] : engines) {
+    SCOPED_TRACE(name);
+    std::vector<uint8_t> checkpoint;
+    ExperimentConfig with_checkpoint = base;
+    with_checkpoint.checkpoint_at_seconds =
+        0.5 * core::ExperimentHarness(base, name).ComputeSeconds(
+                  base.batch_size);
+    with_checkpoint.checkpoint_sink = &checkpoint;
+    MustRun(name, with_checkpoint);
+    std::vector<size_t> args_at;
+    const std::vector<net::SimEvent> events =
+        PendingEvents(checkpoint, &args_at);
+    std::vector<std::vector<uint8_t>> corrupted;
+    bool tag_patched = false;
+    bool key_patched = false;
+    for (size_t i = 0; i < events.size(); ++i) {
+      if (events[i].payload.tag >= core::kHarnessFaultTag) continue;
+      if (!tag_patched) {
+        corrupted.push_back(checkpoint);
+        PatchWord(corrupted.back(), args_at[i] - 16, 99);
+        tag_patched = true;
+      }
+      if (!key_patched && events[i].worker_key >= 0) {
+        corrupted.push_back(checkpoint);
+        PatchWord(corrupted.back(), args_at[i] - 24,
+                  static_cast<uint64_t>(base.num_workers));
+        key_patched = true;
+      }
+    }
+    ASSERT_TRUE(tag_patched);
+    EXPECT_EQ(key_patched, name != "allreduce");
+    for (const std::vector<uint8_t>& bytes : corrupted) {
+      ExperimentConfig resumed = base;
+      resumed.restore_source = &bytes;
+      const Status status = TryRun(name, resumed);
+      EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status;
+      EXPECT_NE(status.message().find("malformed " + display + " event"),
+                std::string::npos)
+          << status;
+    }
+  }
+}
+
 TEST(CheckpointErrors, TrailingGarbageIsRejected) {
   const ExperimentConfig base = BaseConfig();
   std::vector<uint8_t> checkpoint = MakeCheckpoint(base);
@@ -660,46 +793,65 @@ TEST(CheckpointErrors, AlgorithmFingerprintMismatch) {
   EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition);
 }
 
+// A checkpoint restores only into the config it was written under: every
+// field that changes a result bit is in the fingerprint, and a mismatch
+// fails the restore with a message naming the field. One case per field
+// family, plus each field a restore used to accept silently (learning_rate,
+// batch_size, momentum, dataset.seed).
 TEST(CheckpointErrors, ConfigFingerprintMismatches) {
   const ExperimentConfig base = BaseConfig();
   const std::vector<uint8_t> checkpoint = MakeCheckpoint(base);
 
-  ExperimentConfig wrong_seed = base;
-  wrong_seed.seed = base.seed + 1;
-  wrong_seed.restore_source = &checkpoint;
-  EXPECT_EQ(TryRun("gossip", wrong_seed).code(),
-            StatusCode::kFailedPrecondition);
-
-  ExperimentConfig wrong_workers = base;
-  wrong_workers.num_workers = base.num_workers / 2;
-  wrong_workers.restore_source = &checkpoint;
-  EXPECT_EQ(TryRun("gossip", wrong_workers).code(),
-            StatusCode::kFailedPrecondition);
-
-  ExperimentConfig wrong_epochs = base;
-  wrong_epochs.max_epochs = base.max_epochs + 1;
-  wrong_epochs.restore_source = &checkpoint;
-  EXPECT_EQ(TryRun("gossip", wrong_epochs).code(),
-            StatusCode::kFailedPrecondition);
-
-  // Every change to compute time goes through the profile, so a restore
-  // cannot graft a run onto another time scale. The message names the field
-  // that differs, since the profile's name is the same on both sides.
-  ExperimentConfig slower_compute = base;
-  slower_compute.profile.compute_seconds *= 8.0;
-  slower_compute.restore_source = &checkpoint;
-  const Status slower = TryRun("gossip", slower_compute);
-  EXPECT_EQ(slower.code(), StatusCode::kFailedPrecondition);
-  EXPECT_NE(slower.message().find("compute_seconds"), std::string::npos)
-      << slower.message();
-
-  ExperimentConfig bigger_profile = base;
-  bigger_profile.profile.num_parameters += 1;
-  bigger_profile.restore_source = &checkpoint;
-  const Status bigger = TryRun("gossip", bigger_profile);
-  EXPECT_EQ(bigger.code(), StatusCode::kFailedPrecondition);
-  EXPECT_NE(bigger.message().find("num_parameters"), std::string::npos)
-      << bigger.message();
+  struct Change {
+    std::string field;  // what the error message must name
+    std::function<void(ExperimentConfig&)> apply;
+  };
+  const Change changes[] = {
+      {"learning_rate", [](ExperimentConfig& c) { c.learning_rate *= 2.0; }},
+      {"batch_size", [](ExperimentConfig& c) { c.batch_size /= 2; }},
+      {"momentum", [](ExperimentConfig& c) { c.momentum = 0.0; }},
+      {"dataset.seed", [](ExperimentConfig& c) { ++c.dataset.seed; }},
+      {"seed", [](ExperimentConfig& c) { ++c.seed; }},
+      {"num_workers", [](ExperimentConfig& c) { c.num_workers /= 2; }},
+      {"max_epochs", [](ExperimentConfig& c) { ++c.max_epochs; }},
+      // Every change to compute time goes through the profile, so a restore
+      // cannot graft a run onto another time scale. The profile's name is
+      // the same on both sides here; the message names the field.
+      {"compute_seconds",
+       [](ExperimentConfig& c) { c.profile.compute_seconds *= 8.0; }},
+      {"num_parameters",
+       [](ExperimentConfig& c) { c.profile.num_parameters += 1; }},
+      {"partition",
+       [](ExperimentConfig& c) {
+         c.partition = core::PartitionScheme::kSegments;
+         c.segments.assign(static_cast<size_t>(c.num_workers), 1);
+       }},
+      {"hidden_layers", [](ExperimentConfig& c) { c.hidden_layers = {6}; }},
+      {"network",
+       [](ExperimentConfig& c) {
+         c.network = NetworkScenario::kHeterogeneousDynamic;
+       }},
+      {"lr_milestones", [](ExperimentConfig& c) { c.lr_milestones = {1}; }},
+      {"max_virtual_seconds",
+       [](ExperimentConfig& c) { c.max_virtual_seconds *= 2.0; }},
+      {"generator.outer_rounds",
+       [](ExperimentConfig& c) { ++c.generator.outer_rounds; }},
+      {"eval_every_epochs", [](ExperimentConfig& c) { ++c.eval_every_epochs; }},
+      {"peer_policy",
+       [](ExperimentConfig& c) {
+         c.peer_policy = core::PeerPolicy::kTimeoutAndContinue;
+       }},
+  };
+  for (const Change& change : changes) {
+    SCOPED_TRACE(change.field);
+    ExperimentConfig changed = base;
+    change.apply(changed);
+    changed.restore_source = &checkpoint;
+    const Status status = TryRun("gossip", changed);
+    EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition) << status;
+    EXPECT_NE(status.message().find(change.field), std::string::npos)
+        << status;
+  }
 }
 
 TEST(CheckpointErrors, RestorePathAndSourceAreMutuallyExclusive) {

@@ -29,6 +29,13 @@ ExperimentConfig TinyConfig() {
   return config;
 }
 
+// One serial local step of worker w through the harness's gradient halves.
+void LocalStep(ExperimentHarness& harness, int w) {
+  harness.SampleBatch(w);
+  harness.CommitBatchStats(w, harness.EvalBatchGradient(w));
+  harness.ApplyStoredGradient(w);
+}
+
 TEST(WorkerBatchSizeTest, UniformUsesConfigBatch) {
   ExperimentConfig config = TinyConfig();
   EXPECT_EQ(WorkerBatchSize(config, 0), 16);
@@ -339,9 +346,7 @@ TEST(HarnessTest, LocalStepsCompleteEpochsAndFinish) {
   const int steps_per_epoch = 4;
   for (int epoch = 0; epoch < config.max_epochs; ++epoch) {
     for (int s = 0; s < steps_per_epoch; ++s) {
-      for (int w = 0; w < config.num_workers; ++w) {
-        harness.LocalGradientStep(w);
-      }
+      for (int w = 0; w < config.num_workers; ++w) LocalStep(harness, w);
     }
   }
   EXPECT_TRUE(harness.AllDone());
@@ -361,7 +366,7 @@ TEST(HarnessTest, AccountIterationSplitsComputeAndComm) {
   harness.AccountIteration(0, /*compute=*/0.2, /*wall=*/0.5);
   // Complete worker 0's single epoch so cost averaging has a denominator.
   for (int s = 0; s < 4; ++s) {
-    for (int w = 0; w < config.num_workers; ++w) harness.LocalGradientStep(w);
+    for (int w = 0; w < config.num_workers; ++w) LocalStep(harness, w);
   }
   RunResult result = harness.Finalize();
   // 4 worker-epochs total; only worker 0 accrued cost.
